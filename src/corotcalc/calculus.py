@@ -124,37 +124,52 @@ def ad_power_binomial(a, x, m: int) -> np.ndarray:
 # matrix functions
 
 
-def _spectral_decomposition(a, decomposition=None) -> EigenDecomposition:
+def _decomposition(a, decomposition=None) -> EigenDecomposition:
+    """The given eigendecomposition of symmetric ``a``, or a fresh one."""
     if decomposition is not None:
         return decomposition
     return eigendecompose_symmetric(a)
 
 
 def _spd_decomposition(a, decomposition=None) -> EigenDecomposition:
-    dec = _spectral_decomposition(a, decomposition)
+    """As ``_decomposition``, raising NotSpdError unless every eigenvalue is positive."""
+    dec = _decomposition(a, decomposition)
     smallest = float(dec.eigenvalues[-1])
     if smallest <= 0.0:
         raise NotSpdError(smallest)
     return dec
 
 
-def _apply_scalar(f: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    for i, v in enumerate(values):
-        try:
-            fv = float(f(float(v)))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise KernelDomainError(f"function undefined at eigenvalue {v!r}: {exc}") from exc
-        if not math.isfinite(fv):
-            raise KernelDomainError(f"function non-finite at eigenvalue {v!r}")
-        out[i] = fv
-    return out
+def _checked(fn: Callable[..., float], *args: float) -> float:
+    """fn(*args) as a float; failures and non-finite values raise KernelDomainError."""
+    try:
+        value = float(fn(*args))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise KernelDomainError(f"function undefined at eigenvalues {args!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise KernelDomainError(f"function non-finite at eigenvalues {args!r}")
+    return value
+
+
+def _pair_table(fn: Callable[[float, float], float], values) -> np.ndarray:
+    """Table T_ij = fn(v_i, v_j) over all pairs of eigenvalues.
+
+    Difference kernels pass ``lambda a, b: kernel(a - b)``.
+    """
+    vals = [float(v) for v in values]
+    return np.array([[_checked(fn, a, b) for b in vals] for a in vals])
+
+
+def _hadamard(dec: EigenDecomposition, table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q (T o Q^T X Q) Q^T: the table applied entrywise in the eigenbasis of dec."""
+    q = dec.q
+    return q @ (table * (q.T @ x @ q)) @ q.T
 
 
 def matfun_spectral(f: Callable[[float], float], s, decomposition=None) -> np.ndarray:
     """Apply a real function to a symmetric matrix through its eigenvalues."""
-    dec = _spectral_decomposition(s, decomposition)
-    vals = _apply_scalar(f, dec.eigenvalues)
+    dec = _decomposition(s, decomposition)
+    vals = np.array([_checked(f, v) for v in dec.eigenvalues.tolist()])
     out = (dec.q * vals) @ dec.q.T
     return 0.5 * (out + out.T)
 
@@ -175,7 +190,6 @@ class PowerSeriesSpec:
     coefficients: tuple
     max_terms: int = 128
     tol: float = 1e-15
-    radius_hint: float | None = None
 
     def __post_init__(self):
         if self.max_terms < 1:
@@ -196,7 +210,7 @@ def exp_series_spec(scale: float = 1.0, terms: int = 96, tol: float = 1e-15) -> 
 def log_series_spec(terms: int = 160, tol: float = 1e-15) -> PowerSeriesSpec:
     """Series of ln(1+u): (-1)^(n+1) u^n / n, converging for |u| < 1."""
     c = [0.0] + [(-1.0) ** (n + 1) / n for n in range(1, terms)]
-    return PowerSeriesSpec(tuple(c), max_terms=terms, tol=tol, radius_hint=1.0)
+    return PowerSeriesSpec(tuple(c), max_terms=terms, tol=tol)
 
 
 def sigma_series_spec(terms: int = 40, tol: float = 1e-15) -> PowerSeriesSpec:
@@ -206,9 +220,7 @@ def sigma_series_spec(terms: int = 40, tol: float = 1e-15) -> PowerSeriesSpec:
     """
     if terms > 40:
         raise ValueError("sigma series is limited to 40 terms by the Bernoulli table")
-    return PowerSeriesSpec(
-        tuple(_sigma_coeffs(terms - 1)), max_terms=terms, tol=tol, radius_hint=math.pi
-    )
+    return PowerSeriesSpec(tuple(_sigma_coeffs(terms - 1)), max_terms=terms, tol=tol)
 
 
 def eta_neg_series_spec(terms: int = 64, tol: float = 1e-15) -> PowerSeriesSpec:
@@ -261,10 +273,10 @@ def _sum_series(spec: PowerSeriesSpec, first_term: np.ndarray, advance) -> Serie
         if fn == 0.0:
             continue
         term = fn * cur
-        term_norm = frobenius_norm(term)
+        term_norm = float(np.sqrt(np.sum(term * term)))
         state.diverging(term_norm, n)
         acc = acc + term
-        if state.small_enough(term_norm, frobenius_norm(acc)):
+        if state.small_enough(term_norm, float(np.sqrt(np.sum(acc * acc)))):
             stopped_by = "tolerance"
             break
     return SeriesResult(acc, used, stopped_by)
@@ -298,25 +310,6 @@ def matlog_series(a, terms: int = 160, tol: float = 1e-15) -> SeriesResult:
 # the commutator-kernel operator
 
 
-def _kernel_table(kernel: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    d = len(values)
-    table = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            try:
-                kv = float(kernel(float(values[i] - values[j])))
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise KernelDomainError(
-                    f"kernel undefined at eigenvalue difference {values[i] - values[j]!r}"
-                ) from exc
-            if not math.isfinite(kv):
-                raise KernelDomainError(
-                    f"kernel non-finite at eigenvalue difference {values[i] - values[j]!r}"
-                )
-            table[i, j] = kv
-    return table
-
-
 @dataclass(frozen=True)
 class SpectralAdOperator:
     """Precomputed Hadamard realization of a commutator kernel.
@@ -334,17 +327,15 @@ class SpectralAdOperator:
     @classmethod
     def from_matrix(cls, g, kernel, decomposition=None, name=None) -> "SpectralAdOperator":
         src = np.array(as_array(g))
-        dec = _spectral_decomposition(src, decomposition)
-        table = _kernel_table(kernel, dec.eigenvalues)
+        dec = _decomposition(src, decomposition)
+        table = _pair_table(lambda a, b: kernel(a - b), dec.eigenvalues)
         src.setflags(write=False)
         table.setflags(write=False)
         label = name if name is not None else getattr(kernel, "name", repr(kernel))
         return cls(src, dec, label, table)
 
     def apply(self, x) -> np.ndarray:
-        xx = as_array(x)
-        q = self.decomposition.q
-        return q @ (self.kernel_table * (q.T @ xx @ q)) @ q.T
+        return _hadamard(self.decomposition, self.kernel_table, as_array(x))
 
 
 def f_of_ad_spectral(kernel, g, x, decomposition=None) -> np.ndarray:
@@ -360,8 +351,10 @@ def d_exp(a, x, method: str = "auto") -> np.ndarray:
     """Directional derivative of the matrix exponential at A toward X.
 
     Spectral route (symmetric A): exp(A) times the (1 - e^-t)/t kernel of
-    the commutator applied to X.  Series route (general A): the same two
-    factors summed as formal series.
+    the commutator applied to X, evaluated as the divided differences
+    (e^a_i - e^a_j)/(a_i - a_j) = e^max(a_i, a_j) (1 - e^-|a_i - a_j|)/|a_i - a_j|
+    of the eigenvalues, which stay finite wherever the result is.  Series
+    route (general A): the same two factors summed as formal series.
     """
     aa, xx = as_array(a), as_array(x)
     if aa.shape != xx.shape:
@@ -369,11 +362,11 @@ def d_exp(a, x, method: str = "auto") -> np.ndarray:
     if method == "auto":
         method = "spectral" if is_symmetric(aa) else "series"
     if method == "spectral":
-        dec = _spectral_decomposition(aa)
-        table = _kernel_table(ETA_NEG, dec.eigenvalues)
-        q = dec.q
-        inner = table * (q.T @ xx @ q)
-        return q @ (np.exp(dec.eigenvalues)[:, None] * inner) @ q.T
+        dec = eigendecompose_symmetric(aa)
+        table = _pair_table(
+            lambda a, b: math.exp(max(a, b)) * ETA_NEG(abs(a - b)), dec.eigenvalues
+        )
+        return _hadamard(dec, table, xx)
     if method == "series":
         ea = matexp_series(aa)
         return ea @ f_of_ad_series(eta_neg_series_spec(), aa, xx).value
@@ -390,12 +383,8 @@ def d_log(a, x, decomposition=None) -> np.ndarray:
     if aa.shape != xx.shape:
         raise DimensionMismatchError(f"shape mismatch {aa.shape} vs {xx.shape}")
     dec = _spd_decomposition(aa, decomposition)
-    lam = dec.eigenvalues
-    log_lam = np.log(lam)
-    table = _kernel_table(ETA_NEG_RECIP, log_lam)
-    q = dec.q
-    xt = q.T @ xx @ q
-    return q @ (table * (xt / lam[:, None])) @ q.T
+    table = _pair_table(lambda a, b: ETA_NEG_RECIP(math.log(a / b)) / a, dec.eigenvalues)
+    return _hadamard(dec, table, xx)
 
 
 def _log_eig_apply(kernel, a, y, decomposition=None) -> np.ndarray:
@@ -404,9 +393,8 @@ def _log_eig_apply(kernel, a, y, decomposition=None) -> np.ndarray:
     if aa.shape != yy.shape:
         raise DimensionMismatchError(f"shape mismatch {aa.shape} vs {yy.shape}")
     dec = _spd_decomposition(aa, decomposition)
-    table = _kernel_table(kernel, np.log(dec.eigenvalues))
-    q = dec.q
-    return q @ (table * (q.T @ yy @ q)) @ q.T
+    table = _pair_table(lambda a, b: kernel(a - b), np.log(dec.eigenvalues))
+    return _hadamard(dec, table, yy)
 
 
 def dlog_sandwich(a, y, p: int, s: int, decomposition=None) -> np.ndarray:
@@ -482,10 +470,9 @@ def exp_conjugation(a, y, s: float = 1.0, method: str = "auto") -> np.ndarray:
     if method == "auto":
         method = "spectral" if is_symmetric(aa) else "series"
     if method == "spectral":
-        dec = _spectral_decomposition(aa)
-        table = _kernel_table(lambda t: math.exp(s * t), dec.eigenvalues)
-        q = dec.q
-        return q @ (table * (q.T @ yy @ q)) @ q.T
+        dec = eigendecompose_symmetric(aa)
+        table = _pair_table(lambda a, b: math.exp(s * (a - b)), dec.eigenvalues)
+        return _hadamard(dec, table, yy)
     if method == "series":
         return f_of_ad_series(exp_series_spec(scale=s), aa, yy).value
     raise ValueError(f"unknown method {method!r}")
@@ -498,7 +485,7 @@ def adjoint_residuals(a, x, y, kernel) -> tuple:
     r2 = |<f(ad_A)[X], Y> - <X, f(ad_A)[Y]>|; both vanish for symmetric A.
     """
     aa = as_array(a)
-    dec = _spectral_decomposition(aa)
+    dec = eigendecompose_symmetric(aa)
     fx = f_of_ad_spectral(kernel, aa, x, decomposition=dec)
     flipped = f_of_ad_spectral(lambda t: kernel(-t), aa, as_array(x).T, decomposition=dec)
     r1 = frobenius_norm(fx.T - flipped)

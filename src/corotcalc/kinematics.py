@@ -3,8 +3,10 @@
 The spin of the logarithmic corotational rate is computed two ways: the
 classical eigenprojection sum over the left Cauchy-Green tensor, and the
 commutator-kernel form driven by the odd sigma kernel at the log strain.
-The two agree to rounding; the trajectory integrator records residuals of
-the defining rate identity along simulated motions.
+Both are assembled as one Hadamard mask in the eigenbasis of B and differ
+only in the scalar pair weight, so they agree to rounding; the trajectory
+integrator records residuals of the defining rate identity along simulated
+motions.
 """
 
 from __future__ import annotations
@@ -16,18 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import SpectralAdOperator, d_log
-from .matcore import (
-    EigenDecomposition,
-    NotSpdError,
-    SkewMatrix,
-    as_array,
-    eigendecompose_symmetric,
-    frobenius_norm,
-    skew_part,
-)
+from .calculus import _hadamard, _pair_table, _spd_decomposition, d_log, matfun_spectral
+from .matcore import SkewMatrix, as_array, frobenius_norm, skew_part
 from .sampling import make_rng
-from .scalarfun import SIGMA, _poly_div
+from .scalarfun import SIGMA
 
 __all__ = [
     "IntegrationAbort",
@@ -48,8 +42,6 @@ __all__ = [
     "integrate_motion",
     "corotational_rate_residuals",
 ]
-
-DEFAULT_CLUSTER_TOL = 1e-7
 
 
 class IntegrationAbort(RuntimeError):
@@ -98,28 +90,9 @@ def _pair_coefficient(b_i: float, b_j: float) -> float:
         for c in reversed(_SPIN_SERIES):
             q = q * u + c
         return -1.0 - 2.0 * q
+    # ln r, not ln(1+u): u rounds to -1 when b_i << b_j.
     r = b_i / b_j
-    return (1.0 + r) / (1.0 - r) + 2.0 / math.log1p(u)
-
-
-def _cluster_indices(eigvals: np.ndarray, cluster_tol: float) -> list:
-    """Group descending positive eigenvalues whose relative gap is tiny."""
-    groups = [[0]]
-    for k in range(1, len(eigvals)):
-        prev, cur = eigvals[k - 1], eigvals[k]
-        if (prev - cur) <= cluster_tol * prev:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    return groups
-
-
-def _spd_dec(b, decomposition=None) -> EigenDecomposition:
-    dec = decomposition if decomposition is not None else eigendecompose_symmetric(b)
-    smallest = float(dec.eigenvalues[-1])
-    if smallest <= 0.0:
-        raise NotSpdError(smallest)
-    return dec
+    return (1.0 + r) / (1.0 - r) + 2.0 / math.log(r)
 
 
 # ---------------------------------------------------------------------------
@@ -128,34 +101,31 @@ def _spd_dec(b, decomposition=None) -> EigenDecomposition:
 
 def hencky(b, decomposition=None) -> np.ndarray:
     """Logarithmic strain: half the spectral logarithm of B = F F^T."""
-    dec = _spd_dec(b, decomposition)
-    out = (dec.q * (0.5 * np.log(dec.eigenvalues))) @ dec.q.T
-    return 0.5 * (out + out.T)
+    dec = _spd_decomposition(b, decomposition)
+    return matfun_spectral(lambda v: 0.5 * math.log(v), b, decomposition=dec)
 
 
-def log_spin_spectral(
-    b, d, w, cluster_tol: float = DEFAULT_CLUSTER_TOL, decomposition=None
-) -> np.ndarray:
+def _spin(pair_weight, values, dec, d, w) -> np.ndarray:
+    """W - skew(Q (T o Q^T D Q) Q^T) with T_ij = pair_weight(v_i, v_j).
+
+    Both weights are odd under swapping the pair, so the mask sends the
+    symmetric part of D to a skew matrix; taking the skew part drops the
+    rounding-level remainder and makes the spin exactly skew.
+    """
+    m = _hadamard(dec, _pair_table(pair_weight, values), as_array(d))
+    return as_array(w) - 0.5 * (m - m.T)
+
+
+def log_spin_spectral(b, d, w, decomposition=None) -> np.ndarray:
     """Spin of the logarithmic rate via the eigenprojection sum.
 
-    Eigenvalues of B closer than ``cluster_tol`` (relative) are merged into
-    one eigenspace before the pair sum; within a merged cluster the weight
-    is skipped, which matches the limit of the exact formula.  The pair
-    loop adds c * (P_i D P_j - P_j D P_i), so the output is skew exactly.
+    W + sum over ordered pairs i != j of c(b_i, b_j) P_i D P_j with the
+    classical weight c = (1+r)/(1-r) + 2/ln r, r = b_i/b_j.  Near r = 1 the
+    weight comes from its own series in r - 1, whose value at r = 1 is
+    exactly zero, so coalescing and repeated eigenvalues need no merging.
     """
-    bb, dd, ww = as_array(b), as_array(d), as_array(w)
-    dec = _spd_dec(bb, decomposition)
-    lam = dec.eigenvalues
-    groups = _cluster_indices(lam, cluster_tol)
-    reps = [float(np.mean(lam[g])) for g in groups]
-    projections = [dec.q[:, g] @ dec.q[:, g].T for g in groups]
-    omega = np.array(ww)
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            c = _pair_coefficient(reps[i], reps[j])
-            m = projections[i] @ dd @ projections[j]
-            omega += c * (m - m.T)
-    return omega
+    dec = _spd_decomposition(as_array(b), decomposition)
+    return _spin(lambda x, y: -_pair_coefficient(x, y), dec.eigenvalues, dec, d, w)
 
 
 def log_spin_commutator(b, d, w, decomposition=None) -> np.ndarray:
@@ -165,19 +135,9 @@ def log_spin_commutator(b, d, w, decomposition=None) -> np.ndarray:
     eigenvalue bookkeeping is needed: the kernel vanishes at zero, so
     coalescing eigenvalues are benign by construction.
     """
-    bb, dd, ww = as_array(b), as_array(d), as_array(w)
-    dec = _spd_dec(bb, decomposition)
+    dec = _spd_decomposition(as_array(b), decomposition)
     h_eigs = 0.5 * np.log(dec.eigenvalues)
-    dlen = len(h_eigs)
-    table = np.empty((dlen, dlen))
-    for i in range(dlen):
-        for j in range(dlen):
-            table[i, j] = SIGMA(float(h_eigs[i] - h_eigs[j]))
-    q = dec.q
-    dt = q.T @ dd @ q
-    dt = 0.5 * (dt + dt.T)
-    m = q @ (table * dt) @ q.T
-    return ww - 0.5 * (m - m.T)
+    return _spin(lambda x, y: SIGMA(x - y), h_eigs, dec, d, w)
 
 
 def corotational_rate(a, a_dot, omega) -> np.ndarray:
@@ -305,7 +265,6 @@ def integrate_motion(
     t_end: float,
     dt: float,
     record_every: int = 1,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list:
     """Integrate dF/dt = L(t) F by classical fourth-order Runge-Kutta.
 
@@ -343,15 +302,13 @@ def integrate_motion(
     for _, t, fk in recorded:
         b = fk @ fk.T
         b = 0.5 * (b + b.T)
-        dec = eigendecompose_symmetric(b)
-        if dec.eigenvalues[-1] <= 0.0:
-            raise NotSpdError(float(dec.eigenvalues[-1]))
+        dec = _spd_decomposition(b)
         h = hencky(b, decomposition=dec)
         l = field(t)
         d = 0.5 * (l + l.T)
         w = 0.5 * (l - l.T)
         omega = log_spin_commutator(b, d, w, decomposition=dec)
-        omega_sp = log_spin_spectral(b, d, w, cluster_tol=cluster_tol, decomposition=dec)
+        omega_sp = log_spin_spectral(b, d, w, decomposition=dec)
         agreement = frobenius_norm(omega - omega_sp)
         db_dt = l @ b + b @ l.T
         h_dot = 0.5 * d_log(b, db_dt, decomposition=dec)

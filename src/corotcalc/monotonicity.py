@@ -17,7 +17,17 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import ad, d_log, dlog_sinh_pair, f_of_ad_spectral, gateaux_fd, matexp_series
+from .calculus import (
+    _decomposition,
+    _hadamard,
+    _pair_table,
+    ad,
+    dlog_sinh_pair,
+    f_of_ad_spectral,
+    gateaux_fd,
+    matexp_series,
+    matfun_spectral,
+)
 from .matcore import (
     EigenDecomposition,
     as_array,
@@ -69,19 +79,15 @@ class IsotropicFunction:
     matrix_eval: Callable[[np.ndarray], np.ndarray] | None = None
 
     def apply(self, a, decomposition=None) -> np.ndarray:
-        dec = decomposition if decomposition is not None else eigendecompose_symmetric(a)
-        vals = np.array([self.scalar_generator(float(v)) for v in dec.eigenvalues])
-        out = (dec.q * vals) @ dec.q.T
-        return 0.5 * (out + out.T)
+        return matfun_spectral(self.scalar_generator, a, decomposition)
 
     def derivative(self, g, x, decomposition=None) -> np.ndarray:
         """Directional derivative at symmetric g: divided differences in its basis."""
-        dec = decomposition if decomposition is not None else eigendecompose_symmetric(g)
+        dec = _decomposition(g, decomposition)
         table = _divided_difference_table(
             self.scalar_generator, self.derivative_generator, dec.eigenvalues
         )
-        q = dec.q
-        return q @ (table * (q.T @ as_array(x) @ q)) @ q.T
+        return _hadamard(dec, table, as_array(x))
 
 
 def _divided_difference_table(
@@ -91,18 +97,14 @@ def _divided_difference_table(
     pair_tol: float = DIVIDED_DIFF_PAIR_TOL,
 ) -> np.ndarray:
     """(f(a_i) - f(a_j)) / (a_i - a_j), with f' at the midpoint for close pairs."""
-    d = len(eigvals)
-    scale = 1.0 + float(np.max(np.abs(eigvals)))
-    fv = [f(float(v)) for v in eigvals]
-    table = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            gap = float(eigvals[i] - eigvals[j])
-            if abs(gap) <= pair_tol * scale:
-                table[i, j] = fprime(0.5 * float(eigvals[i] + eigvals[j]))
-            else:
-                table[i, j] = (fv[i] - fv[j]) / gap
-    return table
+    close = pair_tol * (1.0 + float(np.max(np.abs(eigvals))))
+
+    def entry(a: float, b: float) -> float:
+        if abs(a - b) <= close:
+            return fprime(0.5 * (a + b))
+        return (f(a) - f(b)) / (a - b)
+
+    return _pair_table(entry, eigvals)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +231,7 @@ def bilinear_lhs(
         raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")
     xx = _require_symmetric_nonzero(x)
     aa = as_array(a)
-    dec_a = decomposition if decomposition is not None else eigendecompose_symmetric(aa)
+    dec_a = _decomposition(aa, decomposition)
     inner = dlog_sinh_pair(aa, xx, p, s, +1, decomposition=dec_a)
     dec_g = EigenDecomposition(dec_a.q, np.log(dec_a.eigenvalues))
     outer = f.derivative(None, inner, decomposition=dec_g)
@@ -274,8 +276,7 @@ def equivalence_check(
     for _ in range(trials):
         s_mat = random_symmetric(rng, 3, scale=1.5)
         dec_s = eigendecompose_symmetric(s_mat)
-        a = (dec_s.q * np.exp(dec_s.eigenvalues)) @ dec_s.q.T
-        a = 0.5 * (a + a.T)
+        a = matfun_spectral(math.exp, s_mat, decomposition=dec_s)
         x = random_symmetric(rng, 3)
         dec_a = EigenDecomposition(dec_s.q, np.exp(dec_s.eigenvalues))
         lhs = bilinear_lhs(f, a, x, p, s, decomposition=dec_a)

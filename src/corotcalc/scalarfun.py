@@ -84,21 +84,6 @@ def _poly_mul(a: list, b: list, degree: int) -> list:
     return out
 
 
-def _poly_div(num: list, den: list, degree: int) -> list:
-    """Coefficients of num/den as formal power series; den[0] must be nonzero."""
-    if den[0] == 0:
-        raise ZeroDivisionError("series division needs a unit constant term")
-    out = [0.0] * (degree + 1)
-    for k in range(degree + 1):
-        acc = num[k] if k < len(num) else 0.0
-        for j in range(1, k + 1):
-            dj = den[j] if j < len(den) else 0.0
-            if dj != 0:
-                acc -= dj * out[k - j]
-        out[k] = acc / den[0]
-    return out
-
-
 def _poly_sqrt(a: list, degree: int) -> list:
     """Formal square root of a series with positive constant term."""
     if a[0] <= 0:

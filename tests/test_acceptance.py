@@ -191,12 +191,12 @@ def test_criterion_9_degenerate_spectrum_continuity():
         )
         deltas.append(delta)
     b_tiny = b_at(1e-8)
-    o_sp = ki.log_spin_spectral(b_tiny, d, w, cluster_tol=1e-7)
+    o_sp = ki.log_spin_spectral(b_tiny, d, w)
     o_co = ki.log_spin_commutator(b_tiny, d, w)
     disc = frobenius_norm(o_sp - o_co)
-    assert disc <= 1e-6, f"clustered projection form disagrees: {disc:.3e}"
+    assert disc <= 1e-6, f"projection form disagrees: {disc:.3e}"
     _announce(9, f"spin deltas {deltas[0]:.2e}, {deltas[1]:.2e} within continuity "
-                 f"bounds; clustered form within {disc:.2e} <= 1e-6 at gap 1e-8")
+                 f"bounds; projection form within {disc:.2e} <= 1e-6 at gap 1e-8")
 
 
 def test_criterion_10_full_verify_cli():

@@ -289,6 +289,22 @@ def test_d_exp_commuting_diagonal():
     np.testing.assert_allclose(ca.d_exp(a, x), expected, atol=1e-13)
 
 
+def test_d_exp_wide_spectrum_vs_high_precision():
+    # e^400 and e^-400 are finite, so every divided difference is too
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    a_diag = (400.0, -400.0, 0.0)
+    x = random_matrix(make_rng(27), 3)
+    got = ca.d_exp(np.diag(a_diag), x)
+    for i, a_i in enumerate(a_diag):
+        for j, a_j in enumerate(a_diag):
+            ai, aj = mp.mpf(a_i), mp.mpf(a_j)
+            dd = mp.exp(ai) if i == j else (mp.exp(ai) - mp.exp(aj)) / (ai - aj)
+            ref = float(mp.mpf(x[i, j]) * dd)
+            assert abs(got[i, j] - ref) <= 1e-14 * abs(ref), (i, j, got[i, j], ref)
+
+
 def test_d_exp_vs_finite_difference():
     # independent oracle: central difference through scipy's expm
     rng = make_rng(21)

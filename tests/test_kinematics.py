@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from corotcalc import kinematics as ki
-from corotcalc.matcore import NotSpdError, eigendecompose_symmetric, frobenius_norm
+from corotcalc.matcore import (
+    EigenDecomposition,
+    NotSpdError,
+    eigendecompose_symmetric,
+    frobenius_norm,
+)
 from corotcalc.sampling import (
     make_rng,
     random_matrix,
@@ -91,7 +96,7 @@ def test_spin_pair_coefficient_vs_high_precision():
     pairs = [
         (1.0, 1.0 + 1e-12), (1.0, 1.0 + 1e-8), (1.2, 1.0), (1.24999, 1.0),
         (1.2501, 1.0), (2.0, 1.0), (1000.0, 1.0), (1.0, 1000.0),
-        (0.8, 1.0), (1e-3, 1.0), (3.7, 2.9),
+        (0.8, 1.0), (1e-3, 1.0), (3.7, 2.9), (1e-20, 1.0), (1.0, 1e20),
     ]
     for b_i, b_j in pairs:
         r = mp.mpf(b_i) / mp.mpf(b_j)
@@ -192,9 +197,26 @@ def test_spectral_clustering_agrees_at_tiny_gap():
     lam = np.array([2.0 * (1.0 + 1e-8), 2.0, 0.5])
     b = (q * lam) @ q.T
     b = 0.5 * (b + b.T)
-    o_sp = ki.log_spin_spectral(b, d, w, cluster_tol=1e-7)
+    o_sp = ki.log_spin_spectral(b, d, w)
     o_co = ki.log_spin_commutator(b, d, w)
     assert frobenius_norm(o_sp - o_co) <= 1e-6
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-7, 1e-8, 1e-12, 0.0])
+def test_spin_forms_agree_through_coalescence(gap):
+    # the two weights are evaluated independently; near and at a repeated
+    # eigenvalue both tend to zero, so the forms must agree to rounding
+    rng = make_rng(61)
+    q = random_orthogonal(rng, 3)
+    d = random_symmetric(rng, 3)
+    w = random_skew(rng, 3)
+    lam = np.array([2.0 * (1.0 + gap), 2.0, 0.5])
+    b = (q * lam) @ q.T
+    b = 0.5 * (b + b.T)
+    dec = EigenDecomposition(q, lam)
+    o_sp = ki.log_spin_spectral(b, d, w, decomposition=dec)
+    o_co = ki.log_spin_commutator(b, d, w, decomposition=dec)
+    assert frobenius_norm(o_sp - o_co) <= 1e-13 * (1.0 + frobenius_norm(d))
 
 
 # ---------------------------------------------------------------------------

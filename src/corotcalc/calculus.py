@@ -18,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .matcore import (
-    DimensionMismatchError,
     EigenDecomposition,
     NotSpdError,
+    _gate,
     as_array,
     eigendecompose_symmetric,
     frobenius_norm,
@@ -85,9 +85,7 @@ class SeriesDivergenceError(RuntimeError):
 
 def ad(a, x) -> np.ndarray:
     """Commutator AX - XA."""
-    aa, xx = as_array(a), as_array(x)
-    if aa.shape != xx.shape:
-        raise DimensionMismatchError(f"shape mismatch {aa.shape} vs {xx.shape}")
+    aa, xx = _gate(a, x)
     return aa @ xx - xx @ aa
 
 
@@ -95,8 +93,8 @@ def ad_power(a, x, m: int) -> np.ndarray:
     """m-fold nesting of the commutator with A."""
     if m < 0 or m > 64:
         raise ValueError(f"nesting depth must be in [0, 64], got {m}")
-    aa = as_array(a)
-    out = np.array(as_array(x))
+    aa, xx = _gate(a, x)
+    out = np.array(xx)
     for _ in range(m):
         out = aa @ out - out @ aa
     return out
@@ -106,8 +104,7 @@ def ad_power_binomial(a, x, m: int) -> np.ndarray:
     """Binomial expansion sum_k C(m,k) A^k X (-A)^(m-k) of the nested commutator."""
     if m < 0 or m > 64:
         raise ValueError(f"nesting depth must be in [0, 64], got {m}")
-    aa = as_array(a)
-    xx = as_array(x)
+    aa, xx = _gate(a, x)
     d = aa.shape[0]
     pos = [np.eye(d)]
     neg = [np.eye(d)]
@@ -160,10 +157,14 @@ def _pair_table(fn: Callable[[float, float], float], values) -> np.ndarray:
     return np.array([[_checked(fn, a, b) for b in vals] for a in vals])
 
 
-def _hadamard(dec: EigenDecomposition, table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Q (T o Q^T X Q) Q^T: the table applied entrywise in the eigenbasis of dec."""
+def _hadamard(dec: EigenDecomposition, table: np.ndarray, x) -> np.ndarray:
+    """Q (T o Q^T X Q) Q^T: the table applied entrywise in the eigenbasis of dec.
+
+    This is the spectral route's one check of X: ``as_array``, shape of dec.
+    """
     q = dec.q
-    return q @ (table * (q.T @ x @ q)) @ q.T
+    (xx,) = _gate(x, shape=q.shape)
+    return q @ (table * (q.T @ xx @ q)) @ q.T
 
 
 def matfun_spectral(f: Callable[[float], float], s, decomposition=None) -> np.ndarray:
@@ -290,9 +291,7 @@ def matfun_series(spec: PowerSeriesSpec, a) -> SeriesResult:
 
 def f_of_ad_series(spec: PowerSeriesSpec, a, x) -> SeriesResult:
     """Sum f_n ad_A^n[X]; the series realization of a commutator kernel."""
-    aa, xx = as_array(a), as_array(x)
-    if aa.shape != xx.shape:
-        raise DimensionMismatchError(f"shape mismatch {aa.shape} vs {xx.shape}")
+    aa, xx = _gate(a, x)
     return _sum_series(spec, np.array(xx), lambda cur: aa @ cur - cur @ aa)
 
 
@@ -326,8 +325,8 @@ class SpectralAdOperator:
 
     @classmethod
     def from_matrix(cls, g, kernel, decomposition=None, name=None) -> "SpectralAdOperator":
-        src = np.array(as_array(g))
-        dec = _decomposition(src, decomposition)
+        dec = _decomposition(g, decomposition)
+        src = np.array(g, dtype=float)
         table = _pair_table(lambda a, b: kernel(a - b), dec.eigenvalues)
         src.setflags(write=False)
         table.setflags(write=False)
@@ -335,7 +334,7 @@ class SpectralAdOperator:
         return cls(src, dec, label, table)
 
     def apply(self, x) -> np.ndarray:
-        return _hadamard(self.decomposition, self.kernel_table, as_array(x))
+        return _hadamard(self.decomposition, self.kernel_table, x)
 
 
 def f_of_ad_spectral(kernel, g, x, decomposition=None) -> np.ndarray:
@@ -356,20 +355,16 @@ def d_exp(a, x, method: str = "auto") -> np.ndarray:
     of the eigenvalues, which stay finite wherever the result is.  Series
     route (general A): the same two factors summed as formal series.
     """
-    aa, xx = as_array(a), as_array(x)
-    if aa.shape != xx.shape:
-        raise DimensionMismatchError(f"shape mismatch {aa.shape} vs {xx.shape}")
     if method == "auto":
-        method = "spectral" if is_symmetric(aa) else "series"
+        method = "spectral" if is_symmetric(a) else "series"
     if method == "spectral":
-        dec = eigendecompose_symmetric(aa)
+        dec = eigendecompose_symmetric(a)
         table = _pair_table(
             lambda a, b: math.exp(max(a, b)) * ETA_NEG(abs(a - b)), dec.eigenvalues
         )
-        return _hadamard(dec, table, xx)
+        return _hadamard(dec, table, x)
     if method == "series":
-        ea = matexp_series(aa)
-        return ea @ f_of_ad_series(eta_neg_series_spec(), aa, xx).value
+        return matexp_series(a) @ f_of_ad_series(eta_neg_series_spec(), a, x).value
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -379,22 +374,16 @@ def d_log(a, x, decomposition=None) -> np.ndarray:
     Realized as the t/(1 - e^-t) kernel of the commutator at ln A, applied
     to A^-1 X; inverts the exp derivative at ln A.
     """
-    aa, xx = as_array(a), as_array(x)
-    if aa.shape != xx.shape:
-        raise DimensionMismatchError(f"shape mismatch {aa.shape} vs {xx.shape}")
-    dec = _spd_decomposition(aa, decomposition)
+    dec = _spd_decomposition(a, decomposition)
     table = _pair_table(lambda a, b: ETA_NEG_RECIP(math.log(a / b)) / a, dec.eigenvalues)
-    return _hadamard(dec, table, xx)
+    return _hadamard(dec, table, x)
 
 
 def _log_eig_apply(kernel, a, y, decomposition=None) -> np.ndarray:
     """Apply a commutator kernel evaluated at ln A to Y (A SPD)."""
-    aa, yy = as_array(a), as_array(y)
-    if aa.shape != yy.shape:
-        raise DimensionMismatchError(f"shape mismatch {aa.shape} vs {yy.shape}")
-    dec = _spd_decomposition(aa, decomposition)
+    dec = _spd_decomposition(a, decomposition)
     table = _pair_table(lambda a, b: kernel(a - b), np.log(dec.eigenvalues))
-    return _hadamard(dec, table, yy)
+    return _hadamard(dec, table, y)
 
 
 def dlog_sandwich(a, y, p: int, s: int, decomposition=None) -> np.ndarray:
@@ -434,7 +423,7 @@ def dlog_commutator_residual(a, y, decomposition=None) -> np.ndarray:
     Both sides are evaluated independently; the returned matrix should
     vanish to rounding for SPD A.
     """
-    aa, yy = as_array(a), as_array(y)
+    aa, yy = _gate(a, y)
     dec = _spd_decomposition(aa, decomposition)
     lhs = d_log(aa, aa @ yy - yy @ aa, decomposition=dec)
     log_a = matfun_spectral(math.log, aa, decomposition=dec)
@@ -448,7 +437,7 @@ def anticommutator_gap(a, x, decomposition=None) -> tuple:
     The first entry vanishes exactly when X commutes with A; the second
     measures how far from commuting the pair is.
     """
-    aa, xx = as_array(a), as_array(x)
+    aa, xx = _gate(a, x)
     dec = _spd_decomposition(aa, decomposition)
     gap = frobenius_norm(dlog_anticommutator(aa, xx, decomposition=dec) - 2.0 * xx)
     comm = frobenius_norm(aa @ xx - xx @ aa)
@@ -464,17 +453,14 @@ def exp_conjugation(a, y, s: float = 1.0, method: str = "auto") -> np.ndarray:
 
     The direct triple product is the standard oracle for this value.
     """
-    aa, yy = as_array(a), as_array(y)
-    if aa.shape != yy.shape:
-        raise DimensionMismatchError(f"shape mismatch {aa.shape} vs {yy.shape}")
     if method == "auto":
-        method = "spectral" if is_symmetric(aa) else "series"
+        method = "spectral" if is_symmetric(a) else "series"
     if method == "spectral":
-        dec = eigendecompose_symmetric(aa)
+        dec = eigendecompose_symmetric(a)
         table = _pair_table(lambda a, b: math.exp(s * (a - b)), dec.eigenvalues)
-        return _hadamard(dec, table, yy)
+        return _hadamard(dec, table, y)
     if method == "series":
-        return f_of_ad_series(exp_series_spec(scale=s), aa, yy).value
+        return f_of_ad_series(exp_series_spec(scale=s), a, y).value
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -484,13 +470,13 @@ def adjoint_residuals(a, x, y, kernel) -> tuple:
     Returns (r1, r2) where r1 = ||(f(ad_A)[X])^T - f(-ad_A)[X^T]||_F and
     r2 = |<f(ad_A)[X], Y> - <X, f(ad_A)[Y]>|; both vanish for symmetric A.
     """
-    aa = as_array(a)
+    aa, xx, yy = _gate(a, x, y)
     dec = eigendecompose_symmetric(aa)
-    fx = f_of_ad_spectral(kernel, aa, x, decomposition=dec)
-    flipped = f_of_ad_spectral(lambda t: kernel(-t), aa, as_array(x).T, decomposition=dec)
+    fx = f_of_ad_spectral(kernel, aa, xx, decomposition=dec)
+    flipped = f_of_ad_spectral(lambda t: kernel(-t), aa, xx.T, decomposition=dec)
     r1 = frobenius_norm(fx.T - flipped)
-    fy = f_of_ad_spectral(kernel, aa, y, decomposition=dec)
-    r2 = abs(float(np.sum(fx * as_array(y))) - float(np.sum(as_array(x) * fy)))
+    fy = f_of_ad_spectral(kernel, aa, yy, decomposition=dec)
+    r2 = abs(float(np.sum(fx * yy)) - float(np.sum(xx * fy)))
     return r1, r2
 
 
@@ -500,7 +486,7 @@ def gateaux_fd(fn, a, x, h: float = 1e-5, richardson: bool = False) -> np.ndarra
     With ``richardson`` the h and h/2 stencils are combined to cancel the
     leading O(h^2) error term.
     """
-    aa, xx = as_array(a), as_array(x)
+    aa, xx = _gate(a, x)
 
     def central(step):
         return (fn(aa + step * xx) - fn(aa - step * xx)) / (2.0 * step)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .calculus import _hadamard, _pair_table, _spd_decomposition, d_log, matfun_spectral
-from .matcore import SkewMatrix, as_array, frobenius_norm, skew_part
+from .matcore import SkewMatrix, _gate, as_array, frobenius_norm, skew_part
 from .sampling import make_rng
 from .scalarfun import SIGMA
 
@@ -112,8 +112,8 @@ def _spin(pair_weight, values, dec, d, w) -> np.ndarray:
     symmetric part of D to a skew matrix; taking the skew part drops the
     rounding-level remainder and makes the spin exactly skew.
     """
-    m = _hadamard(dec, _pair_table(pair_weight, values), as_array(d))
-    return as_array(w) - 0.5 * (m - m.T)
+    m = _hadamard(dec, _pair_table(pair_weight, values), d)
+    return _gate(w, shape=m.shape)[0] - 0.5 * (m - m.T)
 
 
 def log_spin_spectral(b, d, w, decomposition=None) -> np.ndarray:
@@ -124,7 +124,7 @@ def log_spin_spectral(b, d, w, decomposition=None) -> np.ndarray:
     weight comes from its own series in r - 1, whose value at r = 1 is
     exactly zero, so coalescing and repeated eigenvalues need no merging.
     """
-    dec = _spd_decomposition(as_array(b), decomposition)
+    dec = _spd_decomposition(b, decomposition)
     return _spin(lambda x, y: -_pair_coefficient(x, y), dec.eigenvalues, dec, d, w)
 
 
@@ -135,20 +135,20 @@ def log_spin_commutator(b, d, w, decomposition=None) -> np.ndarray:
     eigenvalue bookkeeping is needed: the kernel vanishes at zero, so
     coalescing eigenvalues are benign by construction.
     """
-    dec = _spd_decomposition(as_array(b), decomposition)
+    dec = _spd_decomposition(b, decomposition)
     h_eigs = 0.5 * np.log(dec.eigenvalues)
     return _spin(lambda x, y: SIGMA(x - y), h_eigs, dec, d, w)
 
 
 def corotational_rate(a, a_dot, omega) -> np.ndarray:
     """Corotational derivative: dA/dt + A Omega - Omega A."""
-    aa, ad_, om = as_array(a), as_array(a_dot), as_array(omega)
+    aa, ad_, om = _gate(a, a_dot, omega)
     return ad_ + aa @ om - om @ aa
 
 
 def upper_convected_rate(a, a_dot, l) -> np.ndarray:
     """Upper-convected derivative: dA/dt - L A - A L^T."""
-    aa, ad_, ll = as_array(a), as_array(a_dot), as_array(l)
+    aa, ad_, ll = _gate(a, a_dot, l)
     return ad_ - ll @ aa - aa @ ll.T
 
 

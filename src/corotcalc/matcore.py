@@ -103,16 +103,31 @@ def as_array(a) -> np.ndarray:
     return _check_square_finite(arr)
 
 
-def is_symmetric(a, tol: float = DEFAULT_SYM_TOL) -> bool:
-    arr = as_array(a)
-    bound = tol * (1.0 + float(np.max(np.abs(arr))))
-    return float(np.max(np.abs(arr - arr.T))) <= bound
+def _gate(*args, shape=None) -> tuple:
+    """Each argument through ``as_array``; DimensionMismatchError unless all
+    have ``shape`` (default: the shape of the first)."""
+    arrays = tuple(as_array(a) for a in args)
+    want = arrays[0].shape if shape is None else shape
+    for arr in arrays:
+        if arr.shape != want:
+            raise DimensionMismatchError(f"shape mismatch {want} vs {arr.shape}")
+    return arrays
 
 
-def is_skew(a, tol: float = DEFAULT_SYM_TOL) -> bool:
-    arr = as_array(a)
-    bound = tol * (1.0 + float(np.max(np.abs(arr))))
-    return float(np.max(np.abs(arr + arr.T))) <= bound
+def _symmetry_defect(arr: np.ndarray, tol: float = DEFAULT_SYM_TOL, skew: bool = False) -> tuple:
+    """(max|A - A^T|, tol (1 + max|A|)), or max|A + A^T| first with ``skew``."""
+    defect = float(np.max(np.abs(arr + arr.T if skew else arr - arr.T)))
+    return defect, tol * (1.0 + float(np.max(np.abs(arr))))
+
+
+def is_symmetric(a) -> bool:
+    defect, bound = _symmetry_defect(as_array(a))
+    return defect <= bound
+
+
+def is_skew(a) -> bool:
+    defect, bound = _symmetry_defect(as_array(a), skew=True)
+    return defect <= bound
 
 
 class Matrix:
@@ -121,8 +136,7 @@ class Matrix:
     __slots__ = ("_array",)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
-        _check_square_finite(arr)
+        arr = _check_square_finite(np.array(entries, dtype=float))
         arr.setflags(write=False)
         object.__setattr__(self, "_array", arr)
 
@@ -178,10 +192,8 @@ class SymMatrix(Matrix):
     __slots__ = ()
 
     def __init__(self, entries, sym_tol: float = DEFAULT_SYM_TOL):
-        arr = np.array(entries, dtype=float)
-        _check_square_finite(arr)
-        bound = sym_tol * (1.0 + float(np.max(np.abs(arr))))
-        asym = float(np.max(np.abs(arr - arr.T)))
+        arr = _check_square_finite(np.array(entries, dtype=float))
+        asym, bound = _symmetry_defect(arr, sym_tol)
         if asym > bound:
             raise NotSymmetricError(
                 f"asymmetry {asym:.3e} exceeds tolerance {bound:.3e}"
@@ -195,10 +207,8 @@ class SkewMatrix(Matrix):
     __slots__ = ()
 
     def __init__(self, entries, sym_tol: float = DEFAULT_SYM_TOL):
-        arr = np.array(entries, dtype=float)
-        _check_square_finite(arr)
-        bound = sym_tol * (1.0 + float(np.max(np.abs(arr))))
-        dev = float(np.max(np.abs(arr + arr.T)))
+        arr = _check_square_finite(np.array(entries, dtype=float))
+        dev, bound = _symmetry_defect(arr, sym_tol, skew=True)
         if dev > bound:
             raise NotSkewError(
                 f"deviation from skew-symmetry {dev:.3e} exceeds tolerance {bound:.3e}"
@@ -213,16 +223,11 @@ class SpdMatrix(SymMatrix):
 
     __slots__ = ("_decomposition",)
 
-    def __init__(
-        self,
-        entries,
-        sym_tol: float = DEFAULT_SYM_TOL,
-        spd_tol: float = DEFAULT_SPD_TOL,
-    ):
+    def __init__(self, entries, sym_tol: float = DEFAULT_SYM_TOL):
         super().__init__(entries, sym_tol=sym_tol)
         dec = eigendecompose_symmetric(self.array)
         smallest = float(dec.eigenvalues[-1])
-        floor = spd_tol * (1.0 + float(np.max(np.abs(dec.eigenvalues))))
+        floor = DEFAULT_SPD_TOL * (1.0 + float(np.max(np.abs(dec.eigenvalues))))
         if smallest <= floor:
             raise NotSpdError(smallest)
         object.__setattr__(self, "_decomposition", dec)
@@ -273,17 +278,13 @@ class EigenDecomposition:
 
 def multiply(a, b) -> np.ndarray:
     """Standard matrix product."""
-    aa, bb = as_array(a), as_array(b)
-    if aa.shape != bb.shape:
-        raise DimensionMismatchError(f"cannot multiply {aa.shape} by {bb.shape}")
+    aa, bb = _gate(a, b)
     return aa @ bb
 
 
 def frobenius_dot(u, v) -> float:
     """Trace inner product Tr(U V^T) = sum of elementwise products."""
-    uu, vv = as_array(u), as_array(v)
-    if uu.shape != vv.shape:
-        raise DimensionMismatchError(f"shape mismatch {uu.shape} vs {vv.shape}")
+    uu, vv = _gate(u, v)
     return float(np.sum(uu * vv))
 
 
@@ -302,41 +303,41 @@ def skew_part(a) -> SkewMatrix:
     return SkewMatrix(0.5 * (arr - arr.T))
 
 
-def eigendecompose_symmetric(
-    s,
-    tol: float = DEFAULT_EIG_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    sym_tol: float = DEFAULT_SYM_TOL,
-) -> EigenDecomposition:
+def eigendecompose_symmetric(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecomposition:
     """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps rotate every off-diagonal pivot in a fixed row-major order until
     the off-diagonal Frobenius norm drops below a fraction of
-    ``tol * (1 + ||S||_F)``, which keeps the reconstruction residual of the
-    returned factors below ``tol * (1 + ||S||_F)``.  Eigenvalues are returned
-    in descending order with the eigenvector columns permuted to match.
-    Deterministic for a fixed input: no pivoting decisions depend on anything
-    but the matrix values.
+    ``DEFAULT_EIG_TOL * (1 + ||S||_F)``, which keeps the reconstruction
+    residual of the returned factors below ``DEFAULT_EIG_TOL * (1 + ||S||_F)``.
+    A matrix whose squared Frobenius norm overflows is solved scaled by an
+    exact power of two.  Eigenvalues are returned in descending order with the
+    eigenvector columns permuted to match.  Deterministic for a fixed input:
+    no pivoting decisions depend on anything but the matrix values.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     arr = as_array(s)
-    if not is_symmetric(arr, sym_tol):
+    asym, bound = _symmetry_defect(arr)
+    if asym > bound:
         raise NotSymmetricError("input to the symmetric eigensolver is not symmetric")
-    sym = 0.5 * (arr + arr.T)
-    d = sym.shape[0]
+    d = arr.shape[0]
     if d == 1:
-        return EigenDecomposition(np.eye(1), sym[0, :1].copy())
+        return EigenDecomposition(np.eye(1), arr[0, :1].copy())
 
     # Scalar (pure Python) working storage: at d <= 16 the per-call overhead
     # of array ops dominates, and plain floats keep the solver free of any
     # backend dependence.
-    a = [[float(x) for x in row] for row in sym]
+    a = [[float(x) for x in row] for row in 0.5 * (arr + arr.T)]
+    sum_sq = sum(x * x for row in a for x in row)
+    if math.isinf(sum_sq):
+        # Largest entry scaled below 2^(511 - bit_length(d)): the squared
+        # norm is finite and small entries stay normal floats.
+        exp2 = math.frexp(float(np.max(np.abs(arr))))[1] - 511 + d.bit_length()
+        dec = eigendecompose_symmetric(np.ldexp(arr, -exp2), max_sweeps)
+        return EigenDecomposition(dec.q, np.ldexp(dec.eigenvalues, exp2))
     q = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
     rng_d = range(d)
 
-    scale = math.sqrt(sum(x * x for row in a for x in row))
-    stop = 0.05 * tol * (1.0 + scale)
+    stop = 0.05 * DEFAULT_EIG_TOL * (1.0 + math.sqrt(sum_sq))
 
     off = _off_norm(a, d)
     converged = off <= stop

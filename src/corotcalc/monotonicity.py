@@ -30,12 +30,13 @@ from .calculus import (
 )
 from .matcore import (
     EigenDecomposition,
+    NotSymmetricError,
+    _gate,
+    _symmetry_defect,
     as_array,
     eigendecompose_symmetric,
     frobenius_dot,
     frobenius_norm,
-    is_symmetric,
-    NotSymmetricError,
 )
 from .sampling import make_rng, random_symmetric
 from .scalarfun import make_sqrt_r_kernel
@@ -87,17 +88,16 @@ class IsotropicFunction:
         table = _divided_difference_table(
             self.scalar_generator, self.derivative_generator, dec.eigenvalues
         )
-        return _hadamard(dec, table, as_array(x))
+        return _hadamard(dec, table, x)
 
 
 def _divided_difference_table(
     f: Callable[[float], float],
     fprime: Callable[[float], float],
     eigvals: np.ndarray,
-    pair_tol: float = DIVIDED_DIFF_PAIR_TOL,
 ) -> np.ndarray:
     """(f(a_i) - f(a_j)) / (a_i - a_j), with f' at the midpoint for close pairs."""
-    close = pair_tol * (1.0 + float(np.max(np.abs(eigvals))))
+    close = DIVIDED_DIFF_PAIR_TOL * (1.0 + float(np.max(np.abs(eigvals))))
 
     def entry(a: float, b: float) -> float:
         if abs(a - b) <= close:
@@ -156,7 +156,7 @@ def cube_plus_identity_generator() -> IsotropicFunction:
 
 def poly_gateaux(coefficients, a, x) -> np.ndarray:
     """Exact directional derivative of sum c_n A^n: product rule per power."""
-    aa, xx = as_array(a), as_array(x)
+    aa, xx = _gate(a, x)
     d = aa.shape[0]
     top = len(coefficients) - 1
     powers = [np.eye(d)]
@@ -179,7 +179,7 @@ def isotropic_commutation_residual(f: IsotropicFunction, a, y, h: float | None =
     eigenbasis); without it the exact polynomial product-rule derivative is
     used, which requires ``poly_coefficients``.
     """
-    aa, yy = as_array(a), as_array(y)
+    aa, yy = _gate(a, y)
     if h is None:
         if f.poly_coefficients is None:
             raise ValueError(
@@ -210,7 +210,8 @@ def sqrt_r_operator(g, q: float, x, decomposition=None) -> np.ndarray:
 
 def _require_symmetric_nonzero(x) -> np.ndarray:
     xx = as_array(x)
-    if not is_symmetric(xx):
+    asym, bound = _symmetry_defect(xx)
+    if asym > bound:
         raise NotSymmetricError("direction must be symmetric")
     if frobenius_norm(xx) == 0.0:
         raise ValueError("direction must be nonzero")
@@ -225,14 +226,11 @@ def bilinear_lhs(
     <Df(G)|_{G=ln A} [ d(ln A)[A^p X A^-s + A^-s X A^p] ], X> evaluated by
     the chain rule: the inner derivative collapses to the r kernel of the
     commutator at ln A, the outer one to divided differences of the
-    generator in the same eigenbasis.
+    generator in the same eigenbasis.  ``dlog_sinh_pair`` checks p - s = 1.
     """
-    if p - s != 1:
-        raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")
     xx = _require_symmetric_nonzero(x)
-    aa = as_array(a)
-    dec_a = _decomposition(aa, decomposition)
-    inner = dlog_sinh_pair(aa, xx, p, s, +1, decomposition=dec_a)
+    dec_a = _decomposition(a, decomposition)
+    inner = dlog_sinh_pair(a, xx, p, s, +1, decomposition=dec_a)
     dec_g = EigenDecomposition(dec_a.q, np.log(dec_a.eigenvalues))
     outer = f.derivative(None, inner, decomposition=dec_g)
     return frobenius_dot(outer, xx)

@@ -60,8 +60,10 @@ def random_spd_ratio(
     """SPD matrix with eigenvalue ratio at most 10**max_log10_ratio.
 
     Draws: dim uniform exponents in [-r/2, r/2] (r = max_log10_ratio), then
-    one random_orthogonal frame.
+    one random_orthogonal frame; ValueError before any draw unless r is in [0, 600].
     """
+    if not 0.0 <= max_log10_ratio <= 600.0:
+        raise ValueError(f"max_log10_ratio must be in [0, 600], got {max_log10_ratio!r}")
     half = 0.5 * max_log10_ratio
     lam = 10.0 ** rng.uniform(-half, half, dim)
     q = random_orthogonal(rng, dim)

@@ -306,7 +306,11 @@ def make_r_kernel(q: float) -> ScalarKernel:
     q = float(q)
 
     def direct(x: float, _q=q) -> float:
-        return math.cosh(0.5 * _q * x) / math.sinh(0.5 * x) * x
+        try:
+            return math.cosh(0.5 * _q * x) / math.sinh(0.5 * x) * x
+        except OverflowError:  # exponent-difference form, overflows only with the value
+            ax, aq = abs(x), abs(_q)
+            return ax * math.exp(0.5 * (aq - 1) * ax) * (1 + math.exp(-aq * ax)) / -math.expm1(-ax)
 
     return ScalarKernel(f"r[q={q:g}]", direct, _pairs(_r_coeffs(q)), parity="even")
 
@@ -317,7 +321,12 @@ def make_sinh_ratio_kernel(q: float) -> ScalarKernel:
     q = float(q)
 
     def direct(x: float, _q=q) -> float:
-        return math.sinh(0.5 * _q * x) / math.sinh(0.5 * x) * x
+        try:
+            return math.sinh(0.5 * _q * x) / math.sinh(0.5 * x) * x
+        except OverflowError:  # as for make_r_kernel
+            ax, aq = abs(x), abs(_q)
+            growth = math.copysign(math.exp(0.5 * (aq - 1) * ax), _q)
+            return x * growth * math.expm1(-aq * ax) / math.expm1(-ax)
 
     return ScalarKernel(
         f"sinh_ratio[q={q:g}]", direct, _pairs(_sinh_ratio_coeffs(q)), parity="odd"

@@ -5,8 +5,11 @@ import pytest
 import scipy.linalg
 
 from corotcalc import calculus as ca
+from corotcalc import kinematics as ki
+from corotcalc import monotonicity as mo
 from corotcalc.matcore import (
     DimensionMismatchError,
+    MatrixValidationError,
     NotSpdError,
     eigendecompose_symmetric,
     frobenius_dot,
@@ -303,6 +306,34 @@ def test_d_exp_wide_spectrum_vs_high_precision():
             dd = mp.exp(ai) if i == j else (mp.exp(ai) - mp.exp(aj)) / (ai - aj)
             ref = float(mp.mpf(x[i, j]) * dd)
             assert abs(got[i, j] - ref) <= 1e-14 * abs(ref), (i, j, got[i, j], ref)
+
+
+@pytest.mark.parametrize("p, s", [(2, 1), (1, 0), (0, -1)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_dlog_sinh_pair_wide_spectrum_vs_high_precision(p, s, sign):
+    # ln b_i - ln b_j reaches 500: cosh and sinh of (p+s)/2 times it overflow,
+    # the kernel values do not.
+    import mpmath as mp
+
+    b = np.diag([math.exp(250.0), 1.0, math.exp(-250.0)])
+    x = random_matrix(make_rng(31), 3)
+    got = ca.dlog_sinh_pair(b, x, p, s, sign)
+    top = mp.cosh if sign == 1 else mp.sinh
+    with mp.workdps(50):
+        logs = [mp.log(mp.mpf(v)) for v in np.diag(b)]
+        for i in range(3):
+            for j in range(3):
+                t = logs[i] - logs[j]
+                k = top((p + s) * t / 2) / mp.sinh(t / 2) * t if i != j else 1 + sign
+                ref = float(mp.mpf(x[i, j]) * k)
+                assert abs(got[i, j] - ref) <= 1e-13 * abs(ref), (i, j, got[i, j], ref)
+
+
+def test_dlog_sinh_pair_overflowing_kernel_raises():
+    # (p+s) = 3 at ln b_i - ln b_j = 1000: the exact kernel value exceeds the float range
+    b = np.diag([math.exp(500.0), 1.0, math.exp(-500.0)])
+    with pytest.raises(ca.KernelDomainError):
+        ca.dlog_sinh_pair(b, np.ones((3, 3)), 2, 1, 1)
 
 
 def test_d_exp_vs_finite_difference():
@@ -655,8 +686,115 @@ def test_gateaux_fd_richardson():
     assert frobenius_norm(refined - exact) <= frobenius_norm(plain - exact)
 
 
-def test_dimension_mismatch_raised():
-    with pytest.raises(DimensionMismatchError):
-        ca.ad(np.eye(2), np.eye(3))
-    with pytest.raises(DimensionMismatchError):
-        ca.d_exp(np.eye(2), np.eye(3))
+# ---------------------------------------------------------------------------
+# argument gates
+
+_GATE_A = np.array([[3.0, 0.5, 0.1], [0.5, 2.0, 0.2], [0.1, 0.2, 1.0]])
+_GATE_D = np.array([[0.4, 0.1, -0.2], [0.1, -0.3, 0.5], [-0.2, 0.5, 0.1]])
+_GATE_W = np.array([[0.0, 0.3, -0.1], [-0.3, 0.0, 0.2], [0.1, -0.2, 0.0]])
+
+# name -> (call(a, x, decomposition), takes decomposition=, reads a when it is given)
+_GATED = {
+    "ad": (lambda a, x, dec: ca.ad(a, x), False, True),
+    "f_of_ad_series": (
+        lambda a, x, dec: ca.f_of_ad_series(ca.eta_neg_series_spec(), a, x), False, True
+    ),
+    "f_of_ad_spectral": (
+        lambda a, x, dec: ca.f_of_ad_spectral(SIGMA, a, x, decomposition=dec), True, False
+    ),
+    "SpectralAdOperator.apply": (
+        lambda a, x, dec: ca.SpectralAdOperator.from_matrix(a, SIGMA, dec).apply(x),
+        True,
+        False,
+    ),
+    "d_exp": (lambda a, x, dec: ca.d_exp(a, x), False, True),
+    "d_exp_series": (lambda a, x, dec: ca.d_exp(a, x, method="series"), False, True),
+    "exp_conjugation": (lambda a, x, dec: ca.exp_conjugation(a, x, 0.5), False, True),
+    "exp_conjugation_series": (
+        lambda a, x, dec: ca.exp_conjugation(a, x, 0.5, method="series"), False, True
+    ),
+    "d_log": (lambda a, x, dec: ca.d_log(a, x, decomposition=dec), True, False),
+    "dlog_sandwich": (
+        lambda a, x, dec: ca.dlog_sandwich(a, x, 2, 1, decomposition=dec), True, False
+    ),
+    "dlog_anticommutator": (
+        lambda a, x, dec: ca.dlog_anticommutator(a, x, decomposition=dec), True, False
+    ),
+    "dlog_sinh_pair": (
+        lambda a, x, dec: ca.dlog_sinh_pair(a, x, 2, 1, -1, decomposition=dec), True, False
+    ),
+    "dlog_commutator_residual": (
+        lambda a, x, dec: ca.dlog_commutator_residual(a, x, decomposition=dec), True, True
+    ),
+    "anticommutator_gap": (
+        lambda a, x, dec: ca.anticommutator_gap(a, x, decomposition=dec), True, True
+    ),
+    "log_spin_spectral_d": (
+        lambda a, x, dec: ki.log_spin_spectral(a, x, _GATE_W, decomposition=dec), True, False
+    ),
+    "log_spin_spectral_w": (
+        lambda a, x, dec: ki.log_spin_spectral(a, _GATE_D, x, decomposition=dec), True, False
+    ),
+    "log_spin_commutator_d": (
+        lambda a, x, dec: ki.log_spin_commutator(a, x, _GATE_W, decomposition=dec), True, False
+    ),
+    "log_spin_commutator_w": (
+        lambda a, x, dec: ki.log_spin_commutator(a, _GATE_D, x, decomposition=dec), True, False
+    ),
+    "IsotropicFunction.derivative": (
+        lambda a, x, dec: mo.exponential_generator().derivative(a, x, decomposition=dec),
+        True,
+        False,
+    ),
+    "corotational_rate_rate": (lambda a, x, dec: ki.corotational_rate(a, x, _GATE_W), False, True),
+    "corotational_rate_spin": (lambda a, x, dec: ki.corotational_rate(a, _GATE_D, x), False, True),
+}
+
+_BAD = {
+    "nan": (np.where(np.eye(3) > 0, np.nan, _GATE_D), MatrixValidationError),
+    "inf": (np.where(np.eye(3) > 0, np.inf, _GATE_D), MatrixValidationError),
+    "non_square": (np.ones((3, 2)), MatrixValidationError),
+    "mismatched": (np.eye(2), DimensionMismatchError),
+}
+
+
+def _gate_cases(bad_kinds):
+    for name, (call, takes_dec, _) in _GATED.items():
+        for given in (False, True) if takes_dec else (False,):
+            for bad in bad_kinds:
+                mode = "given" if given else "fresh"
+                yield pytest.param(call, given, bad, id=f"{name}-{mode}-{bad}")
+
+
+@pytest.mark.parametrize("call, given, bad", list(_gate_cases(_BAD)))
+def test_dimension_mismatch_raised(call, given, bad):
+    # A bad operand raises a typed error, with or without a given decomposition.
+    operand, error = _BAD[bad]
+    dec = eigendecompose_symmetric(_GATE_A) if given else None
+    call(_GATE_A, _GATE_D, dec)
+    with pytest.raises(error):
+        call(_GATE_A, operand, dec)
+
+
+_MATRIX_GATED = {
+    **_GATED,
+    "hencky": (lambda a, x, dec: ki.hencky(a, decomposition=dec), True, False),
+}
+
+
+@pytest.mark.parametrize("name", list(_MATRIX_GATED))
+@pytest.mark.parametrize("bad", ["nan", "inf", "non_square"])
+def test_matrix_argument_gate(name, bad):
+    call, takes_dec, reads_a = _MATRIX_GATED[name]
+    with pytest.raises(MatrixValidationError):
+        call(_BAD[bad][0], _GATE_D, None)
+    if takes_dec:
+        # A given decomposition is trusted; the matrix argument is read only
+        # where the function itself needs it.
+        dec = eigendecompose_symmetric(_GATE_A)
+        if reads_a:
+            with pytest.raises(MatrixValidationError):
+                call(_BAD[bad][0], _GATE_D, dec)
+        else:
+            expected = call(_GATE_A, _GATE_D, dec)
+            np.testing.assert_array_equal(call(_BAD[bad][0], _GATE_D, dec), expected)

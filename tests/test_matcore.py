@@ -241,6 +241,22 @@ def test_eigen_permutation_invariance():
         np.testing.assert_allclose(e1, e2, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "s",
+    [
+        [[1e200, 1e199], [1e199, 1e200]],
+        [[3e300, -1e300, 0.0], [-1e300, 2e300, 5e299], [0.0, 5e299, -4e300]],
+        [[1e160, 1e155, 2.0], [1e155, -1e160, 0.0], [2.0, 0.0, 1.0]],
+    ],
+    ids=["2x2", "3x3_near_max", "3x3_wide"],
+)
+def test_eigen_squared_norm_overflow(s):
+    # The squared Frobenius norm overflows while the eigenvalues are finite.
+    ours = eigendecompose_symmetric(s).eigenvalues
+    ref = np.sort(np.linalg.eigvalsh(np.array(s)))[::-1]
+    assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref)), (ours, ref)
+
+
 def test_eigen_matches_numpy_eigh():
     rng = np.random.default_rng(17)
     for d in (2, 3, 5, 8):

@@ -186,6 +186,32 @@ def test_sinh_ratio_value():
     assert sf.sinh_ratio_kernel(3.0, 1.0) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("x", [500.0, -500.0, 1000.0, -1000.0, 1500.0, -1500.0])
+@pytest.mark.parametrize("q", [1.0, 3.0, -1.0])
+@pytest.mark.parametrize("family", ["r", "sinh_ratio"])
+def test_large_argument_vs_high_precision(family, q, x):
+    # cosh(q x/2) and sinh(x/2) overflow here; the kernel value may not.
+    import mpmath as mp
+
+    from corotcalc.calculus import KernelDomainError, f_of_ad_spectral
+
+    if family == "r":
+        kernel, top = sf.make_r_kernel(q), mp.cosh
+    else:
+        kernel, top = sf.make_sinh_ratio_kernel(q), mp.sinh
+    with mp.workdps(50):
+        t = mp.mpf(x)
+        exact = top(q * t / 2) / mp.sinh(t / 2) * t
+        finite = abs(exact) <= mp.mpf(np.finfo(float).max)
+        ref = float(exact) if finite else None
+    if finite:
+        got = kernel(x)
+        assert abs(got - ref) <= 1e-13 * abs(ref), (got, ref)
+    else:
+        with pytest.raises(KernelDomainError):
+            f_of_ad_spectral(kernel, np.diag([x, 0.0]), np.ones((2, 2)))
+
+
 def test_sqrt_r_squares_back():
     for q in (1.0, 3.0, -1.0):
         ker = sf.make_sqrt_r_kernel(q)

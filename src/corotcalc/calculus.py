@@ -151,28 +151,38 @@ def _checked(fn: Callable[..., float], *args: float) -> float:
 def _pair_table(fn: Callable[[float, float], float], values) -> np.ndarray:
     """Table T_ij = fn(v_i, v_j) over all pairs of eigenvalues.
 
-    Difference kernels pass ``lambda a, b: kernel(a - b)``.
+    Difference kernels pass ``lambda a, b: kernel(a - b)``.  Values of shape
+    (N, d) give one table per row, shape (N, d, d).
     """
-    vals = [float(v) for v in values]
-    return np.array([[_checked(fn, a, b) for b in vals] for a in vals])
+    vals = np.asarray(values, dtype=float)
+    rows = vals.reshape(-1, vals.shape[-1]).tolist()
+    table = np.array([[[_checked(fn, a, b) for b in row] for a in row] for row in rows])
+    return table.reshape(vals.shape + vals.shape[-1:])
 
 
 def _hadamard(dec: EigenDecomposition, table: np.ndarray, x) -> np.ndarray:
     """Q (T o Q^T X Q) Q^T: the table applied entrywise in the eigenbasis of dec.
 
     This is the spectral route's one check of X: ``as_array``, shape of dec.
+    A stacked dec (q of shape (N, d, d)) takes an (N, d, d) stack X as is.
     """
     q = dec.q
-    (xx,) = _gate(x, shape=q.shape)
-    return q @ (table * (q.T @ xx @ q)) @ q.T
+    xx = x if q.ndim == 3 else _gate(x, shape=q.shape)[0]
+    qt = q.swapaxes(-1, -2)
+    return q @ (table * (qt @ xx @ q)) @ qt
+
+
+def _matfun(f: Callable[[float], float], dec: EigenDecomposition) -> np.ndarray:
+    """Q f(Lambda) Q^T, symmetrized; one per matrix of a stacked dec."""
+    vals = [_checked(f, v) for v in dec.eigenvalues.ravel().tolist()]
+    out = dec.q * np.reshape(vals, dec.eigenvalues.shape)[..., None, :]
+    out = out @ dec.q.swapaxes(-1, -2)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def matfun_spectral(f: Callable[[float], float], s, decomposition=None) -> np.ndarray:
     """Apply a real function to a symmetric matrix through its eigenvalues."""
-    dec = _decomposition(s, decomposition)
-    vals = np.array([_checked(f, v) for v in dec.eigenvalues.tolist()])
-    out = (dec.q * vals) @ dec.q.T
-    return 0.5 * (out + out.T)
+    return _matfun(f, _decomposition(s, decomposition))
 
 
 @dataclass(frozen=True)
@@ -318,7 +328,6 @@ class SpectralAdOperator:
     operator can then be applied to any number of arguments.
     """
 
-    source: np.ndarray
     decomposition: EigenDecomposition
     kernel_name: str
     kernel_table: np.ndarray
@@ -326,12 +335,10 @@ class SpectralAdOperator:
     @classmethod
     def from_matrix(cls, g, kernel, decomposition=None, name=None) -> "SpectralAdOperator":
         dec = _decomposition(g, decomposition)
-        src = np.array(g, dtype=float)
         table = _pair_table(lambda a, b: kernel(a - b), dec.eigenvalues)
-        src.setflags(write=False)
         table.setflags(write=False)
         label = name if name is not None else getattr(kernel, "name", repr(kernel))
-        return cls(src, dec, label, table)
+        return cls(dec, label, table)
 
     def apply(self, x) -> np.ndarray:
         return _hadamard(self.decomposition, self.kernel_table, x)
@@ -374,7 +381,11 @@ def d_log(a, x, decomposition=None) -> np.ndarray:
     Realized as the t/(1 - e^-t) kernel of the commutator at ln A, applied
     to A^-1 X; inverts the exp derivative at ln A.
     """
-    dec = _spd_decomposition(a, decomposition)
+    return _d_log(_spd_decomposition(a, decomposition), x)
+
+
+def _d_log(dec: EigenDecomposition, x) -> np.ndarray:
+    """``d_log`` in the eigenbasis of dec; a stacked dec takes a stack X."""
     table = _pair_table(lambda a, b: ETA_NEG_RECIP(math.log(a / b)) / a, dec.eigenvalues)
     return _hadamard(dec, table, x)
 

@@ -18,8 +18,16 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import _hadamard, _pair_table, _spd_decomposition, d_log, matfun_spectral
-from .matcore import SkewMatrix, _gate, as_array, frobenius_norm, skew_part
+from .calculus import _d_log, _hadamard, _matfun, _pair_table, _spd_decomposition
+from .matcore import (
+    NotSpdError,
+    SkewMatrix,
+    _eigendecompose_stack,
+    _gate,
+    as_array,
+    frobenius_norm,
+    skew_part,
+)
 from .sampling import make_rng
 from .scalarfun import SIGMA
 
@@ -99,21 +107,31 @@ def _pair_coefficient(b_i: float, b_j: float) -> float:
 # strain and spin
 
 
+def _half_log(v: float) -> float:
+    return 0.5 * math.log(v)
+
+
 def hencky(b, decomposition=None) -> np.ndarray:
     """Logarithmic strain: half the spectral logarithm of B = F F^T."""
-    dec = _spd_decomposition(b, decomposition)
-    return matfun_spectral(lambda v: 0.5 * math.log(v), b, decomposition=dec)
+    return _matfun(_half_log, _spd_decomposition(b, decomposition))
 
 
-def _spin(pair_weight, values, dec, d, w) -> np.ndarray:
-    """W - skew(Q (T o Q^T D Q) Q^T) with T_ij = pair_weight(v_i, v_j).
+def _spin(dec, d, w, commutator: bool) -> np.ndarray:
+    """W - skew(Q (T o Q^T D Q) Q^T) in the eigenbasis of B; a stacked dec takes stacks.
 
-    Both weights are odd under swapping the pair, so the mask sends the
+    T_ij is sigma(h_i - h_j) at the log strain eigenvalues h = ln(b)/2 with
+    ``commutator``, else minus the classical weight c(b_i, b_j).  Both
+    weights are odd under swapping the pair, so the mask sends the
     symmetric part of D to a skew matrix; taking the skew part drops the
     rounding-level remainder and makes the spin exactly skew.
     """
-    m = _hadamard(dec, _pair_table(pair_weight, values), d)
-    return _gate(w, shape=m.shape)[0] - 0.5 * (m - m.T)
+    if commutator:
+        table = _pair_table(lambda x, y: SIGMA(x - y), 0.5 * np.log(dec.eigenvalues))
+    else:
+        table = _pair_table(lambda x, y: -_pair_coefficient(x, y), dec.eigenvalues)
+    m = _hadamard(dec, table, d)
+    ww = w if m.ndim == 3 else _gate(w, shape=m.shape)[0]
+    return ww - 0.5 * (m - m.swapaxes(-1, -2))
 
 
 def log_spin_spectral(b, d, w, decomposition=None) -> np.ndarray:
@@ -124,8 +142,7 @@ def log_spin_spectral(b, d, w, decomposition=None) -> np.ndarray:
     weight comes from its own series in r - 1, whose value at r = 1 is
     exactly zero, so coalescing and repeated eigenvalues need no merging.
     """
-    dec = _spd_decomposition(b, decomposition)
-    return _spin(lambda x, y: -_pair_coefficient(x, y), dec.eigenvalues, dec, d, w)
+    return _spin(_spd_decomposition(b, decomposition), d, w, commutator=False)
 
 
 def log_spin_commutator(b, d, w, decomposition=None) -> np.ndarray:
@@ -135,15 +152,16 @@ def log_spin_commutator(b, d, w, decomposition=None) -> np.ndarray:
     eigenvalue bookkeeping is needed: the kernel vanishes at zero, so
     coalescing eigenvalues are benign by construction.
     """
-    dec = _spd_decomposition(b, decomposition)
-    h_eigs = 0.5 * np.log(dec.eigenvalues)
-    return _spin(lambda x, y: SIGMA(x - y), h_eigs, dec, d, w)
+    return _spin(_spd_decomposition(b, decomposition), d, w, commutator=True)
 
 
 def corotational_rate(a, a_dot, omega) -> np.ndarray:
     """Corotational derivative: dA/dt + A Omega - Omega A."""
-    aa, ad_, om = _gate(a, a_dot, omega)
-    return ad_ + aa @ om - om @ aa
+    return _corotational(*_gate(a, a_dot, omega))
+
+
+def _corotational(a, a_dot, omega) -> np.ndarray:
+    return a_dot + a @ omega - omega @ a
 
 
 def upper_convected_rate(a, a_dot, l) -> np.ndarray:
@@ -253,10 +271,9 @@ class MotionSample:
     det_f: float
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr)
-    arr.setflags(write=False)
-    return arr
+def _norms(x: np.ndarray) -> list:
+    """Frobenius norm of each matrix of a stack, as ``frobenius_norm`` forms it."""
+    return np.sqrt(np.sum(x * x, axis=(1, 2))).tolist()
 
 
 def integrate_motion(
@@ -271,75 +288,67 @@ def integrate_motion(
     Records a MotionSample every ``record_every`` steps (step 0 included);
     the final step is recorded only when it falls on the stride, keeping
     the recorded time grid uniform.  Aborts if det(F) stops being positive.
+    The recorded samples are post-processed as one stack: one stacked
+    eigensolve of B, then the log strain, both spins and the rate residuals,
+    each bit-identical to the single-matrix functions.  The arrays of the
+    samples are read-only views into those stacks.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     f = np.array(as_array(f0), dtype=float)
-    if float(np.linalg.det(f)) <= 0.0:
+    det_f = float(np.linalg.det(f))
+    if det_f <= 0.0:
         raise ValueError("det(F0) must be positive")
     n_steps = int(round(t_end / dt))
 
-    recorded = []  # (step, t, F)
-    if 0 % record_every == 0:
-        recorded.append((0, 0.0, f.copy()))
+    times, fs, dets = [0.0], [f], [det_f]
     for k in range(n_steps):
         t = k * dt
         k1 = field(t) @ f
-        k2 = field(t + 0.5 * dt) @ (f + 0.5 * dt * k1)
-        k3 = field(t + 0.5 * dt) @ (f + 0.5 * dt * k2)
+        l_mid = field(t + 0.5 * dt)
+        k2 = l_mid @ (f + 0.5 * dt * k1)
+        k3 = l_mid @ (f + 0.5 * dt * k2)
         k4 = field(t + dt) @ (f + dt * k3)
         f = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         det_f = float(np.linalg.det(f))
         if det_f <= 0.0:
             raise IntegrationAbort(k + 1, det_f)
         if (k + 1) % record_every == 0:
-            recorded.append((k + 1, (k + 1) * dt, f.copy()))
+            times.append((k + 1) * dt)
+            fs.append(f)
+            dets.append(det_f)
 
-    # Per-sample kinematic quantities.
-    raw = []
-    for _, t, fk in recorded:
-        b = fk @ fk.T
-        b = 0.5 * (b + b.T)
-        dec = _spd_decomposition(b)
-        h = hencky(b, decomposition=dec)
-        l = field(t)
-        d = 0.5 * (l + l.T)
-        w = 0.5 * (l - l.T)
-        omega = log_spin_commutator(b, d, w, decomposition=dec)
-        omega_sp = log_spin_spectral(b, d, w, decomposition=dec)
-        agreement = frobenius_norm(omega - omega_sp)
-        db_dt = l @ b + b @ l.T
-        h_dot = 0.5 * d_log(b, db_dt, decomposition=dec)
-        rate_res = frobenius_norm(corotational_rate(h, h_dot, omega) - d)
-        raw.append((t, fk, b, h, d, w, omega, agreement, rate_res, l))
+    # Per-sample kinematic quantities, as stacks over the recorded samples.
+    f_all = np.array(fs)
+    l_all = np.array([field(t) for t in times])
+    b = f_all @ f_all.swapaxes(1, 2)
+    b = 0.5 * (b + b.swapaxes(1, 2))
+    dec = _eigendecompose_stack(b)
+    smallest = dec.eigenvalues[:, -1]
+    not_spd = np.flatnonzero(smallest <= 0.0)
+    if not_spd.size:
+        raise NotSpdError(smallest[not_spd[0]])
+    h = _matfun(_half_log, dec)
+    d = 0.5 * (l_all + l_all.swapaxes(1, 2))
+    w = 0.5 * (l_all - l_all.swapaxes(1, 2))
+    omega = _spin(dec, d, w, commutator=True)
+    agreement = _norms(omega - _spin(dec, d, w, commutator=False))
+    db_dt = l_all @ b + b @ l_all.swapaxes(1, 2)
+    h_dot = 0.5 * _d_log(dec, db_dt)
+    rate_res = _norms(_corotational(h, h_dot, omega) - d)
+    n = len(times)
+    evol_res = [0.0] * n
+    if n > 2:
+        t_all = np.array(times)
+        db_fd = (b[2:] - b[:-2]) / (t_all[2:] - t_all[:-2])[:, None, None]
+        evol_res[1:-1] = _norms(db_fd - db_dt[1:-1])
 
-    samples = []
-    n = len(raw)
-    for i, (t, fk, b, h, d, w, omega, agreement, rate_res, l) in enumerate(raw):
-        evol_res = 0.0
-        if 0 < i < n - 1:
-            t_prev, b_prev = raw[i - 1][0], raw[i - 1][2]
-            t_next, b_next = raw[i + 1][0], raw[i + 1][2]
-            db_fd = (b_next - b_prev) / (t_next - t_prev)
-            evol_res = frobenius_norm(db_fd - (l @ b + b @ l.T))
-        samples.append(
-            MotionSample(
-                t=t,
-                f=_freeze(fk),
-                b=_freeze(b),
-                h=_freeze(h),
-                d=_freeze(d),
-                w=_freeze(w),
-                omega_log=_freeze(omega),
-                spin_agreement=agreement,
-                rate_residual=rate_res,
-                evolution_residual=evol_res,
-                det_f=float(np.linalg.det(fk)),
-            )
-        )
-    return samples
+    for stack in (f_all, b, h, d, w, omega):
+        stack.setflags(write=False)
+    columns = (times, f_all, b, h, d, w, omega, agreement, rate_res, evol_res, dets)
+    return [MotionSample(*fields) for fields in zip(*columns)]
 
 
 def corotational_rate_residuals(samples: list, h_dot_method: str = "analytic"):

@@ -260,9 +260,23 @@ class EigenDecomposition:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "eigenvalues", vals)
 
+    @classmethod
+    def _trusted(cls, q: np.ndarray, eigenvalues: np.ndarray) -> "EigenDecomposition":
+        """Wrap factors the library computed itself: frozen in place, unchecked.
+
+        ``q`` may also be a stack of shape (N, d, d) with ``eigenvalues`` of
+        shape (N, d), one decomposition per matrix.
+        """
+        q.setflags(write=False)
+        eigenvalues.setflags(write=False)
+        dec = object.__new__(cls)
+        object.__setattr__(dec, "q", q)
+        object.__setattr__(dec, "eigenvalues", eigenvalues)
+        return dec
+
     @property
     def dim(self) -> int:
-        return self.q.shape[0]
+        return self.q.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         return self.q @ np.diag(self.eigenvalues) @ self.q.T
@@ -311,9 +325,10 @@ def eigendecompose_symmetric(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDe
     ``DEFAULT_EIG_TOL * (1 + ||S||_F)``, which keeps the reconstruction
     residual of the returned factors below ``DEFAULT_EIG_TOL * (1 + ||S||_F)``.
     A matrix whose squared Frobenius norm overflows is solved scaled by an
-    exact power of two.  Eigenvalues are returned in descending order with the
-    eigenvector columns permuted to match.  Deterministic for a fixed input:
-    no pivoting decisions depend on anything but the matrix values.
+    exact power of two; an eigenvalue beyond the float range raises
+    MatrixValidationError.  Eigenvalues are returned in descending order with
+    the eigenvector columns permuted to match.  Deterministic for a fixed
+    input: no pivoting decisions depend on anything but the matrix values.
     """
     arr = as_array(s)
     asym, bound = _symmetry_defect(arr)
@@ -321,25 +336,31 @@ def eigendecompose_symmetric(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDe
         raise NotSymmetricError("input to the symmetric eigensolver is not symmetric")
     d = arr.shape[0]
     if d == 1:
-        return EigenDecomposition(np.eye(1), arr[0, :1].copy())
+        return EigenDecomposition._trusted(np.eye(1), arr[0, :1].copy())
 
     # Scalar (pure Python) working storage: at d <= 16 the per-call overhead
     # of array ops dominates, and plain floats keep the solver free of any
-    # backend dependence.
-    a = [[float(x) for x in row] for row in 0.5 * (arr + arr.T)]
-    sum_sq = sum(x * x for row in a for x in row)
+    # backend dependence.  An average that overflows is a silent inf here
+    # and sends the matrix to the scaled solve.
+    rows = arr.tolist()
+    a = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+    sum_sq = _sum_squares(a, d, diagonal=True)
     if math.isinf(sum_sq):
         # Largest entry scaled below 2^(511 - bit_length(d)): the squared
         # norm is finite and small entries stay normal floats.
         exp2 = math.frexp(float(np.max(np.abs(arr))))[1] - 511 + d.bit_length()
         dec = eigendecompose_symmetric(np.ldexp(arr, -exp2), max_sweeps)
-        return EigenDecomposition(dec.q, np.ldexp(dec.eigenvalues, exp2))
+        with np.errstate(over="ignore"):
+            vals = np.ldexp(dec.eigenvalues, exp2)
+        if np.isinf(vals).any():
+            raise MatrixValidationError("an eigenvalue lies beyond the float range")
+        return EigenDecomposition._trusted(dec.q, vals)
     q = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
     rng_d = range(d)
 
     stop = 0.05 * DEFAULT_EIG_TOL * (1.0 + math.sqrt(sum_sq))
 
-    off = _off_norm(a, d)
+    off = math.sqrt(_sum_squares(a, d))
     converged = off <= stop
     for sweep in range(max_sweeps):
         if converged:
@@ -390,23 +411,121 @@ def eigendecompose_symmetric(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDe
                     qr_ = qi[r]
                     qi[p] = c * qp_ - s_ * qr_
                     qi[r] = s_ * qp_ + c * qr_
-        off = _off_norm(a, d)
+        off = math.sqrt(_sum_squares(a, d))
         converged = off <= stop
     if not converged:
         raise EigenConvergenceError(off, max_sweeps)
 
     diag = np.array([a[i][i] for i in rng_d])
     order = np.argsort(-diag, kind="stable")
-    q_arr = np.array(q)
-    return EigenDecomposition(q_arr[:, order], diag[order])
+    return EigenDecomposition._trusted(np.array(q)[:, order], diag[order])
 
 
-def _off_norm(a: list, d: int) -> float:
+def _sum_squares(a: list, d: int, diagonal: bool = False) -> float:
+    """Sum of the squared entries, off the diagonal unless ``diagonal``, in row-major order."""
     acc = 0.0
     for i in range(d):
         row = a[i]
         for j in range(d):
-            if i != j:
+            if diagonal or i != j:
                 x = row[j]
                 acc += x * x
-    return math.sqrt(acc)
+    return acc
+
+
+def _eigendecompose_stack(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecomposition:
+    """``eigendecompose_symmetric`` of every matrix of an (N, d, d) stack at once.
+
+    Every matrix goes through the scalar solver's arithmetic: the same pivots
+    in the same row-major order, the same threshold, zeroing and rotation
+    formulas, the same stop rule, and sums of squares accumulated in the same
+    sequential order.  Each pivot's rotation is vectorized across the
+    matrices still live in the sweep; a converged matrix is never touched
+    again.  So each factor and eigenvalue is bit-identical to the scalar
+    solver's, whatever else the stack holds.  A matrix whose squared norm
+    overflows goes through the scalar solver.  Convergence failure reports
+    the first matrix that did not converge.  Returns one stacked
+    decomposition: q of shape (N, d, d), eigenvalues of shape (N, d).
+    """
+    arr = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise MatrixValidationError("matrix entries must be finite")
+    n, d = arr.shape[0], arr.shape[-1]
+    asym = np.max(np.abs(arr - arr.swapaxes(1, 2)), axis=(1, 2))
+    if np.any(asym > DEFAULT_SYM_TOL * (1.0 + np.max(np.abs(arr), axis=(1, 2)))):
+        raise NotSymmetricError("input to the symmetric eigensolver is not symmetric")
+
+    with np.errstate(over="ignore"):
+        a = 0.5 * (arr + arr.swapaxes(1, 2))
+        sum_sq = _stack_sum_squares(a, diagonal=True)
+    scaled = np.flatnonzero(np.isinf(sum_sq))
+    a[scaled] = 0.0  # solved one at a time below; never live here
+    q = np.tile(np.eye(d), (n, 1, 1))
+    stop = 0.05 * DEFAULT_EIG_TOL * (1.0 + np.sqrt(sum_sq))
+    off = np.sqrt(_stack_sum_squares(a))
+    pivots = [(p, r) for p in range(d - 1) for r in range(p + 1, d)]
+    # Both branches of t are formed for every rotated matrix and np.where
+    # keeps the one the scalar solver takes; the other may overflow.
+    with np.errstate(over="ignore", divide="ignore"):
+        for sweep in range(max_sweeps):
+            live = np.flatnonzero(off > stop)
+            if live.size == 0:
+                break
+            thresh = 0.2 * off[live] / (d * d) if sweep < 3 else 0.0
+            for p, r in pivots:
+                apr = a[live, p, r]
+                g = 100.0 * np.abs(apr)
+                skip = (apr == 0.0) | (np.abs(apr) <= thresh)
+                if sweep >= 4:
+                    app = np.abs(a[live, p, p])
+                    arr_ = np.abs(a[live, r, r])
+                    tiny = (app + g == app) & (arr_ + g == arr_)
+                    a[live[tiny], p, r] = 0.0
+                    a[live[tiny], r, p] = 0.0
+                    skip |= tiny
+                rot = np.flatnonzero(~skip)
+                if rot.size == 0:
+                    continue
+                k = live[rot]
+                apr = apr[rot]
+                ak = a[k]
+                qk = q[k]
+                h = ak[:, r, r] - ak[:, p, p]
+                theta = 0.5 * h / apr
+                t = 1.0 / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
+                t = np.where(theta < 0.0, -t, t)
+                t = np.where(np.abs(h) + g[rot] == np.abs(h), apr / h, t)
+                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                s_ = t[:, None] * c
+                cp, cr = ak[:, :, p], ak[:, :, r]
+                ak[:, :, p], ak[:, :, r] = c * cp - s_ * cr, s_ * cp + c * cr
+                rp, rr = ak[:, p, :], ak[:, r, :]
+                ak[:, p, :], ak[:, r, :] = c * rp - s_ * rr, s_ * rp + c * rr
+                ak[:, p, r] = 0.0
+                ak[:, r, p] = 0.0
+                qp, qr = qk[:, :, p], qk[:, :, r]
+                qk[:, :, p], qk[:, :, r] = c * qp - s_ * qr, s_ * qp + c * qr
+                a[k] = ak
+                q[k] = qk
+            off[live] = np.sqrt(_stack_sum_squares(a[live]))
+    failed = np.flatnonzero(off > stop)
+    if failed.size:
+        raise EigenConvergenceError(off[failed[0]], max_sweeps)
+
+    diag = a[:, np.arange(d), np.arange(d)]
+    order = np.argsort(-diag, axis=1, kind="stable")
+    vals = np.take_along_axis(diag, order, axis=1)
+    q = np.take_along_axis(q, order[:, None, :], axis=2)
+    for i in scaled:
+        dec = eigendecompose_symmetric(arr[i], max_sweeps)
+        q[i] = dec.q
+        vals[i] = dec.eigenvalues
+    return EigenDecomposition._trusted(q, vals)
+
+
+def _stack_sum_squares(a: np.ndarray, diagonal: bool = False) -> np.ndarray:
+    """``_sum_squares`` of each matrix of a stack, in the same sequential order."""
+    sq = (a * a).reshape(len(a), -1)
+    if not diagonal:
+        sq[:, :: a.shape[-1] + 1] = 0.0  # adding +0.0 leaves a sum of squares unchanged
+    return np.cumsum(sq, axis=1)[:, -1]

@@ -231,7 +231,7 @@ def bilinear_lhs(
     xx = _require_symmetric_nonzero(x)
     dec_a = _decomposition(a, decomposition)
     inner = dlog_sinh_pair(a, xx, p, s, +1, decomposition=dec_a)
-    dec_g = EigenDecomposition(dec_a.q, np.log(dec_a.eigenvalues))
+    dec_g = EigenDecomposition._trusted(dec_a.q, np.log(dec_a.eigenvalues))
     outer = f.derivative(None, inner, decomposition=dec_g)
     return frobenius_dot(outer, xx)
 
@@ -276,7 +276,7 @@ def equivalence_check(
         dec_s = eigendecompose_symmetric(s_mat)
         a = matfun_spectral(math.exp, s_mat, decomposition=dec_s)
         x = random_symmetric(rng, 3)
-        dec_a = EigenDecomposition(dec_s.q, np.exp(dec_s.eigenvalues))
+        dec_a = EigenDecomposition._trusted(dec_s.q, np.exp(dec_s.eigenvalues))
         lhs = bilinear_lhs(f, a, x, p, s, decomposition=dec_a)
         z = sqrt_r_operator(s_mat, float(p + s), x, decomposition=dec_s)
         rhs = frobenius_dot(f.derivative(s_mat, z, decomposition=dec_s), z)

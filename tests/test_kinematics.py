@@ -1,10 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from corotcalc import kinematics as ki
+from corotcalc import matcore
+from corotcalc.calculus import d_log
 from corotcalc.matcore import (
+    EigenConvergenceError,
     EigenDecomposition,
     NotSpdError,
     eigendecompose_symmetric,
@@ -325,6 +329,81 @@ def test_integrate_simple_shear_closed_form():
         f_exact[0, 1] = kappa * s.t
         assert frobenius_norm(s.f - f_exact) <= 1e-12
         assert abs(s.det_f - 1.0) <= 1e-12
+
+
+def _rk4_reference(field, f0, n_steps, dt):
+    """F at every step by the plain RK4 formula, one field call per stage."""
+    f = np.array(f0, dtype=float)
+    out = [f]
+    for k in range(n_steps):
+        t = k * dt
+        k1 = field(t) @ f
+        k2 = field(t + 0.5 * dt) @ (f + 0.5 * dt * k1)
+        k3 = field(t + 0.5 * dt) @ (f + 0.5 * dt * k2)
+        k4 = field(t + dt) @ (f + dt * k3)
+        f = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(f)
+    return out
+
+
+_FIELDS = {
+    "simple_shear": lambda dim: ki.simple_shear(1.0, dim),
+    "pure_stretch": lambda dim: ki.pure_stretch(np.linspace(0.3, -0.3, dim)),
+    "rigid_rotation": lambda dim: ki.rigid_rotation(0.9, dim),
+    "polynomial_3": lambda dim: ki.polynomial_motion(3, dim),
+    "polynomial_13": lambda dim: ki.polynomial_motion(13, dim),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("motion", sorted(_FIELDS))
+def test_integrate_samples_match_single_matrix_functions(motion, dim):
+    # every recorded field, bit for bit, from the public one-matrix functions
+    field = _FIELDS[motion](dim)
+    dt, every = 1e-2, 2
+    samples = ki.integrate_motion(field, np.eye(dim), 0.5, dt, record_every=every)
+    fs = _rk4_reference(field, np.eye(dim), 50, dt)[::every]
+    assert len(samples) == len(fs) == 26
+    bs = [f @ f.T for f in fs]
+    bs = [0.5 * (b + b.T) for b in bs]
+    for i, (s, f, b) in enumerate(zip(samples, fs, bs)):
+        dec = eigendecompose_symmetric(b)
+        l = field(s.t)
+        d = 0.5 * (l + l.T)
+        w = 0.5 * (l - l.T)
+        h = ki.hencky(b, decomposition=dec)
+        omega = ki.log_spin_commutator(b, d, w, decomposition=dec)
+        omega_sp = ki.log_spin_spectral(b, d, w, decomposition=dec)
+        db_dt = l @ b + b @ l.T
+        h_dot = 0.5 * d_log(b, db_dt, decomposition=dec)
+        evol = 0.0
+        if 0 < i < len(bs) - 1:
+            db_fd = (bs[i + 1] - bs[i - 1]) / (samples[i + 1].t - samples[i - 1].t)
+            evol = frobenius_norm(db_fd - db_dt)
+        assert s.t == i * every * dt
+        for got, want in ((s.f, f), (s.b, b), (s.h, h), (s.d, d), (s.w, w), (s.omega_log, omega)):
+            assert np.array_equal(got, want), i
+            assert not got.flags.writeable
+        assert s.spin_agreement == frobenius_norm(omega - omega_sp)
+        assert s.rate_residual == frobenius_norm(ki.corotational_rate(h, h_dot, omega) - d)
+        assert s.evolution_residual == evol
+        assert s.det_f == float(np.linalg.det(f))
+
+
+def test_integrate_raises_not_spd_from_stack():
+    # F0 = diag(1, 1, 1e-200) has det > 0, but its B underflows to a zero eigenvalue
+    with pytest.raises(NotSpdError) as ei:
+        ki.integrate_motion(ki.simple_shear(1.0), np.diag([1.0, 1.0, 1e-200]), 0.1, 1e-2)
+    assert ei.value.smallest_eigenvalue == 0.0
+
+
+def test_integrate_raises_eigen_convergence_from_stack(monkeypatch):
+    # one sweep settles B = I at t = 0 but not the sheared B after it
+    one_sweep = functools.partial(matcore._eigendecompose_stack, max_sweeps=1)
+    monkeypatch.setattr(ki, "_eigendecompose_stack", one_sweep)
+    with pytest.raises(EigenConvergenceError) as ei:
+        ki.integrate_motion(ki.polynomial_motion(3), np.eye(3), 0.1, 1e-2)
+    assert ei.value.sweeps == 1
 
 
 def test_integrate_validates_inputs():

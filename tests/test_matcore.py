@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from corotcalc.matcore import (
     EigenConvergenceError,
@@ -19,6 +21,7 @@ from corotcalc.matcore import (
     is_skew,
     is_symmetric,
     multiply,
+    _eigendecompose_stack,
     skew_part,
     sym_part,
 )
@@ -277,3 +280,99 @@ def test_predicates():
     assert not is_symmetric([[1.0, 2.0], [0.0, 1.0]])
     assert is_skew([[0.0, 1.0], [-1.0, 0.0]])
     assert not is_skew([[0.0, 1.0], [1.0, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# eigenvalues beyond the float range
+
+
+def test_eigen_rejects_eigenvalue_beyond_float_range():
+    # eigenvalues 2e308 and 0: the scaled solve finds them, unscaling overflows
+    with pytest.raises(MatrixValidationError):
+        eigendecompose_symmetric([[1e308, 1e308], [1e308, 1e308]])
+    with pytest.raises(MatrixValidationError):
+        _eigendecompose_stack(np.array([np.eye(2), [[1e308, 1e308], [1e308, 1e308]]]))
+
+
+def test_eigen_symmetrizes_huge_entries_without_overflow():
+    # 1e308 + 1e308 overflows, the eigenvalues +-1.118e308 do not; RuntimeWarnings are errors
+    s = np.array([[1e308, 5e307], [5e307, -1e308]])
+    dec = eigendecompose_symmetric(s)
+    ref = np.sort(np.linalg.eigvalsh(s))[::-1]
+    assert np.all(np.isfinite(dec.eigenvalues))
+    assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-14 * np.max(np.abs(ref))
+    stacked = _eigendecompose_stack(np.array([s, np.eye(2)]))
+    np.testing.assert_array_equal(stacked.q[0], dec.q)
+    np.testing.assert_array_equal(stacked.eigenvalues[0], dec.eigenvalues)
+
+
+# ---------------------------------------------------------------------------
+# the stacked solver: per matrix, the single-matrix solver bit for bit
+
+_SPECTRA = ("generic", "clustered", "repeated", "diagonal", "zero", "wide")
+
+
+def _test_matrix(rng, d: int, kind: str) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros((d, d))
+    if kind == "wide":
+        lam = rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(-150.0, 150.0, d)
+    elif kind == "clustered":
+        lam = rng.uniform(0.5, 2.0) * (1.0 + 1e-12 * rng.integers(0, 3, d))
+    elif kind == "repeated":
+        lam = rng.choice(rng.uniform(-2.0, 2.0, 2), d)
+    else:
+        lam = rng.uniform(-2.0, 2.0, d)
+    if kind == "diagonal":
+        return np.diag(lam)
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    s = (q * lam) @ q.T
+    return 0.5 * (s + s.T)
+
+
+def _assert_stack_matches_scalar(stack: np.ndarray) -> None:
+    dec = _eigendecompose_stack(stack)
+    assert not dec.q.flags.writeable and not dec.eigenvalues.flags.writeable
+    for i, s in enumerate(stack):
+        ref = eigendecompose_symmetric(s)
+        assert np.array_equal(dec.q[i], ref.q), i
+        assert np.array_equal(dec.eigenvalues[i], ref.eigenvalues), i
+
+
+@given(
+    d=st.integers(1, 16),
+    kinds=st.lists(st.sampled_from(_SPECTRA), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eigen_stack_matches_scalar_solver(d, kinds, seed):
+    # mixed stacks: members converge at different sweeps
+    rng = np.random.default_rng(seed)
+    _assert_stack_matches_scalar(np.array([_test_matrix(rng, d, k) for k in kinds]))
+
+
+def test_eigen_stack_matches_scalar_on_many_matrices():
+    rng = np.random.default_rng(23)
+    _assert_stack_matches_scalar(np.array([_test_matrix(rng, 3, "generic") for _ in range(400)]))
+    # a member whose squared norm overflows takes the scalar solver's scaled route
+    huge = np.array([[1e200, 3e199, 0.0], [3e199, -2e199, 1.0], [0.0, 1.0, 5.0]])
+    _assert_stack_matches_scalar(np.array([np.eye(3), huge, _test_matrix(rng, 3, "wide")]))
+
+
+def test_eigen_stack_checks_like_scalar_solver():
+    good = np.eye(2)
+    with pytest.raises(NotSymmetricError):
+        _eigendecompose_stack(np.array([good, [[0.0, 1.0], [0.0, 0.0]]]))
+    with pytest.raises(MatrixValidationError):
+        _eigendecompose_stack(np.array([good, [[np.nan, 0.0], [0.0, 1.0]]]))
+
+
+def test_eigen_stack_reports_first_unconverged_matrix():
+    rng = np.random.default_rng(29)
+    easy = np.diag([3.0, 2.0, 1.0])
+    hard = [_test_matrix(rng, 3, "generic") for _ in range(2)]
+    with pytest.raises(EigenConvergenceError) as ref:
+        eigendecompose_symmetric(hard[0], max_sweeps=1)
+    with pytest.raises(EigenConvergenceError) as ei:
+        _eigendecompose_stack(np.array([easy, hard[0], hard[1]]), max_sweeps=1)
+    assert ei.value.sweeps == 1
+    assert ei.value.off_norm == ref.value.off_norm

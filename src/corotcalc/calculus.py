@@ -19,8 +19,8 @@ import numpy as np
 
 from .matcore import (
     EigenDecomposition,
-    NotSpdError,
     _gate,
+    _require_spd,
     as_array,
     eigendecompose_symmetric,
     frobenius_norm,
@@ -31,6 +31,7 @@ from .scalarfun import (
     ETA_NEG,
     ETA_NEG_RECIP,
     _eta_coeffs,
+    _exp_coeffs,
     _sigma_coeffs,
     make_r_kernel,
     make_sandwich_kernel,
@@ -130,11 +131,7 @@ def _decomposition(a, decomposition=None) -> EigenDecomposition:
 
 def _spd_decomposition(a, decomposition=None) -> EigenDecomposition:
     """As ``_decomposition``, raising NotSpdError unless every eigenvalue is positive."""
-    dec = _decomposition(a, decomposition)
-    smallest = float(dec.eigenvalues[-1])
-    if smallest <= 0.0:
-        raise NotSpdError(smallest)
-    return dec
+    return _require_spd(_decomposition(a, decomposition))
 
 
 def _checked(fn: Callable[..., float], *args: float) -> float:
@@ -212,10 +209,7 @@ class PowerSeriesSpec:
 
 def exp_series_spec(scale: float = 1.0, terms: int = 96, tol: float = 1e-15) -> PowerSeriesSpec:
     """Series of e^(scale*x): coefficients scale^n / n!."""
-    c = [1.0]
-    for n in range(1, terms):
-        c.append(c[-1] * scale / n)
-    return PowerSeriesSpec(tuple(c), max_terms=terms, tol=tol)
+    return PowerSeriesSpec(tuple(_exp_coeffs(scale, terms - 1)), max_terms=terms, tol=tol)
 
 
 def log_series_spec(terms: int = 160, tol: float = 1e-15) -> PowerSeriesSpec:

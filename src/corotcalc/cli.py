@@ -1,8 +1,8 @@
 """Command-line surface: spin computation, verification, simulation, benchmarks.
 
-Exit codes: 0 success; 1 a verification row failed; 2 malformed input
-(bad JSON, schema violation, non-symmetric D, non-skew W, bad flags);
-3 the supplied B is not positive definite; 4 the integrator aborted.
+Exit codes: 0 success; 1 a verification row failed; 2 malformed input (bad
+JSON or payload, non-symmetric D, non-skew W, or a malformed flag, config
+value or COROTCALC_TOL); 3 B is not positive definite; 4 integrator abort.
 
 All output is deterministic for a fixed seed and configuration: floats are
 printed with 17 significant digits and randomness flows through the seeded
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -50,9 +51,24 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _config_items(text: str) -> dict:
+    """{key: value} of key=value lines, quotes stripped; blank and # lines skipped."""
+    values = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line is not key=value: {line!r}")
+        key, _, val = line.partition("=")
+        values[key.strip()] = val.strip().strip("'\"")
+    return values
+
+
 @dataclass
 class RunConfig:
-    """Resolved run settings; round-trips losslessly through key=value text."""
+    """The keys of a ``--config`` file, at the command-line defaults (``bench``
+    alone seeds at 7); round-trips losslessly through key=value text."""
 
     seed: int = 42
     dim: int = 3
@@ -61,69 +77,74 @@ class RunConfig:
     t_end: float = 1.0
     motion: str = "simple_shear"
     method: str = "both"
-    output_path: str = ""
+    output_path: str = "traj.csv"
 
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            lines.append(f"{f.name}={getattr(self, f.name)!r}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name}={getattr(self, f.name)!r}\n" for f in fields(self))
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        values = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line is not key=value: {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-        kwargs = {}
-        for f in cls.__dataclass_fields__.values():
-            if f.name not in values:
-                continue
-            raw = values[f.name]
-            if f.type in ("int", int):
-                kwargs[f.name] = int(raw)
-            elif f.type in ("float", float):
-                kwargs[f.name] = float(raw)
-            else:
-                kwargs[f.name] = raw.strip("'\"")
-        return cls(**kwargs)
+        values = _config_items(text)
+        return cls(**{
+            f.name: type(f.default)(values[f.name]) for f in fields(cls) if f.name in values
+        })
 
 
-def _env_tol() -> float:
-    raw = os.environ.get("COROTCALC_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise SystemExit(f"COROTCALC_TOL is not a number: {raw!r}")
+# ---------------------------------------------------------------------------
+# argument types: each converts one flag or config value, or rejects it
 
 
-def _resolve(args, key, config: RunConfig | None, default):
-    """Precedence: explicit flag > config file > default (env folds into default)."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if config is not None:
-        return getattr(config, key)
-    return default
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert`` the text, then require ``ok`` of the value."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return parse
 
 
-def _load_config(args) -> RunConfig | None:
-    path = getattr(args, "config", None)
-    if path is None:
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return RunConfig.from_text(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT)
+_positive = _checked(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
+_finite = _checked(float, math.isfinite, "a finite number")
+_finites = _checked(lambda text: tuple(map(float, text.split(","))),
+                    lambda xs: all(map(math.isfinite, xs)), "finite numbers a,b,...")
+_count = _checked(int, lambda n: n >= 1, "a positive integer")
+_dims = _checked(lambda text: list(map(int, text.split(","))),
+                 lambda dims: all(1 <= d <= 16 for d in dims), "dimensions a,b,... in [1, 16]")
+
+
+def _seed(scale: int, offset: int):
+    """A seed whose largest Philox key, ``scale * seed + offset``, fits in 64 bits."""
+    top = (2**64 - 1 - offset) // scale
+    return _checked(int, lambda s: 0 <= s <= top, f"a seed in [0, {top}]")
+
+
+def _config(parser: argparse.ArgumentParser):
+    """The type of ``--config FILE``: the file's settings as flags of ``parser``.
+    Empty values and RunConfig keys the command does not take are skipped."""
+    flag = {"output_path": "--out"}
+
+    def read(path: str) -> list:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                items = _config_items(fh.read())
+        except (OSError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(f"cannot read config {path}: {exc}") from None
+        unknown = sorted(items.keys() - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise argparse.ArgumentTypeError(f"unknown config key {unknown[0]!r} in {path}")
+        return [
+            f"{flag.get(key, '--' + key.replace('_', '-'))}={value}"
+            for key, value in items.items()
+            if value and parser.get_default(key) is not None
+        ]
+
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +158,6 @@ def _parse_matrix_field(payload: dict, key: str) -> Matrix:
 
 
 def cmd_spin(args) -> int:
-    config = _load_config(args)
-    tol = _resolve(args, "tol", config, _env_tol())
-    method = _resolve(args, "method", config, "both")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -148,15 +166,13 @@ def cmd_spin(args) -> int:
         return EXIT_BAD_INPUT
 
     try:
-        b_raw = _parse_matrix_field(payload, "B")
-        d_raw = _parse_matrix_field(payload, "D")
-        w_raw = _parse_matrix_field(payload, "W")
+        b_raw, d_raw, w_raw = (_parse_matrix_field(payload, key) for key in "BDW")
     except MatrixValidationError as exc:
         print(f"error: bad matrix payload: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
     try:
-        b = SpdMatrix(b_raw.array, sym_tol=tol)
+        b = SpdMatrix(b_raw.array, sym_tol=args.tol)
     except NotSpdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_SPD
@@ -164,8 +180,8 @@ def cmd_spin(args) -> int:
         print(f"error: B is not symmetric: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        d = SymMatrix(d_raw.array, sym_tol=tol)
-        w = SkewMatrix(w_raw.array, sym_tol=tol)
+        d = SymMatrix(d_raw.array, sym_tol=args.tol)
+        w = SkewMatrix(w_raw.array, sym_tol=args.tol)
     except (NotSymmetricError, NotSkewError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -175,9 +191,9 @@ def cmd_spin(args) -> int:
 
     dec = b.decomposition
     out: dict = {}
-    if method == "spectral":
+    if args.method == "spectral":
         omega = ki.log_spin_spectral(b.array, d.array, w.array, decomposition=dec)
-    elif method == "commutator":
+    elif args.method == "commutator":
         omega = ki.log_spin_commutator(b.array, d.array, w.array, decomposition=dec)
     else:
         omega_sp = ki.log_spin_spectral(b.array, d.array, w.array, decomposition=dec)
@@ -193,15 +209,12 @@ def cmd_spin(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args)
-    seed = int(_resolve(args, "seed", config, 42))
-    trials = args.trials if args.trials is not None else 200
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    results = run_suites(names, seed=seed, trials=trials)
+    results = run_suites(names, seed=args.seed, trials=args.trials)
     failed = []
     width = max(len(r.label) for rows in results.values() for r in rows) + 2
     for name, rows in results.items():
-        print(f"suite {name}  (seed={seed}, trials={trials})")
+        print(f"suite {name}  (seed={args.seed}, trials={args.trials})")
         for r in rows:
             status = "ok" if r.passed else "FAIL"
             print(f"  {r.label:<{width}} max residual {_fmt(r.residual):>24}  "
@@ -220,62 +233,37 @@ def cmd_verify(args) -> int:
 # simulate
 
 
-def _build_field(args, config: RunConfig | None, seed: int, dim: int):
-    motion = _resolve(args, "motion", config, "simple_shear")
-    if motion == "simple_shear":
-        return ki.simple_shear(args.kappa, dim=dim)
-    if motion == "pure_stretch":
-        rates = tuple(float(r) for r in args.rates.split(","))
-        return ki.pure_stretch(rates)
-    if motion == "rigid_rotation":
-        return ki.rigid_rotation(args.rate, dim=dim)
-    if motion == "polynomial":
-        return ki.polynomial_motion(seed, dim=dim)
-    print(f"error: unknown motion {motion!r}", file=sys.stderr)
-    raise SystemExit(EXIT_BAD_INPUT)
+def _build_field(args):
+    if args.motion == "simple_shear":
+        return ki.simple_shear(args.kappa, dim=args.dim)
+    if args.motion == "pure_stretch":
+        return ki.pure_stretch(args.rates)
+    if args.motion == "rigid_rotation":
+        return ki.rigid_rotation(args.rate, dim=args.dim)
+    return ki.polynomial_motion(args.seed, dim=args.dim)
 
 
 def write_trajectory_csv(samples, path: str) -> None:
     """Trajectory table: t, res_eq5, res_eq40, spin_agreement, det_F per sample."""
     lines = ["t,res_eq5,res_eq40,spin_agreement,det_F"]
     for s in samples:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(s.t),
-                    _fmt(s.rate_residual),
-                    _fmt(s.evolution_residual),
-                    _fmt(s.spin_agreement),
-                    _fmt(s.det_f),
-                )
-            )
-        )
+        row = (s.t, s.rate_residual, s.evolution_residual, s.spin_agreement, s.det_f)
+        lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
-    seed = int(_resolve(args, "seed", config, 42))
-    dim = int(_resolve(args, "dim", config, 3))
-    dt = float(_resolve(args, "dt", config, 1e-3))
-    t_end = float(_resolve(args, "t_end", config, 1.0))
-    if args.out is not None:
-        out_path = args.out
-    elif config is not None and config.output_path:
-        out_path = config.output_path
-    else:
-        out_path = "traj.csv"
-    field = _build_field(args, config, seed, dim)
+    field = _build_field(args)
     try:
         samples = ki.integrate_motion(
-            field, np.eye(field.dim), t_end, dt, record_every=args.record_every
+            field, np.eye(field.dim), args.t_end, args.dt, record_every=args.record_every
         )
     except ki.IntegrationAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR_ABORT
-    write_trajectory_csv(samples, out_path)
-    print(f"motion {field.descriptor}: {len(samples)} samples -> {out_path}")
+    write_trajectory_csv(samples, args.output_path)
+    print(f"motion {field.descriptor}: {len(samples)} samples -> {args.output_path}")
     print(f"max res_eq5       = {_fmt(max(s.rate_residual for s in samples))}")
     print(f"max res_eq40      = {_fmt(max(s.evolution_residual for s in samples))}")
     print(f"max spin mismatch = {_fmt(max(s.spin_agreement for s in samples))}")
@@ -288,18 +276,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = _load_config(args)
-    seed = int(_resolve(args, "seed", config, 7))
-    dims = [int(d) for d in args.dims.split(",")]
-    if any(d < 1 or d > 16 for d in dims):
-        print("error: dimensions must be in [1, 16]", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    trials = args.trials
     print(f"{'dim':>4} {'spectral us':>14} {'commutator us':>14} {'max discrepancy':>18}")
-    for dim in dims:
-        rng = make_rng(seed + dim)
+    for dim in args.dims:
+        rng = make_rng(args.seed + dim)
         cases = []
-        for _ in range(trials):
+        for _ in range(args.trials):
             b = random_spd_ratio(rng, dim)
             d = random_symmetric(rng, dim)
             w = random_skew(rng, dim)
@@ -314,12 +295,10 @@ def cmd_bench(args) -> int:
             ki.log_spin_commutator(b, d, w, decomposition=dec) for b, d, w, dec in cases
         ]
         t_commutator = time.perf_counter() - t0
-        disc = max(
-            frobenius_norm(a - b_) for a, b_ in zip(spectral, commutator)
-        )
+        disc = max(frobenius_norm(a - b_) for a, b_ in zip(spectral, commutator))
         print(
-            f"{dim:>4} {1e6 * t_spectral / trials:>14.1f} "
-            f"{1e6 * t_commutator / trials:>14.1f} {_fmt(disc):>18}"
+            f"{dim:>4} {1e6 * t_spectral / args.trials:>14.1f} "
+            f"{1e6 * t_commutator / args.trials:>14.1f} {_fmt(disc):>18}"
         )
     return EXIT_OK
 
@@ -329,57 +308,69 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every setting's one default and check; the precedence is flag > --config
+    file > COROTCALC_TOL > default."""
     parser = argparse.ArgumentParser(
         prog="corotcalc",
         description="Spin tensors and commutator-kernel identities for symmetric matrices",
     )
     parser.add_argument("--version", action="version", version=f"corotcalc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    cfg = RunConfig
 
-    p_spin = sub.add_parser("spin", help="compute the log-rate spin from B, D, W")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", type=_config(p), help="key=value config file")
+        p.set_defaults(func=func)
+        return p
+
+    p_spin = command("spin", cmd_spin, "compute the log-rate spin from B, D, W")
     p_spin.add_argument("--input", required=True, help="JSON file with B, D, W matrix objects")
-    p_spin.add_argument("--method", choices=("spectral", "commutator", "both"), default=None)
-    p_spin.add_argument("--tol", type=float, default=None, help="validation tolerance")
-    p_spin.add_argument("--config", default=None, help="key=value config file")
-    p_spin.set_defaults(func=cmd_spin)
-
-    p_verify = sub.add_parser("verify", help="run identity-verification suites")
-    p_verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--config", default=None)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_sim = sub.add_parser("simulate", help="integrate a motion and write the residual table")
-    p_sim.add_argument(
-        "--motion",
-        choices=("simple_shear", "pure_stretch", "rigid_rotation", "polynomial"),
-        default=None,
+    p_spin.add_argument("--method", choices=("spectral", "commutator", "both"),
+                        default=cfg.method)
+    p_spin.add_argument(
+        "--tol", type=_positive, default=os.environ.get("COROTCALC_TOL", repr(cfg.tol)),
+        help="validation tolerance (default %(default)s, from COROTCALC_TOL if set)",
     )
-    p_sim.add_argument("--kappa", type=float, default=1.0, help="shear rate")
-    p_sim.add_argument("--rates", default="0.3,-0.3,0", help="stretch rates, comma separated")
-    p_sim.add_argument("--rate", type=float, default=1.0, help="rotation rate")
-    p_sim.add_argument("--dt", type=float, default=None)
-    p_sim.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p_sim.add_argument("--record-every", type=int, default=1)
-    p_sim.add_argument("--seed", type=int, default=None, help="seed for polynomial motion")
-    p_sim.add_argument("--dim", type=int, default=None)
-    p_sim.add_argument("--out", default=None, help="output CSV path")
-    p_sim.add_argument("--config", default=None)
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_bench = sub.add_parser("bench", help="time the two spin assemblies")
-    p_bench.add_argument("--dims", default="3,5,8")
-    p_bench.add_argument("--trials", type=int, default=1000)
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--config", default=None)
-    p_bench.set_defaults(func=cmd_bench)
+    p_verify = command("verify", cmd_verify, "run identity-verification suites")
+    p_verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
+    # the suites key their generators up to seed * 1000 + 92
+    p_verify.add_argument("--seed", type=_seed(1000, 92), default=cfg.seed)
+    p_verify.add_argument("--trials", type=_count, default=200)
+
+    p_sim = command("simulate", cmd_simulate, "integrate a motion and write the residual table")
+    motions = ("simple_shear", "pure_stretch", "rigid_rotation", "polynomial")
+    p_sim.add_argument("--motion", choices=motions, default=cfg.motion)
+    p_sim.add_argument("--kappa", type=_finite, default=1.0, help="shear rate")
+    p_sim.add_argument("--rates", type=_finites, default="0.3,-0.3,0",
+                       help="stretch rates, comma separated")
+    p_sim.add_argument("--rate", type=_finite, default=1.0, help="rotation rate")
+    p_sim.add_argument("--dt", type=_positive, default=cfg.dt)
+    p_sim.add_argument("--t-end", dest="t_end", type=_positive, default=cfg.t_end)
+    p_sim.add_argument("--record-every", type=_count, default=1)
+    p_sim.add_argument("--seed", type=_seed(1, 0), default=cfg.seed,
+                       help="seed for polynomial motion")
+    p_sim.add_argument("--dim", type=_count, default=cfg.dim)
+    p_sim.add_argument("--out", dest="output_path", default=cfg.output_path,
+                       help="output CSV path")
+
+    p_bench = command("bench", cmd_bench, "time the two spin assemblies")
+    p_bench.add_argument("--dims", type=_dims, default="3,5,8")
+    p_bench.add_argument("--trials", type=_count, default=1000)
+    # the fixtures are keyed by seed + dim
+    p_bench.add_argument("--seed", type=_seed(1, 16), default=7)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # the file's settings as flags between the command and the user's own
+        args = parser.parse_args([argv[0], *args.config, *argv[1:]])
     return args.func(args)
 
 

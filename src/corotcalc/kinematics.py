@@ -18,12 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import _d_log, _hadamard, _matfun, _pair_table, _spd_decomposition
+from .calculus import _d_log, _hadamard, _matfun, _pair_table, _spd_decomposition, gateaux_fd
 from .matcore import (
-    NotSpdError,
     SkewMatrix,
     _eigendecompose_stack,
     _gate,
+    _require_spd,
     as_array,
     frobenius_norm,
     skew_part,
@@ -325,11 +325,7 @@ def integrate_motion(
     l_all = np.array([field(t) for t in times])
     b = f_all @ f_all.swapaxes(1, 2)
     b = 0.5 * (b + b.swapaxes(1, 2))
-    dec = _eigendecompose_stack(b)
-    smallest = dec.eigenvalues[:, -1]
-    not_spd = np.flatnonzero(smallest <= 0.0)
-    if not_spd.size:
-        raise NotSpdError(smallest[not_spd[0]])
+    dec = _require_spd(_eigendecompose_stack(b))
     h = _matfun(_half_log, dec)
     d = 0.5 * (l_all + l_all.swapaxes(1, 2))
     w = 0.5 * (l_all - l_all.swapaxes(1, 2))
@@ -415,6 +411,5 @@ def strain_measure_report(
     for _ in range(trials):
         x = rng.uniform(-1.0, 1.0, (dim, dim))
         x = 0.5 * (x + x.T)
-        fd = (hencky(ident + h * x) - hencky(ident - h * x)) / (2.0 * h)
-        worst = max(worst, frobenius_norm(fd - 0.5 * x))
+        worst = max(worst, frobenius_norm(gateaux_fd(hencky, ident, x, h) - 0.5 * x))
     return StrainMeasureReport(identity_residual, worst, tolerance)

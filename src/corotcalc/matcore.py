@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_SYM_TOL",
-    "DEFAULT_SPD_TOL",
     "DEFAULT_EIG_TOL",
     "DEFAULT_MAX_SWEEPS",
     "MatrixValidationError",
@@ -41,9 +40,9 @@ __all__ = [
 ]
 
 DEFAULT_SYM_TOL = 1e-10
-DEFAULT_SPD_TOL = 1e-12
 DEFAULT_EIG_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 64
+_HALF_MAX = np.finfo(float).max / 2  # the sum of two entries below this is finite
 
 
 class MatrixValidationError(ValueError):
@@ -63,7 +62,7 @@ class NotSkewError(MatrixValidationError):
 
 
 class NotSpdError(MatrixValidationError):
-    """A symmetric matrix has a non-positive (or too small) eigenvalue."""
+    """A symmetric matrix has a non-positive eigenvalue."""
 
     def __init__(self, smallest_eigenvalue: float):
         self.smallest_eigenvalue = float(smallest_eigenvalue)
@@ -115,18 +114,42 @@ def _gate(*args, shape=None) -> tuple:
 
 
 def _symmetry_defect(arr: np.ndarray, tol: float = DEFAULT_SYM_TOL, skew: bool = False) -> tuple:
-    """(max|A - A^T|, tol (1 + max|A|)), or max|A + A^T| first with ``skew``."""
-    defect = float(np.max(np.abs(arr + arr.T if skew else arr - arr.T)))
-    return defect, tol * (1.0 + float(np.max(np.abs(arr))))
+    """(max|A - A^T|, tol (1 + max|A|), max|A| > _HALF_MAX), or max|A + A^T| first
+    with ``skew``.  Above half the float range the difference is taken of the
+    halved entries and doubled, so that it cannot overflow."""
+    scale = float(np.max(np.abs(arr)))
+    huge = scale > _HALF_MAX
+    a = 0.5 * arr if huge else arr
+    defect = float(np.max(np.abs(a + a.T if skew else a - a.T)))
+    return (2.0 * defect if huge else defect), tol * (1.0 + scale), huge
+
+
+def _half_sum(a: np.ndarray, b: np.ndarray, huge: bool) -> np.ndarray:
+    """0.5 (a + b); with ``huge``, 0.5 a + 0.5 b (exact there) where the sum overflows."""
+    if not huge:
+        return 0.5 * (a + b)
+    with np.errstate(over="ignore"):
+        out = 0.5 * (a + b)
+    return np.where(np.isfinite(out), out, 0.5 * a + 0.5 * b)
+
+
+def _require_spd(dec: "EigenDecomposition") -> "EigenDecomposition":
+    """``dec`` (one matrix or a stack) if every eigenvalue is positive, the
+    package's one SPD rule; else NotSpdError with the first offending one."""
+    smallest = np.atleast_1d(dec.eigenvalues[..., -1])
+    bad = smallest[~(smallest > 0.0)]
+    if bad.size:
+        raise NotSpdError(bad[0])
+    return dec
 
 
 def is_symmetric(a) -> bool:
-    defect, bound = _symmetry_defect(as_array(a))
+    defect, bound, _ = _symmetry_defect(as_array(a))
     return defect <= bound
 
 
 def is_skew(a) -> bool:
-    defect, bound = _symmetry_defect(as_array(a), skew=True)
+    defect, bound, _ = _symmetry_defect(as_array(a), skew=True)
     return defect <= bound
 
 
@@ -193,12 +216,12 @@ class SymMatrix(Matrix):
 
     def __init__(self, entries, sym_tol: float = DEFAULT_SYM_TOL):
         arr = _check_square_finite(np.array(entries, dtype=float))
-        asym, bound = _symmetry_defect(arr, sym_tol)
+        asym, bound, huge = _symmetry_defect(arr, sym_tol)
         if asym > bound:
             raise NotSymmetricError(
                 f"asymmetry {asym:.3e} exceeds tolerance {bound:.3e}"
             )
-        super().__init__(0.5 * (arr + arr.T))
+        super().__init__(_half_sum(arr, arr.T, huge))
 
 
 class SkewMatrix(Matrix):
@@ -208,12 +231,12 @@ class SkewMatrix(Matrix):
 
     def __init__(self, entries, sym_tol: float = DEFAULT_SYM_TOL):
         arr = _check_square_finite(np.array(entries, dtype=float))
-        dev, bound = _symmetry_defect(arr, sym_tol, skew=True)
+        dev, bound, huge = _symmetry_defect(arr, sym_tol, skew=True)
         if dev > bound:
             raise NotSkewError(
                 f"deviation from skew-symmetry {dev:.3e} exceeds tolerance {bound:.3e}"
             )
-        skew = 0.5 * (arr - arr.T)
+        skew = _half_sum(arr, -arr.T, huge)
         np.fill_diagonal(skew, 0.0)
         super().__init__(skew)
 
@@ -225,11 +248,7 @@ class SpdMatrix(SymMatrix):
 
     def __init__(self, entries, sym_tol: float = DEFAULT_SYM_TOL):
         super().__init__(entries, sym_tol=sym_tol)
-        dec = eigendecompose_symmetric(self.array)
-        smallest = float(dec.eigenvalues[-1])
-        floor = DEFAULT_SPD_TOL * (1.0 + float(np.max(np.abs(dec.eigenvalues))))
-        if smallest <= floor:
-            raise NotSpdError(smallest)
+        dec = _require_spd(eigendecompose_symmetric(self.array))
         object.__setattr__(self, "_decomposition", dec)
 
     @property
@@ -331,7 +350,7 @@ def eigendecompose_symmetric(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDe
     input: no pivoting decisions depend on anything but the matrix values.
     """
     arr = as_array(s)
-    asym, bound = _symmetry_defect(arr)
+    asym, bound, _ = _symmetry_defect(arr)
     if asym > bound:
         raise NotSymmetricError("input to the symmetric eigensolver is not symmetric")
     d = arr.shape[0]

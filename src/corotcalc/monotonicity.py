@@ -210,7 +210,7 @@ def sqrt_r_operator(g, q: float, x, decomposition=None) -> np.ndarray:
 
 def _require_symmetric_nonzero(x) -> np.ndarray:
     xx = as_array(x)
-    asym, bound = _symmetry_defect(xx)
+    asym, bound, _ = _symmetry_defect(xx)
     if asym > bound:
         raise NotSymmetricError("direction must be symmetric")
     if frobenius_norm(xx) == 0.0:

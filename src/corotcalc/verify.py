@@ -56,10 +56,10 @@ class VerifyRow:
         return self.residual <= self.threshold
 
 
-def _fd_exp(a, x, h=1e-5):
+def _fd_exp(a, x):
     """Centered difference of the series exponential; independent of the
     spectral route it is used to check."""
-    return (ca.matexp_series(a + h * x) - ca.matexp_series(a - h * x)) / (2.0 * h)
+    return ca.gateaux_fd(ca.matexp_series, a, x)
 
 
 def _spectral_power(dec, p):

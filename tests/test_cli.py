@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -254,7 +257,9 @@ def test_bench_discrepancy_column(capsys):
 
 
 def test_bench_rejects_large_dims(capsys):
-    assert main(["bench", "--dims", "3,17", "--trials", "5"]) == 2
+    with pytest.raises(SystemExit) as ei:
+        main(["bench", "--dims", "3,17", "--trials", "5"])
+    assert ei.value.code == 2
 
 
 def test_bench_smoke_ten_thousand_trials(capsys):
@@ -294,3 +299,136 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["--version"])
     assert ei.value.code == 0
+
+
+# Each malformed setting, by flag, by config file ({cfg}) or by environment:
+# (argv, config file text, COROTCALC_TOL).  {input} is a valid spin payload.
+MALFORMED = {
+    "dt zero": (["simulate", "--dt", "0"], None, None),
+    "dt nan": (["simulate", "--dt", "nan"], None, None),
+    "dt inf": (["simulate", "--dt", "inf"], None, None),
+    "t-end negative": (["simulate", "--t-end=-1"], None, None),
+    "record-every zero": (["simulate", "--record-every", "0"], None, None),
+    "dim zero": (["simulate", "--dim", "0"], None, None),
+    "kappa nan": (["simulate", "--kappa", "nan"], None, None),
+    "rates not numbers": (["simulate", "--motion", "pure_stretch", "--rates", "a"], None, None),
+    "rates inf": (["simulate", "--rates", "1,inf"], None, None),
+    "bench dims not numbers": (["bench", "--dims", "x"], None, None),
+    "bench trials zero": (["bench", "--trials", "0"], None, None),
+    "bench seed key overflow": (["bench", "--seed", str(2**64 - 3)], None, None),
+    "verify seed negative": (["verify", "--seed=-1"], None, None),
+    "verify seed key overflow": (["verify", "--seed", str(2**64 // 1000 + 1)], None, None),
+    "verify trials zero": (["verify", "--trials", "0"], None, None),
+    "spin tol nan": (["spin", "--input", "{input}", "--tol", "nan"], None, None),
+    "spin tol negative": (["spin", "--input", "{input}", "--tol=-1"], None, None),
+    "config dt zero": (["simulate", "--config", "{cfg}"], "dt=0\n", None),
+    "config seed negative": (["verify", "--config", "{cfg}"], "seed=-1\n", None),
+    "config unknown key": (["verify", "--config", "{cfg}"], "sed=3\n", None),
+    "config not key=value": (["bench", "--config", "{cfg}"], "seed 3\n", None),
+    "config missing": (["bench", "--config", "{input}.missing"], None, None),
+    "env tol not a number": (["spin", "--input", "{input}"], None, "abc"),
+    "env tol zero": (["spin", "--input", "{input}"], None, "0"),
+}
+
+
+def _malformed_argv(case, tmp_path, spin_input, monkeypatch):
+    argv, cfg_text, env_tol = MALFORMED[case]
+    monkeypatch.chdir(tmp_path)  # a setting wrongly accepted would write traj.csv here
+    cfg = tmp_path / "run.cfg"
+    if cfg_text is not None:
+        cfg.write_text(cfg_text)
+    if env_tol is not None:
+        monkeypatch.setenv("COROTCALC_TOL", env_tol)
+    return [a.format(input=spin_input, cfg=cfg) for a in argv]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_setting_exit_2(case, tmp_path, spin_input, monkeypatch, capsys):
+    argv = _malformed_argv(case, tmp_path, spin_input, monkeypatch)
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+    assert "all identities verified" not in captured.out
+
+
+def test_malformed_env_tol_exit_2_as_console_script(tmp_path, spin_input):
+    env = dict(os.environ, COROTCALC_TOL="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "corotcalc.cli", "spin", "--input", str(spin_input)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# precedence: flag > config file > COROTCALC_TOL > default
+
+
+def test_flag_beats_config_file(spin_input, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method=spectral\n")
+    assert main(["spin", "--input", str(spin_input), "--config", str(cfg),
+                 "--method", "both"]) == 0
+    assert "method_discrepancy" in json.loads(capsys.readouterr().out)
+    # the flag wins wherever it stands
+    assert main(["spin", "--method", "both", "--input", str(spin_input),
+                 "--config", str(cfg)]) == 0
+    assert "method_discrepancy" in json.loads(capsys.readouterr().out)
+
+
+def test_config_file_beats_env_tol(tmp_path, capsys, monkeypatch):
+    # D is 1e-7 off symmetric: COROTCALC_TOL=1e-5 accepts it, a config tol=1e-10 not
+    rng = make_rng(9)
+    d = np.array(random_symmetric(rng, 3))
+    d[0, 1] += 1e-7
+    path = write_payload(tmp_path / "in.json", np.eye(3), d, random_skew(rng, 3))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol=1e-10\n")
+    monkeypatch.setenv("COROTCALC_TOL", "1e-5")
+    assert main(["spin", "--input", str(path)]) == 0
+    assert main(["spin", "--input", str(path), "--config", str(cfg)]) == 2
+    assert main(["spin", "--input", str(path), "--config", str(cfg), "--tol", "1e-5"]) == 0
+
+
+def test_config_without_seed_leaves_bench_seed_default(tmp_path, capsys, monkeypatch):
+    keys = []
+    real = cli.make_rng
+
+    def spy(key):
+        keys.append(key)
+        return real(key)
+
+    monkeypatch.setattr(cli, "make_rng", spy)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim=5\n")
+    assert main(["bench", "--dims", "3", "--trials", "2", "--config", str(cfg)]) == 0
+    assert keys == [7 + 3]
+    cfg.write_text("seed=11\n")
+    assert main(["bench", "--dims", "3", "--trials", "2", "--config", str(cfg)]) == 0
+    assert keys == [7 + 3, 11 + 3]
+
+
+def test_old_config_with_empty_output_path_writes_default(tmp_path, monkeypatch, capsys):
+    # files written before output_path had a default carry output_path=''
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dt=0.01\nt_end=0.05\noutput_path=''\n")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert (tmp_path / "traj.csv").exists()
+
+
+def test_spin_accepts_wide_positive_spectrum(tmp_path, capsys):
+    # smallest eigenvalue 1 next to 1e13: positive, so SPD
+    rng = make_rng(12)
+    path = write_payload(
+        tmp_path / "wide.json", np.diag([1e13, 1.0, 1.0]), random_symmetric(rng, 3),
+        random_skew(rng, 3),
+    )
+    assert main(["spin", "--input", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["method_discrepancy"] <= 1e-10

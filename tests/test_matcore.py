@@ -83,6 +83,39 @@ def test_spd_constructor_rejects_indefinite_with_eigenvalue():
     assert ei.value.smallest_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_spd_constructor_accepts_any_positive_spectrum():
+    # one SPD rule, smallest eigenvalue > 0, however wide the spectrum
+    b = SpdMatrix(np.diag([1e13, 1.0, 1.0]))
+    np.testing.assert_array_equal(b.decomposition.eigenvalues, [1e13, 1.0, 1.0])
+    wide = SpdMatrix(np.diag(np.exp([250.0, 0.0, -250.0])))
+    assert wide.decomposition.eigenvalues[-1] > 0.0
+    with pytest.raises(NotSpdError):
+        SpdMatrix(np.diag([1.0, 0.0]))
+
+
+def test_sym_constructor_huge_entries_without_overflow():
+    # 1e308 + 1e308 overflows; the average does not (RuntimeWarnings are errors)
+    s = SymMatrix([[1e308, 1e308], [1e308, 1e308]])
+    np.testing.assert_array_equal(s.array, [[1e308, 1e308], [1e308, 1e308]])
+    w = SkewMatrix([[0.0, 1e308], [-1e308, 0.0]])
+    np.testing.assert_array_equal(w.array, [[0.0, 1e308], [-1e308, 0.0]])
+
+
+def test_symmetry_defect_huge_entries_without_overflow():
+    assert not is_symmetric([[1e308, -1e308], [1e308, 1e308]])
+    with pytest.raises(NotSymmetricError):
+        SymMatrix([[1e308, -1e308], [1e308, 1e308]])
+    assert not is_skew([[0.0, 1e308], [1e308, 0.0]])
+    assert is_symmetric([[1e308, 5e307], [5e307, -1e308]])
+
+
+def test_sym_constructor_keeps_subnormal_average_bits():
+    tiny = 5e-324  # the smallest subnormal: halving it alone rounds to zero
+    a = np.array([[1.0, tiny], [tiny, 2.0]])
+    np.testing.assert_array_equal(SymMatrix(a).array, 0.5 * (a + a.T))
+    assert SymMatrix(a).array[0, 1] == tiny
+
+
 def test_json_round_trip():
     m = Matrix([[1.0, 0.25], [-3.5, 4.0]])
     again = Matrix.from_json_dict(m.to_json_dict())

@@ -1,8 +1,10 @@
 """Command-line surface: spin computation, verification, simulation, benchmarks.
 
 Exit codes: 0 success; 1 a verification row failed; 2 malformed input (bad
-JSON or payload, non-symmetric D, non-skew W, or a malformed flag, config
-value or COROTCALC_TOL); 3 B is not positive definite; 4 integrator abort.
+JSON or payload, non-symmetric D, non-skew W, a malformed flag, config
+value or COROTCALC_TOL, a motion that needs more dimensions, more steps
+than ``kinematics.MAX_STEPS``, or an unwritable ``--out``); 3 B is not
+positive definite; 4 integrator abort.
 
 All output is deterministic for a fixed seed and configuration: floats are
 printed with 17 significant digits and randomness flows through the seeded
@@ -254,7 +256,13 @@ def write_trajectory_csv(samples, path: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    field = _build_field(args)
+    try:
+        # the motion's dimension and the step bound, before any step runs
+        field = _build_field(args)
+        ki._step_count(args.t_end, args.dt)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         samples = ki.integrate_motion(
             field, np.eye(field.dim), args.t_end, args.dt, record_every=args.record_every
@@ -262,7 +270,11 @@ def cmd_simulate(args) -> int:
     except ki.IntegrationAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR_ABORT
-    write_trajectory_csv(samples, args.output_path)
+    try:
+        write_trajectory_csv(samples, args.output_path)
+    except OSError as exc:
+        print(f"error: cannot write {args.output_path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     print(f"motion {field.descriptor}: {len(samples)} samples -> {args.output_path}")
     print(f"max res_eq5       = {_fmt(max(s.rate_residual for s in samples))}")
     print(f"max res_eq40      = {_fmt(max(s.evolution_residual for s in samples))}")

@@ -11,10 +11,11 @@ motions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,6 +48,7 @@ __all__ = [
     "corotational_rate",
     "upper_convected_rate",
     "jaumann_spin",
+    "MAX_STEPS",
     "integrate_motion",
     "corotational_rate_residuals",
 ]
@@ -181,40 +183,53 @@ def jaumann_spin(l) -> SkewMatrix:
 
 @dataclass(frozen=True)
 class VelocityGradientField:
-    """Time-dependent velocity gradient t -> L(t), deterministic per descriptor."""
+    """Time-dependent velocity gradient t -> L(t), deterministic per descriptor.
+
+    ``constant`` is the L of a time-independent field (the read-only matrix
+    every call returns), or None; ``integrate_motion`` then builds its step
+    matrix once.
+    """
 
     descriptor: str
     dim: int
     eval: Callable[[float], np.ndarray]
+    constant: Optional[np.ndarray] = dataclasses.field(default=None, compare=False, repr=False)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.eval(t)
 
 
+def _constant_field(descriptor: str, l: np.ndarray) -> VelocityGradientField:
+    l.setflags(write=False)
+    return VelocityGradientField(descriptor, len(l), lambda t: l, l)
+
+
+def _plane_gradient(dim: int, motion: str) -> np.ndarray:
+    if dim < 2:
+        raise ValueError(f"{motion} acts in the (0, 1) plane: dim must be at least 2, got {dim}")
+    return np.zeros((dim, dim))
+
+
 def simple_shear(kappa: float, dim: int = 3) -> VelocityGradientField:
     """Constant shear: the only nonzero entry of L is L[0,1] = kappa."""
-    l = np.zeros((dim, dim))
+    l = _plane_gradient(dim, "simple_shear")
     l[0, 1] = kappa
-    l.setflags(write=False)
-    return VelocityGradientField(f"simple_shear(kappa={kappa:g})", dim, lambda t: l)
+    return _constant_field(f"simple_shear(kappa={kappa:g})", l)
 
 
 def pure_stretch(rates) -> VelocityGradientField:
     """Constant diagonal stretching at the given rates."""
     rates = tuple(float(r) for r in rates)
-    l = np.diag(rates)
-    l.setflags(write=False)
     label = "pure_stretch(rates=" + ",".join(f"{r:g}" for r in rates) + ")"
-    return VelocityGradientField(label, len(rates), lambda t: l)
+    return _constant_field(label, np.diag(rates))
 
 
 def rigid_rotation(rate: float, dim: int = 3) -> VelocityGradientField:
     """Constant rotation in the (0, 1) coordinate plane at the given rate."""
-    l = np.zeros((dim, dim))
+    l = _plane_gradient(dim, "rigid_rotation")
     l[0, 1] = -rate
     l[1, 0] = rate
-    l.setflags(write=False)
-    return VelocityGradientField(f"rigid_rotation(rate={rate:g})", dim, lambda t: l)
+    return _constant_field(f"rigid_rotation(rate={rate:g})", l)
 
 
 def polynomial_motion(
@@ -276,6 +291,37 @@ def _norms(x: np.ndarray) -> list:
     return np.sqrt(np.sum(x * x, axis=(1, 2))).tolist()
 
 
+# Steps of one trajectory, at most; 100x the longest benchmark run.
+MAX_STEPS = 10**6
+# Steps whose F are kept at once, to check det F > 0 as one stack.
+_STEP_CHUNK = 1000
+
+
+def _step_count(t_end: float, dt: float) -> int:
+    """round(t_end / dt), or ValueError for a bad time grid or one over MAX_STEPS."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be non-negative and finite, got {t_end!r}")
+    steps = round(min(t_end / dt, MAX_STEPS + 1))  # t_end / dt may be inf
+    if steps > MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end / dt:.6g} steps, above the bound of {MAX_STEPS}")
+    return steps
+
+
+def _rk4_matrix(l0, l_mid, l1, h: float) -> np.ndarray:
+    """The classical RK4 step F -> M F of dF/dt = L(t) F over [t, t + h].
+
+    L at t, t + h/2 and t + h; the stages K_i F are those of the plain
+    stage formula, so M = I + (h/6)(L_0 + 2 K_2 + 2 K_3 + K_4).
+    """
+    eye = np.eye(len(l0))
+    k2 = l_mid @ (eye + 0.5 * h * l0)
+    k3 = l_mid @ (eye + 0.5 * h * k2)
+    k4 = l1 @ (eye + h * k3)
+    return eye + (h / 6.0) * (l0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate_motion(
     field: VelocityGradientField,
     f0,
@@ -285,43 +331,50 @@ def integrate_motion(
 ) -> list:
     """Integrate dF/dt = L(t) F by classical fourth-order Runge-Kutta.
 
+    The equation is linear, so each step is F <- M_k F with the step matrix
+    M_k of ``_rk4_matrix``; a field with a ``constant`` L builds it once.
     Records a MotionSample every ``record_every`` steps (step 0 included);
     the final step is recorded only when it falls on the stride, keeping
-    the recorded time grid uniform.  Aborts if det(F) stops being positive.
+    the recorded time grid uniform.  At most MAX_STEPS steps.  Raises
+    IntegrationAbort at the first step whose det(F) is not positive; the
+    determinants are taken per chunk of steps, as one stack.
     The recorded samples are post-processed as one stack: one stacked
     eigensolve of B, then the log strain, both spins and the rate residuals,
     each bit-identical to the single-matrix functions.  The arrays of the
     samples are read-only views into those stacks.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    n_steps = _step_count(t_end, dt)
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     f = np.array(as_array(f0), dtype=float)
     det_f = float(np.linalg.det(f))
     if det_f <= 0.0:
         raise ValueError("det(F0) must be positive")
-    n_steps = int(round(t_end / dt))
 
-    times, fs, dets = [0.0], [f], [det_f]
-    for k in range(n_steps):
-        t = k * dt
-        k1 = field(t) @ f
-        l_mid = field(t + 0.5 * dt)
-        k2 = l_mid @ (f + 0.5 * dt * k1)
-        k3 = l_mid @ (f + 0.5 * dt * k2)
-        k4 = field(t + dt) @ (f + dt * k3)
-        f = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        det_f = float(np.linalg.det(f))
-        if det_f <= 0.0:
-            raise IntegrationAbort(k + 1, det_f)
-        if (k + 1) % record_every == 0:
-            times.append((k + 1) * dt)
-            fs.append(f)
-            dets.append(det_f)
+    m = None if field.constant is None else _rk4_matrix(*[field.constant] * 3, dt)
+    times = [k * dt for k in range(0, n_steps + 1, record_every)]
+    fs, dets = [f[None]], [det_f]
+    chunk = np.empty((min(n_steps, _STEP_CHUNK),) + f.shape)
+    for start in range(0, n_steps, _STEP_CHUNK):
+        stop = min(start + _STEP_CHUNK, n_steps)
+        block = chunk[: stop - start]
+        # steps past an abort in this block are dropped, so none of them may warn
+        with np.errstate(all="ignore"):
+            for i, k in enumerate(range(start, stop)):
+                if field.constant is None:
+                    t = k * dt
+                    m = _rk4_matrix(field(t), field(t + 0.5 * dt), field(t + dt), dt)
+                f = np.matmul(m, f, out=block[i])
+            block_dets = np.linalg.det(block)
+        lost = np.flatnonzero(block_dets <= 0.0)
+        if lost.size:
+            raise IntegrationAbort(start + lost[0] + 1, block_dets[lost[0]])
+        first = -(start + 1) % record_every  # block[i] is step start + 1 + i
+        fs.append(block[first::record_every].copy())
+        dets.extend(block_dets[first::record_every].tolist())
 
     # Per-sample kinematic quantities, as stacks over the recorded samples.
-    f_all = np.array(fs)
+    f_all = np.concatenate(fs)
     l_all = np.array([field(t) for t in times])
     b = f_all @ f_all.swapaxes(1, 2)
     b = 0.5 * (b + b.swapaxes(1, 2))

@@ -242,6 +242,36 @@ def test_simulate_integrator_abort_exit_4(tmp_path, capsys):
         "--dt", "1e-2", "--t-end", "6.0", "--record-every", "100", "--out", str(out),
     ])
     assert rc == 4
+    # F[0, 0] underflows to exact zero at step 570
+    assert "error: det(F) = 0.000000e+00 <= 0 at step 570" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Settings that parse but that the motion or the step bound rejects, and an
+# unwritable --out: each is an error line and exit 2, before any CSV is written.
+SIMULATE_BAD_INPUT = {
+    "shear dim 1": (["--dim", "1"], "error: simple_shear acts in the (0, 1) plane"),
+    "rotation dim 1": (["--motion", "rigid_rotation", "--dim", "1"],
+                       "error: rigid_rotation acts in the (0, 1) plane"),
+    "steps above bound": (["--t-end", "1e6", "--dt", "1e-3", "--record-every", "1000000000"],
+                          "above the bound of 1000000"),
+    "out in missing dir": (["--out", "{tmp}/missing/dir/x.csv", "--dt", "0.1"],
+                           "error: cannot write {tmp}/missing/dir/x.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_BAD_INPUT))
+def test_simulate_bad_input_exit_2_as_console_script(case, tmp_path):
+    argv, message = SIMULATE_BAD_INPUT[case]
+    argv = ["--out", str(tmp_path / "x.csv")] + [a.format(tmp=tmp_path) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "corotcalc.cli", "simulate", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert message.format(tmp=tmp_path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,24 @@ def test_integrate_simple_shear_closed_form():
 
 
 def _rk4_reference(field, f0, n_steps, dt):
-    """F at every step by the plain RK4 formula, one field call per stage."""
+    """F at every step as M_k F, M_k the RK4 step matrix, one field call per stage time."""
+    f = np.array(f0, dtype=float)
+    eye = np.eye(len(f))
+    out = [f]
+    for k in range(n_steps):
+        t = k * dt
+        l0, l_mid, l1 = field(t), field(t + 0.5 * dt), field(t + dt)
+        k2 = l_mid @ (eye + 0.5 * dt * l0)
+        k3 = l_mid @ (eye + 0.5 * dt * k2)
+        k4 = l1 @ (eye + dt * k3)
+        m = eye + (dt / 6.0) * (l0 + 2.0 * k2 + 2.0 * k3 + k4)
+        f = m @ f
+        out.append(f)
+    return out
+
+
+def _rk4_stage_form(field, f0, n_steps, dt):
+    """F at every step by the plain RK4 stage formula, one field call per stage."""
     f = np.array(f0, dtype=float)
     out = [f]
     for k in range(n_steps):
@@ -390,6 +407,51 @@ def test_integrate_samples_match_single_matrix_functions(motion, dim):
         assert s.det_f == float(np.linalg.det(f))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("motion", sorted(_FIELDS))
+def test_integrate_step_matrix_matches_stage_form(motion, dim):
+    # M_k F and the stage formula are the same RK4 step, up to rounding
+    field = _FIELDS[motion](dim)
+    samples = ki.integrate_motion(field, np.eye(dim), 0.5, 1e-2)
+    fs = _rk4_stage_form(field, np.eye(dim), 50, 1e-2)
+    assert len(samples) == len(fs) == 51
+    for s, f in zip(samples, fs):
+        assert frobenius_norm(s.f - f) <= 1e-12 * frobenius_norm(f)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16, 1000])
+def test_integrate_records_across_step_chunks(chunk, monkeypatch):
+    # the stride and the determinant chunks need not align
+    monkeypatch.setattr(ki, "_STEP_CHUNK", chunk)
+    field = ki.polynomial_motion(3, 3)
+    samples = ki.integrate_motion(field, np.eye(3), 0.5, 1e-2, record_every=3)
+    fs = _rk4_reference(field, np.eye(3), 50, 1e-2)
+    assert [s.t for s in samples] == [k * 1e-2 for k in range(0, 51, 3)]
+    for s, f in zip(samples, fs[::3]):
+        assert np.array_equal(s.f, f)
+        assert s.det_f == float(np.linalg.det(f))
+    with pytest.raises(ki.IntegrationAbort) as ei:
+        ki.integrate_motion(ki.pure_stretch((-160.0, 0.0)), np.eye(2), 6.0, 1e-2)
+    assert (ei.value.step, ei.value.det_f) == (570, 0.0)
+
+
+def test_constant_fields_declare_their_gradient():
+    for make in _FIELDS.values():
+        field = make(3)
+        if field.constant is not None:
+            assert field.constant is field(0.0) is field(1.7)
+            assert not field.constant.flags.writeable
+    assert ki.polynomial_motion(3).constant is None
+    assert ki.VelocityGradientField("zero", 3, lambda t: np.zeros((3, 3))).constant is None
+
+
+@pytest.mark.parametrize("make", [ki.simple_shear, ki.rigid_rotation])
+def test_plane_motions_need_two_dimensions(make):
+    with pytest.raises(ValueError):
+        make(1.0, dim=1)
+    assert make(1.0, dim=2).dim == 2
+
+
 def test_integrate_raises_not_spd_from_stack():
     # F0 = diag(1, 1, 1e-200) has det > 0, but its B underflows to a zero eigenvalue
     with pytest.raises(NotSpdError) as ei:
@@ -416,6 +478,23 @@ def test_integrate_validates_inputs():
         ki.integrate_motion(field, np.eye(3), 1.0, 1e-3, record_every=0)
 
 
+@pytest.mark.parametrize("t_end, dt", [
+    (-1.0, 1e-3), (math.inf, 1e-3), (math.nan, 1e-3), (1e-3 * (ki.MAX_STEPS + 1), 1e-3),
+    (1.0, 0.0), (1.0, math.inf), (1.0, math.nan), (1.0, 1e-300),
+])
+def test_integrate_bounds_the_step_count(t_end, dt):
+    with pytest.raises(ValueError):
+        ki.integrate_motion(ki.simple_shear(1.0), np.eye(3), t_end, dt)
+
+
+def test_integrate_runs_at_the_step_bound(monkeypatch):
+    monkeypatch.setattr(ki, "MAX_STEPS", 2500)
+    samples = ki.integrate_motion(ki.simple_shear(1.0, 2), np.eye(2), 2.5, 1e-3, record_every=500)
+    assert [s.t for s in samples] == [k * 500 * 1e-3 for k in range(6)]
+    with pytest.raises(ValueError):
+        ki.integrate_motion(ki.simple_shear(1.0, 2), np.eye(2), 2.501, 1e-3)
+
+
 def test_integrate_aborts_on_orientation_loss():
     # a sustained contraction underflows one axis of F to exact zero, which
     # the positivity check must catch and report with a step index
@@ -424,6 +503,31 @@ def test_integrate_aborts_on_orientation_loss():
         ki.integrate_motion(field, np.eye(2), 6.0, 1e-2)
     assert ei.value.step >= 1
     assert ei.value.det_f <= 0.0
+
+
+@pytest.mark.parametrize("field", [
+    ki.VelocityGradientField("collapse", 2, lambda t: np.diag([-160.0, 0.0])),
+    ki.pure_stretch((-160.0, 0.0)),
+])
+def test_integrate_abort_step_and_det_pinned(field):
+    # F[0, 0] = m**k with m ~ 0.27 underflows to exact zero at step 570, in
+    # mid-chunk; the abort reports that step, not the chunk's end
+    with pytest.raises(ki.IntegrationAbort) as ei:
+        ki.integrate_motion(field, np.eye(2), 6.0, 1e-2)
+    assert ei.value.step == 570
+    assert ei.value.det_f == 0.0
+
+
+def test_integrate_abort_drops_the_steps_after_it():
+    # L = -100 at whole t and 0 between: M_k = 1 - 200/6 flips the sign of F
+    # at step 1, and the rest of the chunk overflows without a warning
+    field = ki.VelocityGradientField(
+        "kick", 1, lambda t: np.array([[-100.0 if t == int(t) else 0.0]])
+    )
+    with pytest.raises(ki.IntegrationAbort) as ei:
+        ki.integrate_motion(field, np.eye(1), 500.0, 1.0)
+    assert ei.value.step == 1
+    assert ei.value.det_f == np.linalg.det([[1.0 + (1.0 / 6.0) * (-200.0)]])
 
 
 def test_rk4_order_in_dt():

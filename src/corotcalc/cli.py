@@ -2,9 +2,10 @@
 
 Exit codes: 0 success; 1 a verification row failed; 2 malformed input (bad
 JSON or payload, non-symmetric D, non-skew W, a malformed flag, config
-value or COROTCALC_TOL, a motion that needs more dimensions, more steps
-than ``kinematics.MAX_STEPS``, or an unwritable ``--out``); 3 B is not
-positive definite; 4 integrator abort.
+value or COROTCALC_TOL, a motion that needs more dimensions, a trajectory
+over ``kinematics.MAX_STEPS`` or ``MAX_RECORD_BYTES``, a trajectory whose
+B leaves the float range, or an unwritable ``--out``); 3 B is not positive
+definite; 4 integrator abort.
 
 All output is deterministic for a fixed seed and configuration: floats are
 printed with 17 significant digits and randomness flows through the seeded
@@ -257,19 +258,19 @@ def write_trajectory_csv(samples, path: str) -> None:
 
 def cmd_simulate(args) -> int:
     try:
-        # the motion's dimension and the step bound, before any step runs
         field = _build_field(args)
-        ki._step_count(args.t_end, args.dt)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
         samples = ki.integrate_motion(
             field, np.eye(field.dim), args.t_end, args.dt, record_every=args.record_every
         )
     except ki.IntegrationAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR_ABORT
+    except NotSpdError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_SPD
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         write_trajectory_csv(samples, args.output_path)
     except OSError as exc:

@@ -12,7 +12,9 @@ motions.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -49,6 +51,7 @@ __all__ = [
     "upper_convected_rate",
     "jaumann_spin",
     "MAX_STEPS",
+    "MAX_RECORD_BYTES",
     "integrate_motion",
     "corotational_rate_residuals",
 ]
@@ -187,13 +190,16 @@ class VelocityGradientField:
 
     ``constant`` is the L of a time-independent field (the read-only matrix
     every call returns), or None; ``integrate_motion`` then builds its step
-    matrix once.
+    matrix once.  Only ``simple_shear``, ``pure_stretch`` and
+    ``rigid_rotation`` set it.
     """
 
     descriptor: str
     dim: int
     eval: Callable[[float], np.ndarray]
-    constant: Optional[np.ndarray] = dataclasses.field(default=None, compare=False, repr=False)
+    constant: Optional[np.ndarray] = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __call__(self, t: float) -> np.ndarray:
         return self.eval(t)
@@ -201,7 +207,9 @@ class VelocityGradientField:
 
 def _constant_field(descriptor: str, l: np.ndarray) -> VelocityGradientField:
     l.setflags(write=False)
-    return VelocityGradientField(descriptor, len(l), lambda t: l, l)
+    field = VelocityGradientField(descriptor, len(l), lambda t: l)
+    object.__setattr__(field, "constant", l)
+    return field
 
 
 def _plane_gradient(dim: int, motion: str) -> np.ndarray:
@@ -291,21 +299,35 @@ def _norms(x: np.ndarray) -> list:
     return np.sqrt(np.sum(x * x, axis=(1, 2))).tolist()
 
 
-# Steps of one trajectory, at most; 100x the longest benchmark run.
-MAX_STEPS = 10**6
+# Steps of one trajectory, at most: 23 s for simple shear and 6.8 min for
+# polynomial_motion at d = 3 (2.3 and 41 us per step, 2-core Xeon).
+MAX_STEPS = 10**7
+# Peak memory of the recorded samples, at most, estimated as 136 d^2 + 1200
+# bytes a sample (about 17 (d, d) float stacks and 1.2 KB of objects; peak
+# RSS measured 1.3, 2.2 and 36 KB a sample at d = 1, 3 and 16).
+MAX_RECORD_BYTES = 2**28
 # Steps whose F are kept at once, to check det F > 0 as one stack.
 _STEP_CHUNK = 1000
 
 
-def _step_count(t_end: float, dt: float) -> int:
-    """round(t_end / dt), or ValueError for a bad time grid or one over MAX_STEPS."""
+def _step_count(t_end: float, dt: float, record_every: int, dim: int) -> int:
+    """round(t_end / dt), or ValueError for a bad time grid or one over a bound."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be non-negative and finite, got {t_end!r}")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
     steps = round(min(t_end / dt, MAX_STEPS + 1))  # t_end / dt may be inf
     if steps > MAX_STEPS:
         raise ValueError(f"t_end / dt = {t_end / dt:.6g} steps, above the bound of {MAX_STEPS}")
+    n_samples = steps // record_every + 1
+    size = n_samples * (136 * dim * dim + 1200)
+    if size > MAX_RECORD_BYTES:
+        raise ValueError(
+            f"{n_samples} recorded samples at dim {dim} need about {size >> 20} MB, "
+            f"above the bound of {MAX_RECORD_BYTES >> 20} MB; raise record_every"
+        )
     return steps
 
 
@@ -315,6 +337,7 @@ def _rk4_matrix(l0, l_mid, l1, h: float) -> np.ndarray:
     L at t, t + h/2 and t + h; the stages K_i F are those of the plain
     stage formula, so M = I + (h/6)(L_0 + 2 K_2 + 2 K_3 + K_4).
     """
+    l0, l_mid, l1 = np.asarray(l0), np.asarray(l_mid), np.asarray(l1)
     eye = np.eye(len(l0))
     k2 = l_mid @ (eye + 0.5 * h * l0)
     k3 = l_mid @ (eye + 0.5 * h * k2)
@@ -335,38 +358,45 @@ def integrate_motion(
     M_k of ``_rk4_matrix``; a field with a ``constant`` L builds it once.
     Records a MotionSample every ``record_every`` steps (step 0 included);
     the final step is recorded only when it falls on the stride, keeping
-    the recorded time grid uniform.  At most MAX_STEPS steps.  Raises
-    IntegrationAbort at the first step whose det(F) is not positive; the
-    determinants are taken per chunk of steps, as one stack.
+    the recorded time grid uniform.  Runs at most MAX_STEPS steps and
+    records samples of at most about MAX_RECORD_BYTES.  Raises IntegrationAbort at the first step
+    whose det(F) is not positive; the determinants are taken per chunk of
+    steps, as one stack.
     The recorded samples are post-processed as one stack: one stacked
     eigensolve of B, then the log strain, both spins and the rate residuals,
     each bit-identical to the single-matrix functions.  The arrays of the
     samples are read-only views into those stacks.
     """
-    n_steps = _step_count(t_end, dt)
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
     f = np.array(as_array(f0), dtype=float)
+    n_steps = _step_count(t_end, dt, record_every, len(f))
     det_f = float(np.linalg.det(f))
     if det_f <= 0.0:
         raise ValueError("det(F0) must be positive")
 
-    m = None if field.constant is None else _rk4_matrix(*[field.constant] * 3, dt)
+    if field.constant is not None:
+        ms = itertools.repeat(_rk4_matrix(*[field.constant] * 3, dt))
     times = [k * dt for k in range(0, n_steps + 1, record_every)]
     fs, dets = [f[None]], [det_f]
     chunk = np.empty((min(n_steps, _STEP_CHUNK),) + f.shape)
     for start in range(0, n_steps, _STEP_CHUNK):
         stop = min(start + _STEP_CHUNK, n_steps)
         block = chunk[: stop - start]
-        # steps past an abort in this block are dropped, so none of them may warn
+        if field.constant is None:
+            ts = [k * dt for k in range(start, stop)]
+            ms = [_rk4_matrix(field(t), field(t + 0.5 * dt), field(t + dt), dt) for t in ts]
+        # steps past an abort in this block are dropped, so they may not warn;
+        # the first kept step whose F overflowed warns below
+        finite = np.isfinite(f).all()
         with np.errstate(all="ignore"):
-            for i, k in enumerate(range(start, stop)):
-                if field.constant is None:
-                    t = k * dt
-                    m = _rk4_matrix(field(t), field(t + 0.5 * dt), field(t + dt), dt)
-                f = np.matmul(m, f, out=block[i])
+            for m, out in zip(ms, block):
+                f = np.matmul(m, f, out=out)
             block_dets = np.linalg.det(block)
         lost = np.flatnonzero(block_dets <= 0.0)
+        kept = block[: lost[0] + 1] if lost.size else block
+        bad = np.flatnonzero(~np.isfinite(kept).all(axis=(1, 2)))
+        if finite and bad.size:
+            warnings.warn(f"overflow in the RK4 step: F is not finite from step "
+                          f"{start + bad[0] + 1}", RuntimeWarning, stacklevel=2)
         if lost.size:
             raise IntegrationAbort(start + lost[0] + 1, block_dets[lost[0]])
         first = -(start + 1) % record_every  # block[i] is step start + 1 + i

@@ -247,14 +247,19 @@ def test_simulate_integrator_abort_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
-# Settings that parse but that the motion or the step bound rejects, and an
-# unwritable --out: each is an error line and exit 2, before any CSV is written.
+# Settings that parse but that the motion, a trajectory bound or the float
+# range rejects, and an unwritable --out: each is an error line and exit 2,
+# and no CSV is written.
 SIMULATE_BAD_INPUT = {
     "shear dim 1": (["--dim", "1"], "error: simple_shear acts in the (0, 1) plane"),
     "rotation dim 1": (["--motion", "rigid_rotation", "--dim", "1"],
                        "error: rigid_rotation acts in the (0, 1) plane"),
     "steps above bound": (["--t-end", "1e6", "--dt", "1e-3", "--record-every", "1000000000"],
-                          "above the bound of 1000000"),
+                          "steps, above the bound of 10000000"),
+    "samples above bound": (["--t-end", "1000"], "MB, above the bound of 256 MB"),
+    "stretch B overflow": (["--motion", "pure_stretch", "--rates=-5,5", "--t-end", "100",
+                            "--dt", "1e-2", "--record-every", "100"],
+                           "error: matrix entries must be finite"),
     "out in missing dir": (["--out", "{tmp}/missing/dir/x.csv", "--dt", "0.1"],
                            "error: cannot write {tmp}/missing/dir/x.csv"),
 }

@@ -443,6 +443,21 @@ def test_constant_fields_declare_their_gradient():
             assert not field.constant.flags.writeable
     assert ki.polynomial_motion(3).constant is None
     assert ki.VelocityGradientField("zero", 3, lambda t: np.zeros((3, 3))).constant is None
+    # a caller cannot declare a constant that disagrees with eval
+    with pytest.raises(TypeError):
+        ki.VelocityGradientField("zero", 3, lambda t: np.zeros((3, 3)), np.eye(3))
+    with pytest.raises(TypeError):
+        ki.VelocityGradientField("zero", 3, lambda t: np.zeros((3, 3)), constant=np.eye(3))
+
+
+def test_integrate_field_returning_nested_lists():
+    # a field may return any array-like, as the stage form allowed
+    field = ki.polynomial_motion(3, 3)
+    listed = ki.VelocityGradientField("listed", 3, lambda t: field(t).tolist())
+    got = ki.integrate_motion(listed, np.eye(3), 0.2, 1e-2, record_every=5)
+    want = ki.integrate_motion(field, np.eye(3), 0.2, 1e-2, record_every=5)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.f, b.f) and np.array_equal(a.d, b.d)
 
 
 @pytest.mark.parametrize("make", [ki.simple_shear, ki.rigid_rotation])
@@ -485,6 +500,36 @@ def test_integrate_validates_inputs():
 def test_integrate_bounds_the_step_count(t_end, dt):
     with pytest.raises(ValueError):
         ki.integrate_motion(ki.simple_shear(1.0), np.eye(3), t_end, dt)
+
+
+def test_integrate_bounds_the_recorded_samples(monkeypatch):
+    # 10**6 + 1 samples would take over 2 GB at d = 3; a stride brings them under
+    with pytest.raises(ValueError, match="MB, above the bound"):
+        ki.integrate_motion(ki.simple_shear(1.0), np.eye(3), 1000.0, 1e-3)
+    assert ki._step_count(1000.0, 1e-3, 1000, 3) == 10**6
+    # six samples at d = 2 fit exactly in the bound, eleven do not
+    monkeypatch.setattr(ki, "MAX_RECORD_BYTES", 6 * (136 * 4 + 1200))
+    assert len(ki.integrate_motion(ki.simple_shear(1.0, 2), np.eye(2), 2.5, 1e-3, 499)) == 6
+    with pytest.raises(ValueError):
+        ki.integrate_motion(ki.simple_shear(1.0, 2), np.eye(2), 2.5, 1e-3, record_every=250)
+
+
+@pytest.mark.parametrize("field", [
+    ki.VelocityGradientField("blowup", 1, lambda t: np.array([[1000.0]])),
+    ki.pure_stretch((1000.0,)),
+])
+def test_integrate_warns_once_where_f_overflows(field):
+    # no abort, since det F = inf > 0; the step where F overflows is reported
+    # once, not again in the later chunk of steps
+    m = float(ki._rk4_matrix(*[np.array([[1000.0]])] * 3, 1e-2)[0, 0])
+    f, first = 1.0, 0
+    while math.isfinite(f):
+        f, first = f * m, first + 1
+    with pytest.warns(RuntimeWarning) as record:
+        with pytest.raises(matcore.MatrixValidationError):
+            ki.integrate_motion(field, np.eye(1), 20.0, 1e-2)
+    steps = [str(w.message) for w in record if "RK4" in str(w.message)]
+    assert steps == [f"overflow in the RK4 step: F is not finite from step {first}"]
 
 
 def test_integrate_runs_at_the_step_bound(monkeypatch):

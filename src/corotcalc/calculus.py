@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -20,7 +21,9 @@ import numpy as np
 from .matcore import (
     EigenDecomposition,
     _gate,
+    _norms,
     _require_spd,
+    _spectral,
     as_array,
     eigendecompose_symmetric,
     frobenius_norm,
@@ -86,15 +89,23 @@ class SeriesDivergenceError(RuntimeError):
 
 def ad(a, x) -> np.ndarray:
     """Commutator AX - XA."""
-    aa, xx = _gate(a, x)
-    return aa @ xx - xx @ aa
+    return _ad(*_gate(a, x))
+
+
+def _ad(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """AX - XA, unchecked; stacks take stacks."""
+    return a @ x - x @ a
 
 
 def ad_power(a, x, m: int) -> np.ndarray:
     """m-fold nesting of the commutator with A."""
     if m < 0 or m > 64:
         raise ValueError(f"nesting depth must be in [0, 64], got {m}")
-    aa, xx = _gate(a, x)
+    return _ad_power(*_gate(a, x), m)
+
+
+def _ad_power(aa: np.ndarray, xx: np.ndarray, m: int) -> np.ndarray:
+    """``ad_power``, unchecked; stacks take stacks."""
     out = np.array(xx)
     for _ in range(m):
         out = aa @ out - out @ aa
@@ -105,10 +116,13 @@ def ad_power_binomial(a, x, m: int) -> np.ndarray:
     """Binomial expansion sum_k C(m,k) A^k X (-A)^(m-k) of the nested commutator."""
     if m < 0 or m > 64:
         raise ValueError(f"nesting depth must be in [0, 64], got {m}")
-    aa, xx = _gate(a, x)
-    d = aa.shape[0]
-    pos = [np.eye(d)]
-    neg = [np.eye(d)]
+    return _ad_power_binomial(*_gate(a, x), m)
+
+
+def _ad_power_binomial(aa: np.ndarray, xx: np.ndarray, m: int) -> np.ndarray:
+    """``ad_power_binomial``, unchecked; stacks take stacks."""
+    pos = [np.eye(aa.shape[-1])]
+    neg = [np.eye(aa.shape[-1])]
     for _ in range(m):
         pos.append(pos[-1] @ aa)
         neg.append(neg[-1] @ (-aa))
@@ -145,15 +159,19 @@ def _checked(fn: Callable[..., float], *args: float) -> float:
     return value
 
 
-def _pair_table(fn: Callable[[float, float], float], values) -> np.ndarray:
+def _pair_table(fn: Callable[..., float], values, *per_row) -> np.ndarray:
     """Table T_ij = fn(v_i, v_j) over all pairs of eigenvalues.
 
     Difference kernels pass ``lambda a, b: kernel(a - b)``.  Values of shape
-    (N, d) give one table per row, shape (N, d, d).
+    (N, d) give one table per row, shape (N, d, d).  Each ``per_row``
+    sequence passes fn one more argument, its entry for the row.
     """
     vals = np.asarray(values, dtype=float)
     rows = vals.reshape(-1, vals.shape[-1]).tolist()
-    table = np.array([[[_checked(fn, a, b) for b in row] for a in row] for row in rows])
+    extra = list(zip(*per_row)) if per_row else [()] * len(rows)
+    table = np.array(
+        [[[_checked(fn, a, b, *e) for b in row] for a in row] for row, e in zip(rows, extra)]
+    )
     return table.reshape(vals.shape + vals.shape[-1:])
 
 
@@ -172,9 +190,7 @@ def _hadamard(dec: EigenDecomposition, table: np.ndarray, x) -> np.ndarray:
 def _matfun(f: Callable[[float], float], dec: EigenDecomposition) -> np.ndarray:
     """Q f(Lambda) Q^T, symmetrized; one per matrix of a stacked dec."""
     vals = [_checked(f, v) for v in dec.eigenvalues.ravel().tolist()]
-    out = dec.q * np.reshape(vals, dec.eigenvalues.shape)[..., None, :]
-    out = out @ dec.q.swapaxes(-1, -2)
-    return 0.5 * (out + out.swapaxes(-1, -2))
+    return _spectral(dec.q, np.reshape(vals, dec.eigenvalues.shape))
 
 
 def matfun_spectral(f: Callable[[float], float], s, decomposition=None) -> np.ndarray:
@@ -184,11 +200,18 @@ def matfun_spectral(f: Callable[[float], float], s, decomposition=None) -> np.nd
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Partial-sum outcome: the value, terms consumed, and the stop reason."""
+    """Partial-sum outcome: the value, terms consumed, and the stop reason.
+
+    A stack of sums has one value per matrix and lists of the other two.
+    """
 
     value: np.ndarray
     terms_used: int
     stopped_by: str  # "tolerance" or "max_terms"
+
+    def _one(self) -> "SeriesResult":
+        """The only sum of a stack of one."""
+        return SeriesResult(self.value[0], self.terms_used[0], self.stopped_by[0])
 
 
 @dataclass(frozen=True)
@@ -207,17 +230,20 @@ class PowerSeriesSpec:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
 
+@lru_cache(maxsize=None)
 def exp_series_spec(scale: float = 1.0, terms: int = 96, tol: float = 1e-15) -> PowerSeriesSpec:
     """Series of e^(scale*x): coefficients scale^n / n!."""
     return PowerSeriesSpec(tuple(_exp_coeffs(scale, terms - 1)), max_terms=terms, tol=tol)
 
 
+@lru_cache(maxsize=None)
 def log_series_spec(terms: int = 160, tol: float = 1e-15) -> PowerSeriesSpec:
     """Series of ln(1+u): (-1)^(n+1) u^n / n, converging for |u| < 1."""
     c = [0.0] + [(-1.0) ** (n + 1) / n for n in range(1, terms)]
     return PowerSeriesSpec(tuple(c), max_terms=terms, tol=tol)
 
 
+@lru_cache(maxsize=None)
 def sigma_series_spec(terms: int = 40, tol: float = 1e-15) -> PowerSeriesSpec:
     """Series of coth(x) - 1/x, converging for |x| < pi.
 
@@ -228,79 +254,83 @@ def sigma_series_spec(terms: int = 40, tol: float = 1e-15) -> PowerSeriesSpec:
     return PowerSeriesSpec(tuple(_sigma_coeffs(terms - 1)), max_terms=terms, tol=tol)
 
 
+@lru_cache(maxsize=None)
 def eta_neg_series_spec(terms: int = 64, tol: float = 1e-15) -> PowerSeriesSpec:
     """Series of (1 - e^-x)/x: (-1)^n x^n / (n+1)!."""
     return PowerSeriesSpec(tuple(_eta_coeffs(terms - 1, sign=-1.0)), max_terms=terms, tol=tol)
 
 
-class _SeriesAccumulator:
-    """Shared stopping and divergence logic for formal-series partial sums."""
-
-    def __init__(self, spec: PowerSeriesSpec):
-        self.spec = spec
-        self.prev_norm = None
-        self.growth_streak = 0
-
-    def diverging(self, term_norm: float, n: int) -> None:
-        if self.prev_norm is not None and term_norm > self.prev_norm:
-            self.growth_streak += 1
-            if self.growth_streak >= GROWTH_STREAK_LIMIT:
-                raise SeriesDivergenceError(
-                    f"series diverging: {self.growth_streak} consecutive growing terms "
-                    f"at term {n} (norm {term_norm:.3e})"
-                )
-        else:
-            self.growth_streak = 0
-        self.prev_norm = term_norm
-
-    def small_enough(self, term_norm: float, acc_norm: float) -> bool:
-        return term_norm < self.spec.tol * (1.0 + acc_norm)
-
-
 def _sum_series(spec: PowerSeriesSpec, first_term: np.ndarray, advance) -> SeriesResult:
-    """Sum f_n * T_n where T_0 = first_term and T_n = advance(T_{n-1}).
+    """Sum f_n * T_n for each matrix of an (N, d, d) stack, where T_0 = first_term
+    and T_n = advance(T_{n-1}, rows) for the matrices ``rows`` still summing.
 
-    Zero coefficients advance the recursion but take part in neither the
-    stopping rule nor the divergence detector (parity-sparse series would
-    otherwise stop immediately or never trip the detector).
+    Each matrix has its own stop, growth streak, ``terms_used`` and
+    ``stopped_by``, so its sum is the one it has alone.  Zero coefficients
+    advance the recursion but take part in neither the stopping rule nor the
+    divergence detector (parity-sparse series would otherwise stop
+    immediately or never trip the detector).
     """
     coeffs = spec.coefficients
-    n_terms = min(len(coeffs), spec.max_terms)
     acc = coeffs[0] * first_term if coeffs else np.zeros_like(first_term)
-    state = _SeriesAccumulator(spec)
-    cur = first_term
-    used = 1 if coeffs else 0
-    stopped_by = "max_terms"
-    for n in range(1, n_terms):
-        cur = advance(cur)
-        fn = coeffs[n]
-        used = n + 1
-        if fn == 0.0:
-            continue
-        term = fn * cur
-        term_norm = float(np.sqrt(np.sum(term * term)))
-        state.diverging(term_norm, n)
-        acc = acc + term
-        if state.small_enough(term_norm, float(np.sqrt(np.sum(acc * acc)))):
-            stopped_by = "tolerance"
+    used = np.full(len(acc), 1 if coeffs else 0)
+    by_tol = np.zeros(len(acc), dtype=bool)
+    streak = np.zeros(len(acc), dtype=int)
+    prev = np.full(len(acc), np.nan)  # no term yet: never "growing"
+    live, cur = np.arange(len(acc)), first_term
+    for n in range(1, min(len(coeffs), spec.max_terms)):
+        if not live.size:
             break
-    return SeriesResult(acc, used, stopped_by)
+        cur = advance(cur, live)
+        used[live] = n + 1
+        if coeffs[n] == 0.0:
+            continue
+        term = coeffs[n] * cur
+        norm = _norms(term)
+        streak[live] = np.where(norm > prev[live], streak[live] + 1, 0)
+        prev[live] = norm
+        grown = np.flatnonzero(streak[live] >= GROWTH_STREAK_LIMIT)
+        if grown.size:
+            raise SeriesDivergenceError(
+                f"series diverging: {GROWTH_STREAK_LIMIT} consecutive growing terms "
+                f"at term {n} (norm {norm[grown[0]]:.3e})"
+            )
+        acc[live] = acc[live] + term
+        small = norm < spec.tol * (1.0 + _norms(acc[live]))
+        by_tol[live[small]] = True
+        live, cur = live[~small], cur[~small]
+    stopped_by = ["tolerance" if s else "max_terms" for s in by_tol]
+    return SeriesResult(acc, used.tolist(), stopped_by)
+
+
+def _matfun_series(spec: PowerSeriesSpec, a: np.ndarray) -> SeriesResult:
+    """``matfun_series`` of each matrix of an (N, d, d) stack."""
+    return _sum_series(spec, np.tile(np.eye(a.shape[-1]), (len(a), 1, 1)),
+                       lambda cur, k: cur @ a[k])
+
+
+def _ad_series(spec: PowerSeriesSpec, a: np.ndarray, x: np.ndarray) -> SeriesResult:
+    """``f_of_ad_series`` of each pair of matrices of two (N, d, d) stacks."""
+    return _sum_series(spec, np.array(x), lambda cur, k: a[k] @ cur - cur @ a[k])
 
 
 def matfun_series(spec: PowerSeriesSpec, a) -> SeriesResult:
     """Sum f_n A^n with tolerance/exhaustion stopping and divergence detection."""
-    aa = as_array(a)
-    return _sum_series(spec, np.eye(aa.shape[0]), lambda cur: cur @ aa)
+    return _matfun_series(spec, as_array(a)[None])._one()
 
 
 def f_of_ad_series(spec: PowerSeriesSpec, a, x) -> SeriesResult:
     """Sum f_n ad_A^n[X]; the series realization of a commutator kernel."""
     aa, xx = _gate(a, x)
-    return _sum_series(spec, np.array(xx), lambda cur: aa @ cur - cur @ aa)
+    return _ad_series(spec, aa[None], xx[None])._one()
 
 
 def matexp_series(a, terms: int = 96, tol: float = 1e-15) -> np.ndarray:
     return matfun_series(exp_series_spec(terms=terms, tol=tol), a).value
+
+
+def _matexp(a: np.ndarray) -> np.ndarray:
+    """``matexp_series`` at its defaults of each matrix of an (N, d, d) stack."""
+    return _matfun_series(exp_series_spec(terms=96, tol=1e-15), a).value
 
 
 def matlog_series(a, terms: int = 160, tol: float = 1e-15) -> SeriesResult:
@@ -331,8 +361,9 @@ class SpectralAdOperator:
         dec = _decomposition(g, decomposition)
         table = _pair_table(lambda a, b: kernel(a - b), dec.eigenvalues)
         table.setflags(write=False)
-        label = name if name is not None else getattr(kernel, "name", repr(kernel))
-        return cls(dec, label, table)
+        if name is None:  # repr only for an unnamed kernel: it is slow for a ScalarKernel
+            name = kernel.name if hasattr(kernel, "name") else repr(kernel)
+        return cls(dec, name, table)
 
     def apply(self, x) -> np.ndarray:
         return _hadamard(self.decomposition, self.kernel_table, x)
@@ -359,14 +390,16 @@ def d_exp(a, x, method: str = "auto") -> np.ndarray:
     if method == "auto":
         method = "spectral" if is_symmetric(a) else "series"
     if method == "spectral":
-        dec = eigendecompose_symmetric(a)
-        table = _pair_table(
-            lambda a, b: math.exp(max(a, b)) * ETA_NEG(abs(a - b)), dec.eigenvalues
-        )
-        return _hadamard(dec, table, x)
+        return _d_exp(eigendecompose_symmetric(a), x)
     if method == "series":
         return matexp_series(a) @ f_of_ad_series(eta_neg_series_spec(), a, x).value
     raise ValueError(f"unknown method {method!r}")
+
+
+def _d_exp(dec: EigenDecomposition, x) -> np.ndarray:
+    """The spectral ``d_exp`` in the eigenbasis of dec; a stacked dec takes a stack X."""
+    table = _pair_table(lambda a, b: math.exp(max(a, b)) * ETA_NEG(abs(a - b)), dec.eigenvalues)
+    return _hadamard(dec, table, x)
 
 
 def d_log(a, x, decomposition=None) -> np.ndarray:
@@ -384,9 +417,9 @@ def _d_log(dec: EigenDecomposition, x) -> np.ndarray:
     return _hadamard(dec, table, x)
 
 
-def _log_eig_apply(kernel, a, y, decomposition=None) -> np.ndarray:
-    """Apply a commutator kernel evaluated at ln A to Y (A SPD)."""
-    dec = _spd_decomposition(a, decomposition)
+def _log_eig_apply(kernel, dec: EigenDecomposition, y) -> np.ndarray:
+    """Apply a commutator kernel evaluated at ln A to Y, in the eigenbasis dec
+    of SPD A; a stacked dec takes a stack Y."""
     table = _pair_table(lambda a, b: kernel(a - b), np.log(dec.eigenvalues))
     return _hadamard(dec, table, y)
 
@@ -399,12 +432,12 @@ def dlog_sandwich(a, y, p: int, s: int, decomposition=None) -> np.ndarray:
     """
     if p - s != 1:
         raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")
-    return _log_eig_apply(make_sandwich_kernel(float(s)), a, y, decomposition)
+    return _log_eig_apply(make_sandwich_kernel(float(s)), _spd_decomposition(a, decomposition), y)
 
 
 def dlog_anticommutator(a, y, decomposition=None) -> np.ndarray:
     """Log derivative applied to AY + YA, via the coth(t/2) t kernel at ln A."""
-    return _log_eig_apply(COTH_HALF_X, a, y, decomposition)
+    return _log_eig_apply(COTH_HALF_X, _spd_decomposition(a, decomposition), y)
 
 
 def dlog_sinh_pair(a, x, p: int, s: int, sign: int, decomposition=None) -> np.ndarray:
@@ -417,9 +450,8 @@ def dlog_sinh_pair(a, x, p: int, s: int, sign: int, decomposition=None) -> np.nd
         raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
-    q = float(p + s)
-    kernel = make_r_kernel(q) if sign == 1 else make_sinh_ratio_kernel(q)
-    return _log_eig_apply(kernel, a, x, decomposition)
+    kernel = (make_r_kernel if sign == 1 else make_sinh_ratio_kernel)(float(p + s))
+    return _log_eig_apply(kernel, _spd_decomposition(a, decomposition), x)
 
 
 def dlog_commutator_residual(a, y, decomposition=None) -> np.ndarray:
@@ -461,12 +493,16 @@ def exp_conjugation(a, y, s: float = 1.0, method: str = "auto") -> np.ndarray:
     if method == "auto":
         method = "spectral" if is_symmetric(a) else "series"
     if method == "spectral":
-        dec = eigendecompose_symmetric(a)
-        table = _pair_table(lambda a, b: math.exp(s * (a - b)), dec.eigenvalues)
-        return _hadamard(dec, table, y)
+        return _exp_conjugation(eigendecompose_symmetric(a), y, [s])
     if method == "series":
         return f_of_ad_series(exp_series_spec(scale=s), a, y).value
     raise ValueError(f"unknown method {method!r}")
+
+
+def _exp_conjugation(dec: EigenDecomposition, y, s) -> np.ndarray:
+    """Spectral ``exp_conjugation`` in the eigenbasis of dec, one s per matrix."""
+    table = _pair_table(lambda a, b, s: math.exp(s * (a - b)), dec.eigenvalues, s)
+    return _hadamard(dec, table, y)
 
 
 def adjoint_residuals(a, x, y, kernel) -> tuple:
@@ -492,12 +528,12 @@ def gateaux_fd(fn, a, x, h: float = 1e-5, richardson: bool = False) -> np.ndarra
     leading O(h^2) error term.
     """
     aa, xx = _gate(a, x)
-
-    def central(step):
-        return (fn(aa + step * xx) - fn(aa - step * xx)) / (2.0 * step)
-
+    coarse = _central(fn, aa, xx, h)
     if not richardson:
-        return central(h)
-    coarse = central(h)
-    fine = central(0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+        return coarse
+    return (4.0 * _central(fn, aa, xx, 0.5 * h) - coarse) / 3.0
+
+
+def _central(fn, a: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """(fn(A + h X) - fn(A - h X)) / 2h; fn of a stack takes stacks."""
+    return (fn(a + h * x) - fn(a - h * x)) / (2.0 * h)

@@ -21,13 +21,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import _d_log, _hadamard, _matfun, _pair_table, _spd_decomposition, gateaux_fd
+from .calculus import _central, _d_log, _hadamard, _matfun, _pair_table, _spd_decomposition
 from .matcore import (
     SkewMatrix,
     _eigendecompose_stack,
     _gate,
+    _norms,
     _require_spd,
-    as_array,
+    _worst,
     frobenius_norm,
     skew_part,
 )
@@ -294,11 +295,6 @@ class MotionSample:
     det_f: float
 
 
-def _norms(x: np.ndarray) -> list:
-    """Frobenius norm of each matrix of a stack, as ``frobenius_norm`` forms it."""
-    return np.sqrt(np.sum(x * x, axis=(1, 2))).tolist()
-
-
 # Steps of one trajectory, at most: 23 s for simple shear and 6.8 min for
 # polynomial_motion at d = 3 (2.3 and 41 us per step, 2-core Xeon).
 MAX_STEPS = 10**7
@@ -365,9 +361,10 @@ def integrate_motion(
     The recorded samples are post-processed as one stack: one stacked
     eigensolve of B, then the log strain, both spins and the rate residuals,
     each bit-identical to the single-matrix functions.  The arrays of the
-    samples are read-only views into those stacks.
+    samples are read-only views into those stacks.  An F0 whose shape is not
+    the field's raises DimensionMismatchError before any step.
     """
-    f = np.array(as_array(f0), dtype=float)
+    f = np.array(_gate(f0, field(0.0))[0], dtype=float)
     n_steps = _step_count(t_end, dt, record_every, len(f))
     det_f = float(np.linalg.det(f))
     if det_f <= 0.0:
@@ -413,16 +410,16 @@ def integrate_motion(
     d = 0.5 * (l_all + l_all.swapaxes(1, 2))
     w = 0.5 * (l_all - l_all.swapaxes(1, 2))
     omega = _spin(dec, d, w, commutator=True)
-    agreement = _norms(omega - _spin(dec, d, w, commutator=False))
+    agreement = _norms(omega - _spin(dec, d, w, commutator=False)).tolist()
     db_dt = l_all @ b + b @ l_all.swapaxes(1, 2)
     h_dot = 0.5 * _d_log(dec, db_dt)
-    rate_res = _norms(_corotational(h, h_dot, omega) - d)
+    rate_res = _norms(_corotational(h, h_dot, omega) - d).tolist()
     n = len(times)
     evol_res = [0.0] * n
     if n > 2:
         t_all = np.array(times)
         db_fd = (b[2:] - b[:-2]) / (t_all[2:] - t_all[:-2])[:, None, None]
-        evol_res[1:-1] = _norms(db_fd - db_dt[1:-1])
+        evol_res[1:-1] = _norms(db_fd - db_dt[1:-1]).tolist()
 
     for stack in (f_all, b, h, d, w, omega):
         stack.setflags(write=False)
@@ -443,20 +440,13 @@ def corotational_rate_residuals(samples: list, h_dot_method: str = "analytic"):
     if len(samples) < 3:
         raise ValueError("need at least 3 samples")
     if h_dot_method == "analytic":
-        times = np.array([s.t for s in samples])
-        residuals = np.array([s.rate_residual for s in samples])
-        return times, residuals
+        return np.array([s.t for s in samples]), np.array([s.rate_residual for s in samples])
     if h_dot_method != "finite_difference":
         raise ValueError(f"unknown h_dot_method {h_dot_method!r}")
-    times = []
-    residuals = []
-    for i in range(1, len(samples) - 1):
-        s = samples[i]
-        h_dot = (samples[i + 1].h - samples[i - 1].h) / (samples[i + 1].t - samples[i - 1].t)
-        res = frobenius_norm(corotational_rate(s.h, h_dot, s.omega_log) - s.d)
-        times.append(s.t)
-        residuals.append(res)
-    return np.array(times), np.array(residuals)
+    t, h, omega, d = (np.array([getattr(s, k) for s in samples])
+                      for k in ("t", "h", "omega_log", "d"))
+    h_dot = (h[2:] - h[:-2]) / (t[2:] - t[:-2])[:, None, None]
+    return t[1:-1], _norms(_corotational(h[1:-1], h_dot, omega[1:-1]) - d[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +475,12 @@ def strain_measure_report(
     """Check that the log strain vanishes at B = I with derivative X/2 there.
 
     The derivative condition is tested by a centered difference of the
-    strain map at the identity along ``trials`` random symmetric directions.
+    strain map at the identity along ``trials`` random symmetric directions,
+    drawn and evaluated as one stack.
     """
     ident = np.eye(dim)
-    identity_residual = frobenius_norm(hencky(ident))
-    rng = make_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.uniform(-1.0, 1.0, (dim, dim))
-        x = 0.5 * (x + x.T)
-        worst = max(worst, frobenius_norm(gateaux_fd(hencky, ident, x, h) - 0.5 * x))
-    return StrainMeasureReport(identity_residual, worst, tolerance)
+    x = make_rng(seed).uniform(-1.0, 1.0, (trials, dim, dim))
+    x = 0.5 * (x + x.swapaxes(1, 2))
+    fd = _central(lambda b: _matfun(_half_log, _require_spd(_eigendecompose_stack(b))), ident, x, h)
+    worst = _worst(_norms(fd - 0.5 * x))
+    return StrainMeasureReport(frobenius_norm(hencky(ident)), worst, tolerance)

@@ -20,6 +20,7 @@ import numpy as np
 from .calculus import (
     _decomposition,
     _hadamard,
+    _log_eig_apply,
     _pair_table,
     ad,
     dlog_sinh_pair,
@@ -31,15 +32,18 @@ from .calculus import (
 from .matcore import (
     EigenDecomposition,
     NotSymmetricError,
+    _dots,
+    _eigendecompose_stack,
     _gate,
+    _require_spd,
     _symmetry_defect,
+    _worst,
     as_array,
-    eigendecompose_symmetric,
     frobenius_dot,
     frobenius_norm,
 )
-from .sampling import make_rng, random_symmetric
-from .scalarfun import make_sqrt_r_kernel
+from .sampling import _draw_trials, random_symmetric
+from .scalarfun import make_r_kernel, make_sqrt_r_kernel
 
 __all__ = [
     "IsotropicFunction",
@@ -96,15 +100,20 @@ def _divided_difference_table(
     fprime: Callable[[float], float],
     eigvals: np.ndarray,
 ) -> np.ndarray:
-    """(f(a_i) - f(a_j)) / (a_i - a_j), with f' at the midpoint for close pairs."""
-    close = DIVIDED_DIFF_PAIR_TOL * (1.0 + float(np.max(np.abs(eigvals))))
+    """(f(a_i) - f(a_j)) / (a_i - a_j), with f' at the midpoint for close pairs.
 
-    def entry(a: float, b: float) -> float:
+    A pair is close within DIVIDED_DIFF_PAIR_TOL (1 + max|a|) of its own
+    spectrum: a stack of spectra (N, d) gives N tables, each with its radius.
+    """
+    vals = np.asarray(eigvals, dtype=float)
+    close = DIVIDED_DIFF_PAIR_TOL * (1.0 + np.max(np.abs(vals), axis=-1))
+
+    def entry(a: float, b: float, close: float) -> float:
         if abs(a - b) <= close:
             return fprime(0.5 * (a + b))
         return (f(a) - f(b)) / (a - b)
 
-    return _pair_table(entry, eigvals)
+    return _pair_table(entry, vals, np.reshape(close, -1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +165,16 @@ def cube_plus_identity_generator() -> IsotropicFunction:
 
 def poly_gateaux(coefficients, a, x) -> np.ndarray:
     """Exact directional derivative of sum c_n A^n: product rule per power."""
-    aa, xx = _gate(a, x)
-    d = aa.shape[0]
+    return _poly_gateaux(coefficients, *_gate(a, x))
+
+
+def _poly_gateaux(coefficients, aa: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """``poly_gateaux``, unchecked; stacks take stacks."""
     top = len(coefficients) - 1
-    powers = [np.eye(d)]
+    powers = [np.eye(aa.shape[-1])]
     for _ in range(max(top - 1, 0)):
         powers.append(powers[-1] @ aa)
-    out = np.zeros((d, d))
+    out = np.zeros(aa.shape)
     for n, cn in enumerate(coefficients):
         if cn == 0.0 or n == 0:
             continue
@@ -264,23 +276,20 @@ def equivalence_check(
     [-1.5, 1.5]) giving A = exp(S) with ln A = S by construction, then one
     random symmetric nonzero direction X.  Checks that the form at A equals
     the form at G = S evaluated on the square-root-kernel image of X, and
-    counts sign agreement of the two forms.
+    counts sign agreement of the two forms.  The trials are drawn first and
+    evaluated as stacks, each as ``bilinear_lhs`` and ``bilinear_rhs`` would
+    evaluate it; a NaN residual makes ``max_rel_residual`` NaN.
     """
     if p - s != 1:
         raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")
-    rng = make_rng(seed)
-    worst = 0.0
-    agreements = 0
-    for _ in range(trials):
-        s_mat = random_symmetric(rng, 3, scale=1.5)
-        dec_s = eigendecompose_symmetric(s_mat)
-        a = matfun_spectral(math.exp, s_mat, decomposition=dec_s)
-        x = random_symmetric(rng, 3)
-        dec_a = EigenDecomposition._trusted(dec_s.q, np.exp(dec_s.eigenvalues))
-        lhs = bilinear_lhs(f, a, x, p, s, decomposition=dec_a)
-        z = sqrt_r_operator(s_mat, float(p + s), x, decomposition=dec_s)
-        rhs = frobenius_dot(f.derivative(s_mat, z, decomposition=dec_s), z)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-        if (lhs > 0.0) == (rhs > 0.0):
-            agreements += 1
-    return EquivalenceReport(trials, worst, agreements)
+    s_mats, x = _draw_trials(seed, trials, lambda rng: random_symmetric(rng, 3, 1.5),
+                             lambda rng: random_symmetric(rng, 3))
+    dec_s = _eigendecompose_stack(s_mats)
+    dec_a = _require_spd(EigenDecomposition._trusted(dec_s.q, np.exp(dec_s.eigenvalues)))
+    inner = _log_eig_apply(make_r_kernel(float(p + s)), dec_a, x)
+    dec_g = EigenDecomposition._trusted(dec_a.q, np.log(dec_a.eigenvalues))
+    lhs = _dots(f.derivative(None, inner, decomposition=dec_g), x)
+    z = f_of_ad_spectral(make_sqrt_r_kernel(float(p + s)), None, x, decomposition=dec_s)
+    rhs = _dots(f.derivative(None, z, decomposition=dec_s), z)
+    agreements = int(np.sum((lhs > 0.0) == (rhs > 0.0)))
+    return EquivalenceReport(trials, _worst(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))), agreements)

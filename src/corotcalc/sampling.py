@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import eigendecompose_symmetric
+from .matcore import _eigendecompose_stack, _spectral, eigendecompose_symmetric
 
 __all__ = [
     "make_rng",
@@ -66,9 +66,7 @@ def random_spd_ratio(
         raise ValueError(f"max_log10_ratio must be in [0, 600], got {max_log10_ratio!r}")
     half = 0.5 * max_log10_ratio
     lam = 10.0 ** rng.uniform(-half, half, dim)
-    q = random_orthogonal(rng, dim)
-    out = (q * lam) @ q.T
-    return 0.5 * (out + out.T)
+    return _spectral(random_orthogonal(rng, dim), lam)
 
 
 def random_spd_exp(rng: np.random.Generator, dim: int, scale: float = 1.5):
@@ -77,6 +75,21 @@ def random_spd_exp(rng: np.random.Generator, dim: int, scale: float = 1.5):
     Draws: one random_symmetric with entries uniform(-scale, scale).
     """
     s = random_symmetric(rng, dim, scale)
-    dec = eigendecompose_symmetric(s)
-    a = (dec.q * np.exp(dec.eigenvalues)) @ dec.q.T
-    return 0.5 * (a + a.T), s
+    return _spd_exp(s[None])[0][0], s
+
+
+def _spd_exp(s: np.ndarray) -> tuple:
+    """(exp S, the decomposition of S) of each S of a stack, as ``random_spd_exp``."""
+    dec = _eigendecompose_stack(s)
+    return _spectral(dec.q, np.exp(dec.eigenvalues)), dec
+
+
+def _draw_trials(seed: int, trials: int, *draws) -> list:
+    """One stack per function of ``draws``: trial after trial, each function
+    draws once from the generator keyed ``seed``, in the order given, so each
+    trial's inputs are the ones a loop over the trials would draw."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    rng = make_rng(seed)
+    rows = [[draw(rng) for draw in draws] for _ in range(trials)]
+    return [np.array(col) for col in zip(*rows)]

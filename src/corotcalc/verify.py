@@ -5,28 +5,28 @@ and reports one row per identity: a label, the worst observed residual, and
 the threshold it must stay under.  Rows are deterministic for a given seed
 and trial count.  The suite tokens (lemma1 .. lemma6, theorem1, appendix,
 monotonicity) are part of the CLI wire format.
+
+Each suite draws all its trials' inputs first, in the order a loop over the
+trials would, solves them as stacks, and takes each row's worst residual
+over the stack: bit-identical to the public single-matrix functions trial by
+trial.  A NaN residual makes its row NaN, so the row fails.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import calculus as ca
 from . import kinematics as ki
 from . import monotonicity as mo
-from .matcore import eigendecompose_symmetric, frobenius_norm
-from .sampling import (
-    make_rng,
-    random_matrix,
-    random_skew,
-    random_spd_exp,
-    random_spd_ratio,
-    random_symmetric,
-)
-from .scalarfun import GAMMA, SIGMA
+from .matcore import _dots, _eigendecompose_stack, _norms, _require_spd, _spectral, _worst
+from .sampling import _draw_trials, _spd_exp, random_matrix, random_skew, random_symmetric
+from .scalarfun import COTH_HALF_X, GAMMA, SIGMA, make_r_kernel, make_sandwich_kernel
+from .scalarfun import make_sinh_ratio_kernel, make_sqrt_r_kernel
 
 __all__ = ["VerifyRow", "SUITE_NAMES", "run_suite", "run_suites"]
 
@@ -56,332 +56,256 @@ class VerifyRow:
         return self.residual <= self.threshold
 
 
-def _fd_exp(a, x):
+# ---------------------------------------------------------------------------
+# the trial-stack driver: draw, solve, reduce
+
+
+_mat = partial(random_matrix, dim=3)
+_sym = partial(random_symmetric, dim=3)
+
+
+def _row(label: str, residuals, threshold: float) -> VerifyRow:
+    return VerifyRow(label, _worst(residuals), threshold)
+
+
+def _rel(val, ref, scale=None) -> np.ndarray:
+    """||val - ref|| / (1 + ||scale||) per trial; scale defaults to ref."""
+    return _norms(val - ref) / (1.0 + _norms(ref if scale is None else scale))
+
+
+def _spd_solve(a: np.ndarray):
+    return _require_spd(_eigendecompose_stack(a))
+
+
+def _diag(dec, vals) -> np.ndarray:
+    """Q diag(vals) Q^T of each matrix of a stacked decomposition."""
+    return (dec.q * vals[:, None, :]) @ dec.q.swapaxes(1, 2)
+
+
+def _apply(dec, kernels, y) -> np.ndarray:
+    """The commutator kernel kernels[i] of the i-th matrix of dec, applied to y[i]."""
+    table = ca._pair_table(lambda u, v, f: f(u - v), dec.eigenvalues, kernels)
+    return ca._hadamard(dec, table, y)
+
+
+def _fd_exp(a, x) -> np.ndarray:
     """Centered difference of the series exponential; independent of the
     spectral route it is used to check."""
-    return ca.gateaux_fd(ca.matexp_series, a, x)
+    return ca._central(ca._matexp, a, x, 1e-5)
 
 
-def _spectral_power(dec, p):
-    return (dec.q * dec.eigenvalues**p) @ dec.q.T
+# ---------------------------------------------------------------------------
+# suites
 
 
 def _suite_lemma1(seed: int, trials: int) -> list:
-    rows = []
+    a, x = _draw_trials(seed * 1000 + 1, trials, _sym, _mat)
+    a *= (2.0 / np.maximum(1.0, _norms(a) / 0.9))[:, None, None]
+    val = ca._d_exp(_eigendecompose_stack(a), x)
+    rows = [_row("exp derivative vs centered difference (rel)", _rel(val, _fd_exp(a, x)), 1e-6)]
 
-    rng = make_rng(seed * 1000 + 1)
-    worst = 0.0
-    for _ in range(trials):
-        a = random_symmetric(rng, 3)
-        a *= 2.0 / max(1.0, frobenius_norm(a) / 0.9)
-        x = random_matrix(rng, 3)
-        fd = _fd_exp(a, x)
-        val = ca.d_exp(a, x)
-        worst = max(worst, frobenius_norm(val - fd) / (1.0 + frobenius_norm(fd)))
-    rows.append(VerifyRow("exp derivative vs centered difference (rel)", worst, 1e-6))
+    a, y, s = _draw_trials(seed * 1000 + 2, trials, _sym, _mat,
+                           lambda rng: float(rng.uniform(-1.5, 1.5)))
+    dec = _eigendecompose_stack(a)
+    e_plus = _diag(dec, np.exp(s[:, None] * dec.eigenvalues))
+    e_minus = _diag(dec, np.exp(-s[:, None] * dec.eigenvalues))
+    val = ca._exp_conjugation(dec, y, s.tolist())
+    rows.append(_row("exp conjugation: kernel route vs triple product (rel)",
+                     _rel(val, e_plus @ y @ e_minus), 1e-12))
 
-    rng = make_rng(seed * 1000 + 2)
-    worst = 0.0
-    for _ in range(trials):
-        a = random_symmetric(rng, 3)
-        y = random_matrix(rng, 3)
-        s = float(rng.uniform(-1.5, 1.5))
-        dec = eigendecompose_symmetric(a)
-        e_plus = (dec.q * np.exp(s * dec.eigenvalues)) @ dec.q.T
-        e_minus = (dec.q * np.exp(-s * dec.eigenvalues)) @ dec.q.T
-        direct = e_plus @ y @ e_minus
-        val = ca.exp_conjugation(a, y, s)
-        worst = max(worst, frobenius_norm(val - direct) / (1.0 + frobenius_norm(direct)))
-    rows.append(VerifyRow("exp conjugation: kernel route vs triple product (rel)", worst, 1e-12))
+    s_log, x = _draw_trials(seed * 1000 + 3, trials, _sym, _mat)
+    a, dec_s = _spd_exp(s_log)
+    roundtrip = ca._d_log(_spd_solve(a), ca._d_exp(dec_s, x))
+    rows.append(_row("log derivative inverts exp derivative (rel)", _rel(roundtrip, x), 1e-10))
 
-    rng = make_rng(seed * 1000 + 3)
-    worst = 0.0
-    for _ in range(trials):
-        a, s_log = random_spd_exp(rng, 3, scale=1.0)
-        x = random_matrix(rng, 3)
-        roundtrip = ca.d_log(a, ca.d_exp(s_log, x))
-        worst = max(worst, frobenius_norm(roundtrip - x) / (1.0 + frobenius_norm(x)))
-    rows.append(VerifyRow("log derivative inverts exp derivative (rel)", worst, 1e-10))
+    a, x = _draw_trials(seed * 1000 + 4, trials, _sym, _mat)
+    k = 1 + np.arange(trials) % 6
 
-    rng = make_rng(seed * 1000 + 4)
-    worst = 0.0
-    for n in range(trials):
-        k = 1 + (n % 6)
-        a = random_symmetric(rng, 3)
-        x = random_matrix(rng, 3)
-        lhs = ca.ad(np.linalg.matrix_power(a, k), x)
-        c = ca.ad(a, x)
-        fd = ca.gateaux_fd(lambda m, k=k: np.linalg.matrix_power(m, k), a, c, h=1e-5)
-        worst = max(worst, frobenius_norm(lhs - fd) / (1.0 + frobenius_norm(lhs)))
-    rows.append(VerifyRow("matrix-power commutator rule vs centered difference (rel)", worst, 1e-6))
+    def power(m):
+        out = np.empty_like(m)
+        for j in range(1, 7):
+            out[k == j] = np.linalg.matrix_power(m[k == j], j)
+        return out
 
+    lhs = ca._ad(power(a), x)
+    fd = ca._central(power, a, ca._ad(a, x), 1e-5)
+    rows.append(_row("matrix-power commutator rule vs centered difference (rel)",
+                     _rel(fd, lhs), 1e-6))
     return rows
 
 
 def _suite_lemma2(seed: int, trials: int) -> list:
     rows = []
     for idx, (p, s) in enumerate(POWER_PAIRS):
-        rng = make_rng(seed * 1000 + 10 + idx)
-        w_conj = w_comm = w_anti = w_sand = 0.0
-        for _ in range(trials):
-            a, s_log = random_spd_exp(rng, 3, scale=1.0)
-            y = random_matrix(rng, 3)
-            dec = eigendecompose_symmetric(a)
-            ap = _spectral_power(dec, p)
-            am = _spectral_power(dec, -s)
-            sandwiched = ap @ y @ am
-
-            conj = a @ ca.exp_conjugation(s_log, y, float(s))
-            w_conj = max(w_conj, frobenius_norm(sandwiched - conj))
-
-            if idx == 0:
-                w_comm = max(
-                    w_comm,
-                    frobenius_norm(ca.dlog_commutator_residual(a, y, decomposition=dec)),
-                )
-                anti = ca.dlog_anticommutator(a, y, decomposition=dec)
-                w_anti = max(
-                    w_anti,
-                    frobenius_norm(anti - ca.d_log(a, a @ y + y @ a, decomposition=dec)),
-                )
-            sand = ca.dlog_sandwich(a, y, p, s, decomposition=dec)
-            w_sand = max(w_sand, frobenius_norm(sand - ca.d_log(a, sandwiched, decomposition=dec)))
+        s_log, y = _draw_trials(seed * 1000 + 10 + idx, trials, _sym, _mat)
+        a, dec_s = _spd_exp(s_log)
+        dec = _spd_solve(a)
+        sandwiched = _diag(dec, dec.eigenvalues**p) @ y @ _diag(dec, dec.eigenvalues**-s)
+        conj = a @ ca._exp_conjugation(dec_s, y, [float(s)] * trials)
         tag = f"(p,s)=({p},{s})"
-        rows.append(VerifyRow(f"power sandwich equals conjugation route {tag}", w_conj, 1e-10))
+        rows.append(_row(f"power sandwich equals conjugation route {tag}",
+                         _norms(sandwiched - conj), 1e-10))
         if idx == 0:
-            rows.append(VerifyRow("log derivative of a commutator argument", w_comm, 1e-10))
-            rows.append(VerifyRow("log derivative of an anticommutator argument", w_anti, 1e-10))
-        rows.append(VerifyRow(f"log derivative of a power sandwich {tag}", w_sand, 1e-10))
+            lhs = ca._d_log(dec, ca._ad(a, y))
+            comm = _norms(lhs - ca._ad(ca._matfun(math.log, dec), y))
+            anti = ca._log_eig_apply(COTH_HALF_X, dec, y)
+            anti = _norms(anti - ca._d_log(dec, a @ y + y @ a))
+            rows.append(_row("log derivative of a commutator argument", comm, 1e-10))
+            rows.append(_row("log derivative of an anticommutator argument", anti, 1e-10))
+        sand = ca._log_eig_apply(make_sandwich_kernel(float(s)), dec, y)
+        rows.append(_row(f"log derivative of a power sandwich {tag}",
+                         _norms(sand - ca._d_log(dec, sandwiched)), 1e-10))
     return rows
 
 
-def _suite_lemma3(seed: int, trials: int) -> list:
-    rng = make_rng(seed * 1000 + 20)
-    worst_commuting = 0.0
-    for _ in range(trials):
-        a, _ = random_spd_exp(rng, 3, scale=1.0)
-        c = rng.uniform(-1.0, 1.0, 3)
-        x = c[0] * np.eye(3) + c[1] * a + c[2] * a @ a
-        gap, _ = ca.anticommutator_gap(a, x)
-        worst_commuting = max(worst_commuting, gap)
+def _gap(a: np.ndarray, x: np.ndarray) -> tuple:
+    """``anticommutator_gap`` of each pair of matrices of two stacks."""
+    gap = ca._log_eig_apply(COTH_HALF_X, _spd_solve(a), x) - 2.0 * x
+    return _norms(gap), _norms(ca._ad(a, x))
 
-    rng = make_rng(seed * 1000 + 21)
-    violations = 0
-    checked = 0
-    for _ in range(trials):
-        a, s_log = random_spd_exp(rng, 3, scale=1.0)
-        x = random_symmetric(rng, 3)
-        gap, comm = ca.anticommutator_gap(a, x)
+
+def _suite_lemma3(seed: int, trials: int) -> list:
+    s_log, c = _draw_trials(seed * 1000 + 20, trials, _sym, lambda rng: rng.uniform(-1.0, 1.0, 3))
+    a, _ = _spd_exp(s_log)
+    c = c[:, :, None, None]
+    gap, _ = _gap(a, c[:, 0] * np.eye(3) + c[:, 1] * a + c[:, 2] * a @ a)
+
+    s_log, x = _draw_trials(seed * 1000 + 21, trials, _sym, _sym)
+    a, _ = _spd_exp(s_log)
+    violations = checked = 0
+    for g, comm, s_norm in zip(*_gap(a, x), _norms(s_log)):
         if comm >= 1e-2:
             checked += 1
-            bound = 1e-6 * comm**2 / (1.0 + frobenius_norm(s_log) ** 2)
-            if gap < bound:
-                violations += 1
-    return [
-        VerifyRow("anticommutator rule gap on commuting directions", worst_commuting, 1e-9),
-        VerifyRow(
-            f"curvature lower-bound violations on generic directions ({checked} checked)",
-            float(violations),
-            0.5,
-        ),
-    ]
+            violations += g < 1e-6 * comm**2 / (1.0 + s_norm**2)
+    label = f"curvature lower-bound violations on generic directions ({checked} checked)"
+    return [_row("anticommutator rule gap on commuting directions", gap, 1e-9),
+            VerifyRow(label, float(violations), 0.5)]
 
 
 def _suite_lemma4(seed: int, trials: int) -> list:
+    forms = ((-1, make_sinh_ratio_kernel, "antisymmetric power pair via sinh"),
+             (1, make_r_kernel, "symmetric power pair via cosh"))
     rows = []
     for idx, (p, s) in enumerate(POWER_PAIRS):
-        rng = make_rng(seed * 1000 + 30 + idx)
-        w_diff = w_sum = 0.0
-        for _ in range(trials):
-            a, _ = random_spd_exp(rng, 3, scale=1.0)
-            x = random_matrix(rng, 3)
-            dec = eigendecompose_symmetric(a)
-            ap = _spectral_power(dec, p)
-            am = _spectral_power(dec, -s)
-            diff_arg = ap @ x @ am - am @ x @ ap
-            sum_arg = ap @ x @ am + am @ x @ ap
-            w_diff = max(
-                w_diff,
-                frobenius_norm(
-                    ca.dlog_sinh_pair(a, x, p, s, -1, decomposition=dec)
-                    - ca.d_log(a, diff_arg, decomposition=dec)
-                ),
-            )
-            w_sum = max(
-                w_sum,
-                frobenius_norm(
-                    ca.dlog_sinh_pair(a, x, p, s, +1, decomposition=dec)
-                    - ca.d_log(a, sum_arg, decomposition=dec)
-                ),
-            )
+        s_log, x = _draw_trials(seed * 1000 + 30 + idx, trials, _sym, _mat)
+        dec = _spd_solve(_spd_exp(s_log)[0])
+        ap, am = _diag(dec, dec.eigenvalues**p), _diag(dec, dec.eigenvalues**-s)
         tag = f"(p,s)=({p},{s})"
-        rows.append(VerifyRow(f"antisymmetric power pair via sinh kernel {tag}", w_diff, 1e-10))
-        rows.append(VerifyRow(f"symmetric power pair via cosh kernel {tag}", w_sum, 1e-10))
+        for sign, kernel, label in forms:
+            lhs = ca._log_eig_apply(kernel(float(p + s)), dec, x)
+            arg = ap @ x @ am + sign * (am @ x @ ap)  # sign * v is exactly -v or v
+            rows.append(_row(f"{label} kernel {tag}", _norms(lhs - ca._d_log(dec, arg)), 1e-10))
     return rows
 
 
 def _suite_lemma5(seed: int, trials: int) -> list:
-    rng = make_rng(seed * 1000 + 40)
-    worst_poly = 0.0
-    gens = (mo.square_generator(), mo.cube_generator())
-    for n in range(trials):
-        gen = gens[n % 2]
-        a = random_symmetric(rng, 3)
-        y = random_matrix(rng, 3)
-        worst_poly = max(worst_poly, mo.isotropic_commutation_residual(gen, a, y))
+    a, y = _draw_trials(seed * 1000 + 40, trials, _sym, _mat)
+    poly = np.empty(trials)
+    for parity, gen in enumerate((mo.square_generator(), mo.cube_generator())):
+        c, aa, yy = gen.poly_coefficients, a[parity::2], y[parity::2]
+        lhs = ca._ad(aa, mo._poly_gateaux(c, aa, yy))
+        poly[parity::2] = _norms(lhs - mo._poly_gateaux(c, aa, ca._ad(aa, yy)))
 
-    rng = make_rng(seed * 1000 + 41)
-    worst_fd = 0.0
-    for _ in range(max(trials // 4, 25)):
-        a = random_symmetric(rng, 3)
-        y = random_matrix(rng, 3)
-        worst_fd = max(
-            worst_fd,
-            mo.isotropic_commutation_residual(mo.exponential_generator(), a, y, h=1e-5),
-        )
+    a, y = _draw_trials(seed * 1000 + 41, max(trials // 4, 25), _sym, _mat)
+    lhs = ca._ad(a, ca._central(ca._matexp, a, y, 1e-5))
+    fd = _norms(lhs - ca._central(ca._matexp, a, ca._ad(a, y), 1e-5))
     return [
-        VerifyRow("derivative commutes with commutator (exact polynomial route)", worst_poly, 1e-12),
-        VerifyRow("derivative commutes with commutator (exp, centered difference)", worst_fd, 1e-5),
+        _row("derivative commutes with commutator (exact polynomial route)", poly, 1e-12),
+        _row("derivative commutes with commutator (exp, centered difference)", fd, 1e-5),
     ]
 
 
 def _suite_lemma6(seed: int, trials: int) -> list:
-    kernels = ((SIGMA, "odd sigma"), (GAMMA, "even gamma"), (math.exp, "exp"))
-    rng = make_rng(seed * 1000 + 50)
-    w_t = w_d = 0.0
-    for n in range(trials):
-        kernel, _ = kernels[n % 3]
-        a = random_symmetric(rng, 3)
-        x = random_matrix(rng, 3)
-        y = random_matrix(rng, 3)
-        r1, r2 = ca.adjoint_residuals(a, x, y, kernel)
-        w_t = max(w_t, r1)
-        w_d = max(w_d, r2)
+    a, x, y = _draw_trials(seed * 1000 + 50, trials, _sym, _mat, _mat)
+    kernels = [(SIGMA, GAMMA, math.exp)[n % 3] for n in range(trials)]
+    dec = _eigendecompose_stack(a)
+    fx = _apply(dec, kernels, x)
+    flipped = _apply(dec, [lambda t, f=f: f(-t) for f in kernels], x.swapaxes(1, 2))
+    fy = _apply(dec, kernels, y)
     return [
-        VerifyRow("transpose rule for commutator kernels", w_t, 1e-12),
-        VerifyRow("self-adjointness in the trace inner product", w_d, 1e-12),
+        _row("transpose rule for commutator kernels", _norms(fx.swapaxes(1, 2) - flipped), 1e-12),
+        _row("self-adjointness in the trace inner product",
+             np.abs(_dots(fx, y) - _dots(x, fy)), 1e-12),
     ]
 
 
 def _suite_theorem1(seed: int, trials: int) -> list:
-    rows = []
-
-    rng = make_rng(seed * 1000 + 60)
-    worst = 0.0
-    for _ in range(trials):
-        b = random_spd_ratio(rng, 3)
-        d = random_symmetric(rng, 3)
-        w = random_skew(rng, 3)
-        dec = eigendecompose_symmetric(b)
-        o_sp = ki.log_spin_spectral(b, d, w, decomposition=dec)
-        o_co = ki.log_spin_commutator(b, d, w, decomposition=dec)
-        worst = max(worst, frobenius_norm(o_sp - o_co) / (1.0 + frobenius_norm(d)))
-    rows.append(VerifyRow("spin representations agree: projection sum vs kernel (rel)", worst, 1e-10))
+    # random_spd_ratio's draws (exponents, then a frame), then D and W
+    u, m, d, w = _draw_trials(seed * 1000 + 60, trials, lambda rng: rng.uniform(-1.5, 1.5, 3), _sym,
+                       _sym, lambda rng: random_skew(rng, 3))
+    dec = _spd_solve(_spectral(_eigendecompose_stack(m).q, 10.0**u))
+    o_sp = ki._spin(dec, d, w, commutator=False)
+    o_co = ki._spin(dec, d, w, commutator=True)
+    rows = [_row("spin representations agree: projection sum vs kernel (rel)",
+                 _rel(o_sp, o_co, d), 1e-10)]
 
     samples = ki.integrate_motion(ki.simple_shear(1.0), np.eye(3), 1.0, 1e-3, record_every=5)
     _, res = ki.corotational_rate_residuals(samples, "analytic")
-    rows.append(
-        VerifyRow("corotational rate of log strain equals stretching (shear)", float(np.max(res)), 1e-8)
-    )
+    rows.append(_row("corotational rate of log strain equals stretching (shear)", res, 1e-8))
 
     coarse = ki.integrate_motion(ki.simple_shear(1.0), np.eye(3), 1.0, 1e-3, record_every=20)
     fine = ki.integrate_motion(ki.simple_shear(1.0), np.eye(3), 1.0, 1e-3, record_every=10)
     _, rc = ki.corotational_rate_residuals(coarse, "finite_difference")
     _, rf = ki.corotational_rate_residuals(fine, "finite_difference")
     ratio = float(np.max(rc) / np.max(rf))
-    rows.append(
-        VerifyRow("strain-rate residual halving order: |ratio - 4|", abs(ratio - 4.0), 0.8)
-    )
+    rows.append(VerifyRow("strain-rate residual halving order: |ratio - 4|", abs(ratio - 4.0), 0.8))
 
     stretch = ki.pure_stretch((0.3, -0.3, 0.0))
     coarse = ki.integrate_motion(stretch, np.eye(3), 1.0, 1e-3, record_every=20)
     fine = ki.integrate_motion(stretch, np.eye(3), 1.0, 1e-3, record_every=10)
     e_ratio = max(s.evolution_residual for s in coarse) / max(s.evolution_residual for s in fine)
-    rows.append(
-        VerifyRow("evolution-equation residual halving order: |ratio - 4|", abs(e_ratio - 4.0), 0.8)
-    )
+    rows.append(VerifyRow("evolution-equation residual halving order: |ratio - 4|",
+                          abs(e_ratio - 4.0), 0.8))
     return rows
 
 
 def _suite_appendix(seed: int, trials: int) -> list:
-    rng = make_rng(seed * 1000 + 70)
-    worst = 0.0
-    for n in range(trials):
-        m = n % 9
-        a = random_matrix(rng, 3)
-        x = random_matrix(rng, 3)
-        nested = ca.ad_power(a, x, m)
-        binom = ca.ad_power_binomial(a, x, m)
-        worst = max(worst, frobenius_norm(nested - binom) / (1.0 + frobenius_norm(nested)))
-    rows = [VerifyRow("commutator powers match the binomial expansion (m <= 8, rel)", worst, 1e-12)]
+    a, x = _draw_trials(seed * 1000 + 70, trials, _mat, _mat)
+    nested, binom = np.empty_like(x), np.empty_like(x)
+    for m in range(9):
+        nested[m::9] = ca._ad_power(a[m::9], x[m::9], m)
+        binom[m::9] = ca._ad_power_binomial(a[m::9], x[m::9], m)
+    rows = [_row("commutator powers match the binomial expansion (m <= 8, rel)",
+                 _rel(binom, nested), 1e-12)]
 
-    rng = make_rng(seed * 1000 + 71)
-    worst = 0.0
-    for _ in range(trials):
-        a = random_matrix(rng, 3, scale=0.5)
-        y = random_matrix(rng, 3)
-        val = ca.exp_conjugation(a, y, 1.0, method="series")
-        direct = ca.matexp_series(a) @ y @ ca.matexp_series(-a)
-        worst = max(worst, frobenius_norm(val - direct) / (1.0 + frobenius_norm(direct)))
-    rows.append(
-        VerifyRow("exp of commutator equals conjugation (series route, general A, rel)", worst, 1e-12)
-    )
+    a, y = _draw_trials(seed * 1000 + 71, trials, partial(_mat, scale=0.5), _mat)
+    val = ca._ad_series(ca.exp_series_spec(scale=1.0), a, y).value
+    rows.append(_row("exp of commutator equals conjugation (series route, general A, rel)",
+                     _rel(val, ca._matexp(a) @ y @ ca._matexp(-a)), 1e-12))
 
-    rng = make_rng(seed * 1000 + 72)
-    worst = 0.0
-    for _ in range(trials):
-        a = random_matrix(rng, 3, scale=0.6)
-        x = random_matrix(rng, 3)
-        fd = _fd_exp(a, x)
-        val = ca.d_exp(a, x, method="series")
-        worst = max(worst, frobenius_norm(val - fd) / (1.0 + frobenius_norm(fd)))
-    rows.append(
-        VerifyRow("exp derivative re-check (series route, general A, rel)", worst, 1e-6)
-    )
+    a, x = _draw_trials(seed * 1000 + 72, trials, partial(_mat, scale=0.6), _mat)
+    val = ca._matexp(a) @ ca._ad_series(ca.eta_neg_series_spec(), a, x).value
+    rows.append(_row("exp derivative re-check (series route, general A, rel)",
+                     _rel(val, _fd_exp(a, x)), 1e-6))
     return rows
 
 
 def _suite_monotonicity(seed: int, trials: int) -> list:
     rows = []
-    gens = (
-        mo.identity_generator(),
-        mo.exponential_generator(),
-        mo.cube_plus_identity_generator(),
-    )
+    gens = (mo.identity_generator(), mo.exponential_generator(), mo.cube_plus_identity_generator())
     disagreements = 0
     for gi, gen in enumerate(gens):
-        worst = 0.0
-        for pi, (p, s) in enumerate(POWER_PAIRS):
-            rep = mo.equivalence_check(gen, trials, seed * 1000 + 80 + 10 * gi + pi, p, s)
-            worst = max(worst, rep.max_rel_residual)
-            disagreements += rep.trials - rep.sign_agreements
-        rows.append(
-            VerifyRow(f"quadratic-form bridge identity [{gen.name}] (rel)", worst, 1e-9)
-        )
+        reports = [mo.equivalence_check(gen, trials, seed * 1000 + 80 + 10 * gi + pi, p, s)
+                   for pi, (p, s) in enumerate(POWER_PAIRS)]
+        disagreements += sum(rep.trials - rep.sign_agreements for rep in reports)
+        rows.append(_row(f"quadratic-form bridge identity [{gen.name}] (rel)",
+                         [rep.max_rel_residual for rep in reports], 1e-9))
     rows.append(VerifyRow("sign disagreements between the two forms", float(disagreements), 0.5))
 
-    rng = make_rng(seed * 1000 + 90)
-    w_sq = w_inv = w_sym = 0.0
-    from .calculus import f_of_ad_spectral
-    from .scalarfun import make_r_kernel, make_sqrt_r_kernel
-
-    for n in range(trials):
-        q = float((1, 3, -1)[n % 3])
-        g = random_symmetric(rng, 3)
-        x = random_matrix(rng, 3)
-        once = mo.sqrt_r_operator(g, q, x)
-        twice = mo.sqrt_r_operator(g, q, once)
-        direct = f_of_ad_spectral(make_r_kernel(q), g, x)
-        w_sq = max(w_sq, frobenius_norm(twice - direct) / (1.0 + frobenius_norm(direct)))
-        ker = make_sqrt_r_kernel(q)
-        back = f_of_ad_spectral(lambda t: 1.0 / ker(t), g, once)
-        w_inv = max(w_inv, frobenius_norm(back - x) / (1.0 + frobenius_norm(x)))
-        xs = random_symmetric(rng, 3)
-        out = mo.sqrt_r_operator(g, q, xs)
-        w_sym = max(w_sym, frobenius_norm(out - out.T))
-    rows.append(VerifyRow("square-root kernel applied twice equals the kernel (rel)", w_sq, 1e-12))
-    rows.append(VerifyRow("square-root kernel inverted by its reciprocal (rel)", w_inv, 1e-12))
-    rows.append(VerifyRow("square-root kernel preserves symmetry", w_sym, 1e-12))
+    g, x, xs = _draw_trials(seed * 1000 + 90, trials, _sym, _mat, _sym)
+    qs = [float((1, 3, -1)[n % 3]) for n in range(trials)]
+    sqrt_r = [make_sqrt_r_kernel(q) for q in qs]
+    dec = _eigendecompose_stack(g)
+    once = _apply(dec, sqrt_r, x)
+    twice = _apply(dec, sqrt_r, once)
+    direct = _apply(dec, [make_r_kernel(q) for q in qs], x)
+    back = _apply(dec, [lambda t, ker=ker: 1.0 / ker(t) for ker in sqrt_r], once)
+    out = _apply(dec, sqrt_r, xs)
+    rows.append(_row("square-root kernel applied twice equals the kernel (rel)",
+                     _rel(twice, direct), 1e-12))
+    rows.append(_row("square-root kernel inverted by its reciprocal (rel)", _rel(back, x), 1e-12))
+    rows.append(_row("square-root kernel preserves symmetry", _norms(out - out.swapaxes(1, 2)),
+                     1e-12))
     return rows
 
 

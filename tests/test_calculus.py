@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from corotcalc import calculus as ca
 from corotcalc import kinematics as ki
@@ -169,6 +171,62 @@ def test_series_reports_max_terms_stop():
     np.testing.assert_allclose(res.value, np.diag([1.75, 1.75]), atol=1e-15)
 
 
+_SERIES_SPECS = {
+    "exp": ca.exp_series_spec(),
+    "log": ca.log_series_spec(),
+    "sigma": ca.sigma_series_spec(),
+    "eta_neg": ca.eta_neg_series_spec(),
+    "sparse, capped": ca.PowerSeriesSpec((0.0, 1.0, 0.0, -0.5, 0.0, 0.25) * 4, max_terms=17),
+}
+
+
+@given(
+    spec=st.sampled_from(sorted(_SERIES_SPECS)),
+    scales=st.lists(st.floats(0.0, 3.5), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_series_match_single_matrix_sums(spec, scales, seed):
+    # per matrix: value, terms_used and stopped_by as if summed alone; a stack
+    # holding a diverging matrix raises, as that matrix alone does
+    spec = _SERIES_SPECS[spec]
+    rng = np.random.default_rng(seed)
+    a = np.array([s * rng.uniform(-1.0, 1.0, (3, 3)) for s in scales])
+    x = rng.uniform(-1.0, 1.0, a.shape)
+    for stacked, single in (
+        (lambda: ca._matfun_series(spec, a), lambda i: ca.matfun_series(spec, a[i])),
+        (lambda: ca._ad_series(spec, a, x), lambda i: ca.f_of_ad_series(spec, a[i], x[i])),
+    ):
+        try:
+            alone = [single(i) for i in range(len(a))]
+        except ca.SeriesDivergenceError:
+            with pytest.raises(ca.SeriesDivergenceError):
+                stacked()
+            continue
+        res = stacked()
+        for i, one in enumerate(alone):
+            assert np.array_equal(res.value[i], one.value)
+            assert res.terms_used[i] == one.terms_used
+            assert res.stopped_by[i] == one.stopped_by
+
+
+def test_stacked_series_raise_on_one_diverging_matrix():
+    spec = ca.log_series_spec()
+    good, bad = 0.1 * np.eye(3), np.diag([1.25, 0.0, 0.0])
+    assert ca.matfun_series(spec, good).stopped_by == "tolerance"
+    with pytest.raises(ca.SeriesDivergenceError):
+        ca.matfun_series(spec, bad)
+    with pytest.raises(ca.SeriesDivergenceError):
+        ca._matfun_series(spec, np.array([good, bad, good]))
+
+
+def test_series_spec_builders_are_cached():
+    for build in (ca.exp_series_spec, ca.log_series_spec, ca.sigma_series_spec,
+                  ca.eta_neg_series_spec):
+        assert build() is build()
+    assert ca.exp_series_spec(scale=2.0) is ca.exp_series_spec(scale=2.0)
+    assert ca.exp_series_spec(scale=2.0) is not ca.exp_series_spec()
+
+
 def test_series_spec_validation():
     with pytest.raises(ValueError):
         ca.PowerSeriesSpec((1.0,), max_terms=0)
@@ -178,6 +236,18 @@ def test_series_spec_validation():
 
 # ---------------------------------------------------------------------------
 # the commutator-kernel operator
+
+
+def test_operator_names_a_named_kernel_without_repr(monkeypatch):
+    def no_repr(self):
+        raise AssertionError("repr called")
+
+    monkeypatch.setattr(type(SIGMA), "__repr__", no_repr)
+    g = np.diag([1.0, 0.5, -0.25])
+    assert ca.SpectralAdOperator.from_matrix(g, SIGMA).kernel_name == "sigma"
+    assert ca.SpectralAdOperator.from_matrix(g, SIGMA, name="s").kernel_name == "s"
+    unnamed = ca.SpectralAdOperator.from_matrix(g, math.exp)
+    assert unnamed.kernel_name == repr(math.exp)
 
 
 def test_f_of_ad_constant_kernel_is_identity_map():

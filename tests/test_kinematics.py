@@ -8,6 +8,7 @@ from corotcalc import kinematics as ki
 from corotcalc import matcore
 from corotcalc.calculus import d_log
 from corotcalc.matcore import (
+    DimensionMismatchError,
     EigenConvergenceError,
     EigenDecomposition,
     NotSpdError,
@@ -661,3 +662,11 @@ def test_field_determinism():
     f2 = ki.polynomial_motion(77)
     for t in (0.0, 0.3, 1.7):
         np.testing.assert_array_equal(f1(t), f2(t))
+
+
+def test_integrate_motion_rejects_f0_of_another_dimension():
+    # the field's L is 3 x 3; checked before any step, not deep in a matmul
+    with pytest.raises(DimensionMismatchError):
+        ki.integrate_motion(ki.simple_shear(1.0), np.eye(2), 2.5, 1e-3)
+    with pytest.raises(DimensionMismatchError):
+        ki.integrate_motion(ki.polynomial_motion(3, dim=2), np.eye(3), 0.1, 1e-2)

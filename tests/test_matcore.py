@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from corotcalc import matcore
 from corotcalc.matcore import (
     EigenConvergenceError,
     EigenDecomposition,
@@ -22,9 +23,21 @@ from corotcalc.matcore import (
     is_symmetric,
     multiply,
     _eigendecompose_stack,
+    _worst,
     skew_part,
     sym_part,
 )
+
+STACK_MIN = matcore._STACK_MIN
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _stacked_solver_for_any_size():
+    """Stacks of every size take the stacked solver in this module, so that the
+    stack tests below check it and not the scalar solver it defers to."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matcore, "_STACK_MIN", 1)
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +402,30 @@ def test_eigen_stack_matches_scalar_on_many_matrices():
     # a member whose squared norm overflows takes the scalar solver's scaled route
     huge = np.array([[1e200, 3e199, 0.0], [3e199, -2e199, 1.0], [0.0, 1.0, 5.0]])
     _assert_stack_matches_scalar(np.array([np.eye(3), huge, _test_matrix(rng, 3, "wide")]))
+
+
+def test_small_stacks_take_the_scalar_solver(monkeypatch):
+    monkeypatch.setattr(matcore, "_STACK_MIN", STACK_MIN)
+    scalar = matcore.eigendecompose_symmetric
+    calls = []
+
+    def counted(s, max_sweeps=matcore.DEFAULT_MAX_SWEEPS):
+        calls.append(1)
+        return scalar(s, max_sweeps)
+
+    monkeypatch.setattr(matcore, "eigendecompose_symmetric", counted)
+    rng = np.random.default_rng(37)
+    for n in (1, 2, STACK_MIN - 1, STACK_MIN):
+        calls.clear()
+        _assert_stack_matches_scalar(np.array([_test_matrix(rng, 3, "generic") for _ in range(n)]))
+        assert len(calls) == (n if n < STACK_MIN else 0)
+
+
+def test_worst_residual_carries_nan():
+    assert _worst([]) == 0.0
+    assert _worst(np.array([0.5, 0.25])) == 0.5
+    assert np.isnan(_worst(np.array([0.5, np.nan, 0.25])))
+    assert np.isnan(_worst([np.nan, 1.0]))
 
 
 def test_eigen_stack_checks_like_scalar_solver():

@@ -263,3 +263,31 @@ def test_equivalence_check_deterministic():
     r1 = mo.equivalence_check(mo.exponential_generator(), 50, 11, 1, 0)
     r2 = mo.equivalence_check(mo.exponential_generator(), 50, 11, 1, 0)
     assert r1 == r2
+
+
+def test_divided_difference_table_stack_uses_each_rows_radius():
+    gen = mo.cube_generator()
+    f, fprime = gen.scalar_generator, gen.derivative_generator
+    # near-coalescing: its own radius 2e-5 keeps the 1e-3 gap a divided difference;
+    # wide: radius 1e-3 makes its 2e-4 gap a midpoint slope
+    rows = np.array([[1.0 + 1e-3, 1.0, -0.5], [100.0, 10.0 + 2e-4, 10.0]])
+    stacked = mo._divided_difference_table(f, fprime, rows)
+    for i, row in enumerate(rows):
+        assert np.array_equal(stacked[i], mo._divided_difference_table(f, fprime, row))
+    a, b = rows[0, :2]
+    assert stacked[0, 0, 1] == (f(a) - f(b)) / (a - b)
+    a, b = rows[1, 1:]
+    assert stacked[1, 1, 2] == fprime(0.5 * (a + b))
+
+
+def test_equivalence_check_carries_a_nan_residual(monkeypatch):
+    dots = mo._dots
+
+    def poisoned(u, v):
+        out = dots(u, v)
+        out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(mo, "_dots", poisoned)
+    rep = mo.equivalence_check(mo.exponential_generator(), 5, 11, 1, 0)
+    assert math.isnan(rep.max_rel_residual)

@@ -260,9 +260,9 @@ def eta_neg_series_spec(terms: int = 64, tol: float = 1e-15) -> PowerSeriesSpec:
     return PowerSeriesSpec(tuple(_eta_coeffs(terms - 1, sign=-1.0)), max_terms=terms, tol=tol)
 
 
-def _sum_series(spec: PowerSeriesSpec, first_term: np.ndarray, advance) -> SeriesResult:
+def _sum_series(spec: PowerSeriesSpec, first_term: np.ndarray, a: np.ndarray, step) -> SeriesResult:
     """Sum f_n * T_n for each matrix of an (N, d, d) stack, where T_0 = first_term
-    and T_n = advance(T_{n-1}, rows) for the matrices ``rows`` still summing.
+    and T_n = step(T_{n-1}, A), A the matrix's own entry of the stack ``a``.
 
     Each matrix has its own stop, growth streak, ``terms_used`` and
     ``stopped_by``, so its sum is the one it has alone.  Zero coefficients
@@ -271,46 +271,49 @@ def _sum_series(spec: PowerSeriesSpec, first_term: np.ndarray, advance) -> Serie
     immediately or never trip the detector).
     """
     coeffs = spec.coefficients
-    acc = coeffs[0] * first_term if coeffs else np.zeros_like(first_term)
-    used = np.full(len(acc), 1 if coeffs else 0)
-    by_tol = np.zeros(len(acc), dtype=bool)
-    streak = np.zeros(len(acc), dtype=int)
-    prev = np.full(len(acc), np.nan)  # no term yet: never "growing"
-    live, cur = np.arange(len(acc)), first_term
+    out = coeffs[0] * first_term if coeffs else np.zeros_like(first_term)
+    used = np.full(len(out), 1 if coeffs else 0)
+    by_tol = np.zeros(len(out), dtype=bool)
+    # the matrices still summing: their rows, partial sums, terms and streaks
+    live, acc, cur, streak = np.arange(len(out)), out.copy(), first_term, np.zeros(len(out))
+    prev = np.full(len(out), np.nan)  # no term yet: never "growing"
     for n in range(1, min(len(coeffs), spec.max_terms)):
-        if not live.size:
-            break
-        cur = advance(cur, live)
+        cur = step(cur, a)
         used[live] = n + 1
         if coeffs[n] == 0.0:
             continue
         term = coeffs[n] * cur
         norm = _norms(term)
-        streak[live] = np.where(norm > prev[live], streak[live] + 1, 0)
-        prev[live] = norm
-        grown = np.flatnonzero(streak[live] >= GROWTH_STREAK_LIMIT)
-        if grown.size:
+        streak = np.where(norm > prev, streak + 1.0, 0.0)
+        if streak.max(initial=0.0) >= GROWTH_STREAK_LIMIT:
             raise SeriesDivergenceError(
                 f"series diverging: {GROWTH_STREAK_LIMIT} consecutive growing terms "
-                f"at term {n} (norm {norm[grown[0]]:.3e})"
+                f"at term {n} (norm {norm[streak >= GROWTH_STREAK_LIMIT][0]:.3e})"
             )
-        acc[live] = acc[live] + term
-        small = norm < spec.tol * (1.0 + _norms(acc[live]))
-        by_tol[live[small]] = True
-        live, cur = live[~small], cur[~small]
+        prev = norm
+        acc += term
+        small = norm < spec.tol * (1.0 + _norms(acc))
+        if small.any():
+            out[live[small]] = acc[small]
+            by_tol[live[small]] = True
+            keep = ~small
+            live, acc, cur, a, streak, prev = (v[keep] for v in (live, acc, cur, a, streak, prev))
+            if not live.size:
+                break
+    out[live] = acc
     stopped_by = ["tolerance" if s else "max_terms" for s in by_tol]
-    return SeriesResult(acc, used.tolist(), stopped_by)
+    return SeriesResult(out, used.tolist(), stopped_by)
 
 
 def _matfun_series(spec: PowerSeriesSpec, a: np.ndarray) -> SeriesResult:
     """``matfun_series`` of each matrix of an (N, d, d) stack."""
-    return _sum_series(spec, np.tile(np.eye(a.shape[-1]), (len(a), 1, 1)),
-                       lambda cur, k: cur @ a[k])
+    first = np.tile(np.eye(a.shape[-1]), (len(a), 1, 1))
+    return _sum_series(spec, first, a, lambda cur, a: cur @ a)
 
 
 def _ad_series(spec: PowerSeriesSpec, a: np.ndarray, x: np.ndarray) -> SeriesResult:
     """``f_of_ad_series`` of each pair of matrices of two (N, d, d) stacks."""
-    return _sum_series(spec, np.array(x), lambda cur, k: a[k] @ cur - cur @ a[k])
+    return _sum_series(spec, np.array(x), a, lambda cur, a: _ad(a, cur))
 
 
 def matfun_series(spec: PowerSeriesSpec, a) -> SeriesResult:

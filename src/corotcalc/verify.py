@@ -73,10 +73,6 @@ def _rel(val, ref, scale=None) -> np.ndarray:
     return _norms(val - ref) / (1.0 + _norms(ref if scale is None else scale))
 
 
-def _spd_solve(a: np.ndarray):
-    return _require_spd(_eigendecompose_stack(a))
-
-
 def _diag(dec, vals) -> np.ndarray:
     """Q diag(vals) Q^T of each matrix of a stacked decomposition."""
     return (dec.q * vals[:, None, :]) @ dec.q.swapaxes(1, 2)
@@ -115,7 +111,7 @@ def _suite_lemma1(seed: int, trials: int) -> list:
 
     s_log, x = _draw_trials(seed * 1000 + 3, trials, _sym, _mat)
     a, dec_s = _spd_exp(s_log)
-    roundtrip = ca._d_log(_spd_solve(a), ca._d_exp(dec_s, x))
+    roundtrip = ca._d_log(_require_spd(_eigendecompose_stack(a)), ca._d_exp(dec_s, x))
     rows.append(_row("log derivative inverts exp derivative (rel)", _rel(roundtrip, x), 1e-10))
 
     a, x = _draw_trials(seed * 1000 + 4, trials, _sym, _mat)
@@ -139,7 +135,7 @@ def _suite_lemma2(seed: int, trials: int) -> list:
     for idx, (p, s) in enumerate(POWER_PAIRS):
         s_log, y = _draw_trials(seed * 1000 + 10 + idx, trials, _sym, _mat)
         a, dec_s = _spd_exp(s_log)
-        dec = _spd_solve(a)
+        dec = _require_spd(_eigendecompose_stack(a))
         sandwiched = _diag(dec, dec.eigenvalues**p) @ y @ _diag(dec, dec.eigenvalues**-s)
         conj = a @ ca._exp_conjugation(dec_s, y, [float(s)] * trials)
         tag = f"(p,s)=({p},{s})"
@@ -160,7 +156,7 @@ def _suite_lemma2(seed: int, trials: int) -> list:
 
 def _gap(a: np.ndarray, x: np.ndarray) -> tuple:
     """``anticommutator_gap`` of each pair of matrices of two stacks."""
-    gap = ca._log_eig_apply(COTH_HALF_X, _spd_solve(a), x) - 2.0 * x
+    gap = ca._log_eig_apply(COTH_HALF_X, _require_spd(_eigendecompose_stack(a)), x) - 2.0 * x
     return _norms(gap), _norms(ca._ad(a, x))
 
 
@@ -188,7 +184,7 @@ def _suite_lemma4(seed: int, trials: int) -> list:
     rows = []
     for idx, (p, s) in enumerate(POWER_PAIRS):
         s_log, x = _draw_trials(seed * 1000 + 30 + idx, trials, _sym, _mat)
-        dec = _spd_solve(_spd_exp(s_log)[0])
+        dec = _require_spd(_eigendecompose_stack(_spd_exp(s_log)[0]))
         ap, am = _diag(dec, dec.eigenvalues**p), _diag(dec, dec.eigenvalues**-s)
         tag = f"(p,s)=({p},{s})"
         for sign, kernel, label in forms:
@@ -233,7 +229,7 @@ def _suite_theorem1(seed: int, trials: int) -> list:
     # random_spd_ratio's draws (exponents, then a frame), then D and W
     u, m, d, w = _draw_trials(seed * 1000 + 60, trials, lambda rng: rng.uniform(-1.5, 1.5, 3), _sym,
                        _sym, lambda rng: random_skew(rng, 3))
-    dec = _spd_solve(_spectral(_eigendecompose_stack(m).q, 10.0**u))
+    dec = _require_spd(_eigendecompose_stack(_spectral(_eigendecompose_stack(m).q, 10.0**u)))
     o_sp = ki._spin(dec, d, w, commutator=False)
     o_co = ki._spin(dec, d, w, commutator=True)
     rows = [_row("spin representations agree: projection sum vs kernel (rel)",

@@ -169,9 +169,8 @@ def _pair_table(fn: Callable[..., float], values, *per_row) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     rows = vals.reshape(-1, vals.shape[-1]).tolist()
     extra = list(zip(*per_row)) if per_row else [()] * len(rows)
-    table = np.array(
-        [[[_checked(fn, a, b, *e) for b in row] for a in row] for row, e in zip(rows, extra)]
-    )
+    entries = (_checked(fn, a, b, *e) for row, e in zip(rows, extra) for a in row for b in row)
+    table = np.fromiter(entries, float, vals.size * vals.shape[-1])
     return table.reshape(vals.shape + vals.shape[-1:])
 
 
@@ -230,20 +229,20 @@ class PowerSeriesSpec:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # bounded: callers may pass any scale, terms and tol
 def exp_series_spec(scale: float = 1.0, terms: int = 96, tol: float = 1e-15) -> PowerSeriesSpec:
     """Series of e^(scale*x): coefficients scale^n / n!."""
     return PowerSeriesSpec(tuple(_exp_coeffs(scale, terms - 1)), max_terms=terms, tol=tol)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def log_series_spec(terms: int = 160, tol: float = 1e-15) -> PowerSeriesSpec:
     """Series of ln(1+u): (-1)^(n+1) u^n / n, converging for |u| < 1."""
     c = [0.0] + [(-1.0) ** (n + 1) / n for n in range(1, terms)]
     return PowerSeriesSpec(tuple(c), max_terms=terms, tol=tol)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def sigma_series_spec(terms: int = 40, tol: float = 1e-15) -> PowerSeriesSpec:
     """Series of coth(x) - 1/x, converging for |x| < pi.
 
@@ -254,7 +253,7 @@ def sigma_series_spec(terms: int = 40, tol: float = 1e-15) -> PowerSeriesSpec:
     return PowerSeriesSpec(tuple(_sigma_coeffs(terms - 1)), max_terms=terms, tol=tol)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def eta_neg_series_spec(terms: int = 64, tol: float = 1e-15) -> PowerSeriesSpec:
     """Series of (1 - e^-x)/x: (-1)^n x^n / (n+1)!."""
     return PowerSeriesSpec(tuple(_eta_coeffs(terms - 1, sign=-1.0)), max_terms=terms, tol=tol)

@@ -223,6 +223,7 @@ def test_series_spec_builders_are_cached():
     for build in (ca.exp_series_spec, ca.log_series_spec, ca.sigma_series_spec,
                   ca.eta_neg_series_spec):
         assert build() is build()
+        assert build.cache_info().maxsize is not None  # any scale, terms or tol: bounded
     assert ca.exp_series_spec(scale=2.0) is ca.exp_series_spec(scale=2.0)
     assert ca.exp_series_spec(scale=2.0) is not ca.exp_series_spec()
 

@@ -227,8 +227,8 @@ def _suite_lemma6(seed: int, trials: int) -> list:
 
 def _suite_theorem1(seed: int, trials: int) -> list:
     # random_spd_ratio's draws (exponents, then a frame), then D and W
-    u, m, d, w = _draw_trials(seed * 1000 + 60, trials, lambda rng: rng.uniform(-1.5, 1.5, 3), _sym,
-                       _sym, lambda rng: random_skew(rng, 3))
+    u, m, d, w = _draw_trials(seed * 1000 + 60, trials, lambda rng: rng.uniform(-1.5, 1.5, 3),
+                              _sym, _sym, lambda rng: random_skew(rng, 3))
     dec = _require_spd(_eigendecompose_stack(_spectral(_eigendecompose_stack(m).q, 10.0**u)))
     o_sp = ki._spin(dec, d, w, commutator=False)
     o_co = ki._spin(dec, d, w, commutator=True)

@@ -57,7 +57,7 @@ class VerifyRow:
 
 
 # ---------------------------------------------------------------------------
-# the trial-stack driver: draw, solve, reduce
+# shared by the suites: draw the trials, solve them as stacks, reduce each row
 
 
 _mat = partial(random_matrix, dim=3)

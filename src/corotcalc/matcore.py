@@ -43,9 +43,10 @@ DEFAULT_SYM_TOL = 1e-10
 DEFAULT_EIG_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 64
 _HALF_MAX = np.finfo(float).max / 2  # the sum of two entries below this is finite
-# Stacks of fewer matrices go to the scalar solver: at d = 3 a stacked solve
-# costs about 1 ms whatever its size, a scalar one 60 to 110 us.
-_STACK_MIN = 8
+# Stacks of fewer matrices go to the scalar solver.  At d = 3 (2-core Xeon) a
+# stacked solve took 0.9 ms for one matrix, 1.7 ms for 16 and 2.2 ms for 200;
+# the scalar solver 80 to 100 us a matrix, so the two meet at about 16.
+_STACK_MIN = 16
 
 
 class MatrixValidationError(ValueError):

@@ -33,9 +33,10 @@ from .scalarfun import (
     COTH_HALF_X,
     ETA_NEG,
     ETA_NEG_RECIP,
-    _eta_coeffs,
-    _exp_coeffs,
-    _sigma_coeffs,
+    _eta_series,
+    _exp_series,
+    _log1p_series,
+    _sigma_series,
     make_r_kernel,
     make_sandwich_kernel,
     make_sinh_ratio_kernel,
@@ -231,15 +232,21 @@ class PowerSeriesSpec:
 
 @lru_cache(maxsize=64)  # bounded: callers may pass any scale, terms and tol
 def exp_series_spec(scale: float = 1.0, terms: int = 96, tol: float = 1e-15) -> PowerSeriesSpec:
-    """Series of e^(scale*x): coefficients scale^n / n!."""
-    return PowerSeriesSpec(tuple(_exp_coeffs(scale, terms - 1)), max_terms=terms, tol=tol)
+    """Series of e^(scale*x): coefficients scale^n / n!.
+
+    A scale that is not finite, or whose coefficients leave the float range,
+    raises ValueError.
+    """
+    try:
+        return PowerSeriesSpec(tuple(_exp_series(scale, terms - 1)), max_terms=terms, tol=tol)
+    except OverflowError:
+        raise ValueError(f"exp series of scale {scale!r} leaves the float range") from None
 
 
 @lru_cache(maxsize=64)
 def log_series_spec(terms: int = 160, tol: float = 1e-15) -> PowerSeriesSpec:
     """Series of ln(1+u): (-1)^(n+1) u^n / n, converging for |u| < 1."""
-    c = [0.0] + [(-1.0) ** (n + 1) / n for n in range(1, terms)]
-    return PowerSeriesSpec(tuple(c), max_terms=terms, tol=tol)
+    return PowerSeriesSpec(tuple(_log1p_series(terms - 1)), max_terms=terms, tol=tol)
 
 
 @lru_cache(maxsize=64)
@@ -250,13 +257,13 @@ def sigma_series_spec(terms: int = 40, tol: float = 1e-15) -> PowerSeriesSpec:
     """
     if terms > 40:
         raise ValueError("sigma series is limited to 40 terms by the Bernoulli table")
-    return PowerSeriesSpec(tuple(_sigma_coeffs(terms - 1)), max_terms=terms, tol=tol)
+    return PowerSeriesSpec(tuple(_sigma_series(terms - 1)), max_terms=terms, tol=tol)
 
 
 @lru_cache(maxsize=64)
 def eta_neg_series_spec(terms: int = 64, tol: float = 1e-15) -> PowerSeriesSpec:
     """Series of (1 - e^-x)/x: (-1)^n x^n / (n+1)!."""
-    return PowerSeriesSpec(tuple(_eta_coeffs(terms - 1, sign=-1.0)), max_terms=terms, tol=tol)
+    return PowerSeriesSpec(tuple(_eta_series(-1, terms - 1)), max_terms=terms, tol=tol)
 
 
 def _sum_series(spec: PowerSeriesSpec, first_term: np.ndarray, a: np.ndarray, step) -> SeriesResult:

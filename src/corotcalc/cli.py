@@ -1,4 +1,4 @@
-"""Command-line surface: spin computation, verification, simulation, benchmarks.
+"""Command-line surface: spin computation, verification and simulation.
 
 Exit codes: 0 success; 1 a verification row failed; 2 malformed input (bad
 JSON or payload, non-symmetric D, non-skew W, a malformed flag, config
@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,10 +34,8 @@ from .matcore import (
     SkewMatrix,
     SpdMatrix,
     SymMatrix,
-    eigendecompose_symmetric,
     frobenius_norm,
 )
-from .sampling import make_rng, random_skew, random_spd_ratio, random_symmetric
 from .verify import SUITE_NAMES, run_suites
 
 EXIT_OK = 0
@@ -70,8 +67,8 @@ def _config_items(text: str) -> dict:
 
 @dataclass
 class RunConfig:
-    """The keys of a ``--config`` file, at the command-line defaults (``bench``
-    alone seeds at 7); round-trips losslessly through key=value text."""
+    """The keys of a ``--config`` file, at the command-line defaults; round-trips
+    losslessly through key=value text."""
 
     seed: int = 42
     dim: int = 3
@@ -117,8 +114,6 @@ _finite = _checked(float, math.isfinite, "a finite number")
 _finites = _checked(lambda text: tuple(map(float, text.split(","))),
                     lambda xs: all(map(math.isfinite, xs)), "finite numbers a,b,...")
 _count = _checked(int, lambda n: n >= 1, "a positive integer")
-_dims = _checked(lambda text: list(map(int, text.split(","))),
-                 lambda dims: all(1 <= d <= 16 for d in dims), "dimensions a,b,... in [1, 16]")
 
 
 def _seed(scale: int, offset: int):
@@ -285,38 +280,6 @@ def cmd_simulate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def cmd_bench(args) -> int:
-    print(f"{'dim':>4} {'spectral us':>14} {'commutator us':>14} {'max discrepancy':>18}")
-    for dim in args.dims:
-        rng = make_rng(args.seed + dim)
-        cases = []
-        for _ in range(args.trials):
-            b = random_spd_ratio(rng, dim)
-            d = random_symmetric(rng, dim)
-            w = random_skew(rng, dim)
-            cases.append((b, d, w, eigendecompose_symmetric(b)))
-        t0 = time.perf_counter()
-        spectral = [
-            ki.log_spin_spectral(b, d, w, decomposition=dec) for b, d, w, dec in cases
-        ]
-        t_spectral = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        commutator = [
-            ki.log_spin_commutator(b, d, w, decomposition=dec) for b, d, w, dec in cases
-        ]
-        t_commutator = time.perf_counter() - t0
-        disc = max(frobenius_norm(a - b_) for a, b_ in zip(spectral, commutator))
-        print(
-            f"{dim:>4} {1e6 * t_spectral / args.trials:>14.1f} "
-            f"{1e6 * t_commutator / args.trials:>14.1f} {_fmt(disc):>18}"
-        )
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # parser
 
 
@@ -367,12 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dim", type=_count, default=cfg.dim)
     p_sim.add_argument("--out", dest="output_path", default=cfg.output_path,
                        help="output CSV path")
-
-    p_bench = command("bench", cmd_bench, "time the two spin assemblies")
-    p_bench.add_argument("--dims", type=_dims, default="3,5,8")
-    p_bench.add_argument("--trials", type=_count, default=1000)
-    # the fixtures are keyed by seed + dim
-    p_bench.add_argument("--seed", type=_seed(1, 16), default=7)
 
     return parser
 

@@ -16,7 +16,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,7 +32,7 @@ from .matcore import (
     skew_part,
 )
 from .sampling import make_rng
-from .scalarfun import SIGMA
+from .scalarfun import SIGMA, _div, _log1p_series
 
 __all__ = [
     "IntegrationAbort",
@@ -79,22 +78,9 @@ class IntegrationAbort(RuntimeError):
 
 _SPIN_SERIES_DEGREE = 28
 _SPIN_SERIES_SWITCH = 0.25
-
-
-def _spin_series_coeffs() -> list:
-    degree = _SPIN_SERIES_DEGREE
-    num = [Fraction((-1) ** (j + 1), j + 2) for j in range(degree + 1)]
-    den = [Fraction((-1) ** j, j + 1) for j in range(degree + 1)]
-    out = [Fraction(0)] * (degree + 1)
-    for k in range(degree + 1):
-        acc = num[k]
-        for j in range(1, k + 1):
-            acc -= den[j] * out[k - j]
-        out[k] = acc / den[0]
-    return [float(c) for c in out]
-
-
-_SPIN_SERIES = _spin_series_coeffs()
+# Q(u) as (ln(1+u) - u)/u^2 over ln(1+u)/u: the ln(1+u) series shifted two and one powers
+_LOG1P = _log1p_series(_SPIN_SERIES_DEGREE + 2)
+_SPIN_SERIES = [float(c) for c in _div(_LOG1P[2:], _LOG1P[1:])]
 
 
 def _pair_coefficient(b_i: float, b_j: float) -> float:

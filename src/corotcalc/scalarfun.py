@@ -1,10 +1,16 @@
-"""Scalar kernels with Bernoulli-series fallbacks near the origin.
+"""Scalar kernels with exact-series fallbacks near the origin.
 
 Every kernel here is total on the real line.  The removable singularities
 (quotients whose numerator and denominator both vanish at zero) are bridged
-by truncated Taylor polynomials whose coefficients come from the exact
-rational Bernoulli recurrence, so the series carry no floating-point drift
-beyond the final rounding of each coefficient.
+by truncated Taylor polynomials.  All their coefficient tables, and the
+series of ``calculus`` and ``kinematics``, come from one exact toolkit:
+truncated power series as lists of ``Fraction``, built from three base series
+(the Bernoulli series (s x)/(e^(s x) - 1), e^(s x) and ln(1 + u), for
+rational s) by product, quotient and the square root of a series with
+constant term 1.  Each coefficient is rounded to float once, at the end, so
+the series carry no floating-point drift beyond that rounding.  The square
+root of the r kernel is sqrt(2) sqrt(r/2): its exact coefficients are
+rounded, then multiplied by the float sqrt(2).
 
 The switch radius and truncation degree are chosen so that the direct and
 series branches agree to well below 1e-12 across the whole hand-over ring
@@ -68,38 +74,54 @@ def bernoulli(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# truncated power-series helpers (dense coefficient lists, index = power)
+# exact truncated power series: lists of Fractions, index = power, each
+# operation truncated to the length of its first operand
 
 
-def _poly_mul(a: list, b: list, degree: int) -> list:
-    out = [0.0] * (degree + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > degree:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > degree:
-                break
-            if bj != 0:
-                out[i + j] += ai * bj
+def _bernoulli_series(s, degree: int) -> list:
+    """(s x)/(e^(s x) - 1) = sum B_n s^n x^n / n!."""
+    s = Fraction(s)
+    return [bernoulli(n) * s**n / math.factorial(n) for n in range(degree + 1)]
+
+
+def _exp_series(s, degree: int) -> list:
+    """e^(s x) = sum s^n x^n / n!."""
+    s = Fraction(s)
+    return [s**n / math.factorial(n) for n in range(degree + 1)]
+
+
+def _log1p_series(degree: int) -> list:
+    """ln(1 + u) = sum_{n >= 1} (-1)^(n+1) u^n / n."""
+    return [Fraction(0)] + [Fraction((-1) ** (n + 1), n) for n in range(1, degree + 1)]
+
+
+def _mul(a: list, b: list) -> list:
+    """The product a b."""
+    return [sum((a[i] * b[k - i] for i in range(k + 1) if a[i] and b[k - i]), Fraction(0))
+            for k in range(len(a))]
+
+
+def _div(a: list, b: list) -> list:
+    """a / b for b[0] != 0."""
+    out = []
+    for k in range(len(a)):
+        acc = sum(b[j] * out[k - j] for j in range(1, k + 1) if b[j] and out[k - j])
+        out.append((a[k] - acc) / b[0])
     return out
 
 
-def _poly_sqrt(a: list, degree: int) -> list:
-    """Formal square root of a series with positive constant term."""
-    if a[0] <= 0:
-        raise ValueError("series square root needs a positive constant term")
-    out = [0.0] * (degree + 1)
-    out[0] = math.sqrt(a[0])
-    for k in range(1, degree + 1):
-        acc = a[k] if k < len(a) else 0.0
-        for j in range(1, k):
-            acc -= out[j] * out[k - j]
-        out[k] = acc / (2.0 * out[0])
+def _sqrt(a: list) -> list:
+    """Square root of a series with constant term 1."""
+    out = [Fraction(1)]
+    for k in range(1, len(a)):
+        acc = sum(out[j] * out[k - j] for j in range(1, k) if out[j] and out[k - j])
+        out.append((a[k] - acc) / 2)
     return out
 
 
 def _pairs(coeffs: list) -> tuple:
-    return tuple((p, c) for p, c in enumerate(coeffs) if c != 0.0)
+    """(power, coefficient) of the nonzero terms, each rounded once to float."""
+    return tuple((p, float(c)) for p, c in enumerate(coeffs) if c)
 
 
 @dataclass(frozen=True)
@@ -133,101 +155,32 @@ class ScalarKernel:
 
 
 # ---------------------------------------------------------------------------
-# coefficient tables (exact rationals rounded once to float)
+# coefficient tables, from B(x) = x/(e^x - 1) and e^x at rational scales
 
 
-def _sigma_coeffs(degree: int = TAYLOR_DEGREE) -> list:
-    # coth x - 1/x = sum_{n>=1} 4^n B_{2n} x^{2n-1} / (2n)!
-    c = [0.0] * (degree + 1)
-    n = 1
-    while 2 * n - 1 <= degree:
-        c[2 * n - 1] = float(Fraction(4**n) * bernoulli(2 * n) / math.factorial(2 * n))
-        n += 1
-    return c
+def _sigma_series(degree: int) -> list:
+    # coth x - 1/x = (B(2x) - 1)/x + 1
+    return [Fraction(0)] + _bernoulli_series(2, degree + 1)[2:]
 
 
-def _coth_half_x_coeffs(degree: int = TAYLOR_DEGREE) -> list:
-    # coth(x/2) * x = 2 + sum_{n>=1} 2 B_{2n} x^{2n} / (2n)!
-    c = [0.0] * (degree + 1)
-    c[0] = 2.0
-    n = 1
-    while 2 * n <= degree:
-        c[2 * n] = float(2 * bernoulli(2 * n) / math.factorial(2 * n))
-        n += 1
-    return c
+def _eta_series(s, degree: int) -> list:
+    # (e^(s x) - 1)/(s x); s = -1 gives (1 - e^-x)/x
+    s = Fraction(s)
+    return [c / s for c in _exp_series(s, degree + 1)[1:]]
 
 
-def _gamma_coeffs(degree: int = TAYLOR_DEGREE) -> list:
-    # (coth(x/2) x - 2) / x^2: the coth_half_x series shifted down two powers.
-    c = [0.0] * (degree + 1)
-    n = 1
-    while 2 * n - 2 <= degree:
-        c[2 * n - 2] = float(2 * bernoulli(2 * n) / math.factorial(2 * n))
-        n += 1
-    return c
+# x coth(x/2) = 2 B(x) + x, two powers longer for gamma's shift
+_COTH_HALF_X_SERIES = [2 * c for c in _bernoulli_series(1, TAYLOR_DEGREE + 2)]
+_COTH_HALF_X_SERIES[1] += 1
+# (x/2)/sinh(x/2) = B(x) e^(x/2)
+_HALF_X_OVER_SINH = _mul(_bernoulli_series(1, TAYLOR_DEGREE), _exp_series(0.5, TAYLOR_DEGREE))
 
 
-def _eta_coeffs(degree: int = TAYLOR_DEGREE, sign: float = 1.0) -> list:
-    # (e^x - 1)/x = sum x^n / (n+1)!; sign=-1 gives the series of (1-e^-x)/x.
-    return [float(sign**n * Fraction(1, math.factorial(n + 1))) for n in range(degree + 1)]
-
-
-def _eta_neg_recip_coeffs(degree: int = TAYLOR_DEGREE) -> list:
-    # x/(1 - e^-x) = sum B_n (-x)^n / n! = 1 + x/2 + sum B_{2k} x^{2k}/(2k)!
-    return [
-        float(bernoulli(n) * Fraction((-1) ** n, math.factorial(n)))
-        for n in range(degree + 1)
-    ]
-
-
-def _exp_coeffs(scale: float, degree: int = TAYLOR_DEGREE) -> list:
-    c = [1.0]
-    for n in range(1, degree + 1):
-        c.append(c[-1] * scale / n)
-    return c
-
-
-def _cosh_coeffs(scale: float, degree: int = TAYLOR_DEGREE) -> list:
-    c = [0.0] * (degree + 1)
-    k = 0
-    while 2 * k <= degree:
-        c[2 * k] = scale ** (2 * k) / math.factorial(2 * k)
-        k += 1
-    return c
-
-
-def _sinhc_coeffs(scale: float, degree: int = TAYLOR_DEGREE) -> list:
-    # sinh(scale*x)/(scale*x)
-    c = [0.0] * (degree + 1)
-    k = 0
-    while 2 * k <= degree:
-        c[2 * k] = scale ** (2 * k) / math.factorial(2 * k + 1)
-        k += 1
-    return c
-
-
-def _y_over_sinh_coeffs(scale: float, degree: int = TAYLOR_DEGREE) -> list:
-    # (scale*x)/sinh(scale*x) = sum (2 - 4^k) B_{2k} (scale*x)^{2k} / (2k)!
-    c = [0.0] * (degree + 1)
-    k = 0
-    while 2 * k <= degree:
-        c[2 * k] = float((2 - 4**k) * bernoulli(2 * k) / math.factorial(2 * k)) * scale ** (
-            2 * k
-        )
-        k += 1
-    return c
-
-
-def _r_coeffs(q: float, degree: int = TAYLOR_DEGREE) -> list:
-    # cosh(q x / 2) / sinh(x / 2) * x = 2 cosh(q x / 2) * [(x/2)/sinh(x/2)]
-    prod = _poly_mul(_cosh_coeffs(q / 2.0, degree), _y_over_sinh_coeffs(0.5, degree), degree)
-    return [2.0 * c for c in prod]
-
-
-def _sinh_ratio_coeffs(q: float, degree: int = TAYLOR_DEGREE) -> list:
-    # sinh(q x / 2)/sinh(x / 2) * x = q x * sinhc(q x/2) * [(x/2)/sinh(x/2)]
-    prod = _poly_mul(_sinhc_coeffs(q / 2.0, degree), _y_over_sinh_coeffs(0.5, degree), degree)
-    return [0.0] + [q * c for c in prod[:degree]]
+@lru_cache(maxsize=None)
+def _ratio_series(q: float, sign: int) -> list:
+    # (e^(q x/2) + sign e^(-q x/2)) (x/2)/sinh(x/2): r_q for sign 1, sinh_ratio_q for -1
+    up, down = _exp_series(q / 2, TAYLOR_DEGREE), _exp_series(-q / 2, TAYLOR_DEGREE)
+    return _mul([u + sign * d for u, d in zip(up, down)], _HALF_X_OVER_SINH)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +211,15 @@ def _coth_half_x_direct(x: float) -> float:
     return x / math.tanh(0.5 * x)
 
 
-SIGMA = ScalarKernel("sigma", _sigma_direct, _pairs(_sigma_coeffs()), parity="odd")
-GAMMA = ScalarKernel("gamma", _gamma_direct, _pairs(_gamma_coeffs()), parity="even")
-ETA = ScalarKernel("eta", _eta_direct, _pairs(_eta_coeffs()))
-ETA_NEG = ScalarKernel("eta_neg", _eta_neg_direct, _pairs(_eta_coeffs(sign=-1.0)))
+SIGMA = ScalarKernel("sigma", _sigma_direct, _pairs(_sigma_series(TAYLOR_DEGREE)), parity="odd")
+GAMMA = ScalarKernel("gamma", _gamma_direct, _pairs(_COTH_HALF_X_SERIES[2:]), parity="even")
+ETA = ScalarKernel("eta", _eta_direct, _pairs(_eta_series(1, TAYLOR_DEGREE)))
+ETA_NEG = ScalarKernel("eta_neg", _eta_neg_direct, _pairs(_eta_series(-1, TAYLOR_DEGREE)))
 ETA_NEG_RECIP = ScalarKernel(
-    "eta_neg_recip", _eta_neg_recip_direct, _pairs(_eta_neg_recip_coeffs())
+    "eta_neg_recip", _eta_neg_recip_direct, _pairs(_bernoulli_series(-1, TAYLOR_DEGREE))
 )
 COTH_HALF_X = ScalarKernel(
-    "coth_half_times_x", _coth_half_x_direct, _pairs(_coth_half_x_coeffs()), parity="even"
+    "coth_half_times_x", _coth_half_x_direct, _pairs(_COTH_HALF_X_SERIES[:-2]), parity="even"
 )
 
 
@@ -312,7 +265,7 @@ def make_r_kernel(q: float) -> ScalarKernel:
             ax, aq = abs(x), abs(_q)
             return ax * math.exp(0.5 * (aq - 1) * ax) * (1 + math.exp(-aq * ax)) / -math.expm1(-ax)
 
-    return ScalarKernel(f"r[q={q:g}]", direct, _pairs(_r_coeffs(q)), parity="even")
+    return ScalarKernel(f"r[q={q:g}]", direct, _pairs(_ratio_series(q, 1)), parity="even")
 
 
 @lru_cache(maxsize=None)
@@ -329,7 +282,7 @@ def make_sinh_ratio_kernel(q: float) -> ScalarKernel:
             return x * growth * math.expm1(-aq * ax) / math.expm1(-ax)
 
     return ScalarKernel(
-        f"sinh_ratio[q={q:g}]", direct, _pairs(_sinh_ratio_coeffs(q)), parity="odd"
+        f"sinh_ratio[q={q:g}]", direct, _pairs(_ratio_series(q, -1)), parity="odd"
     )
 
 
@@ -352,7 +305,7 @@ def make_sandwich_kernel(s: float) -> ScalarKernel:
     def direct(x: float, _s=s) -> float:
         return math.exp(_s * x) * x / (-math.expm1(-x))
 
-    coeffs = _poly_mul(_exp_coeffs(s), _eta_neg_recip_coeffs(), TAYLOR_DEGREE)
+    coeffs = _mul(_exp_series(s, TAYLOR_DEGREE), _bernoulli_series(-1, TAYLOR_DEGREE))
     return ScalarKernel(f"sandwich[s={s:g}]", direct, _pairs(coeffs))
 
 
@@ -371,13 +324,11 @@ def make_sqrt_r_kernel(q: float) -> ScalarKernel:
     def direct(x: float, _r=r_ker) -> float:
         return math.sqrt(_r.direct_eval(x))
 
-    coeffs = _poly_sqrt(_r_coeffs(q), TAYLOR_DEGREE)
-    # Formal sqrt of an even series keeps only even powers; drop rounding dust.
-    coeffs = [c if p % 2 == 0 else 0.0 for p, c in enumerate(coeffs)]
+    # sqrt(2) sqrt(r_q/2), whose exact series has constant term 1
+    half = _pairs(_sqrt([c / 2 for c in _ratio_series(q, 1)]))
+    taylor = tuple((p, c * math.sqrt(2.0)) for p, c in half)
     radius = min(SWITCH_RADIUS, 0.4 / max(1.0, abs(q)))
-    return ScalarKernel(
-        f"sqrt_r[q={q:g}]", direct, _pairs(coeffs), switch_radius=radius, parity="even"
-    )
+    return ScalarKernel(f"sqrt_r[q={q:g}]", direct, taylor, switch_radius=radius, parity="even")
 
 
 def r_kernel(q: float, x: float) -> float:

@@ -228,6 +228,16 @@ def test_series_spec_builders_are_cached():
     assert ca.exp_series_spec(scale=2.0) is not ca.exp_series_spec()
 
 
+@pytest.mark.parametrize("scale", [1e5, -1e5, math.inf, math.nan])
+def test_exp_series_spec_rejects_a_scale_beyond_the_float_range(scale):
+    # exact coefficients scale^n / n! that no float holds
+    with pytest.raises(ValueError):
+        ca.exp_series_spec(scale=scale)
+    with pytest.raises(ValueError):
+        ca.exp_conjugation(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2), s=scale,
+                           method="series")
+
+
 def test_series_spec_validation():
     with pytest.raises(ValueError):
         ca.PowerSeriesSpec((1.0,), max_terms=0)

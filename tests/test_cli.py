@@ -7,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 
-from corotcalc import cli
 from corotcalc.cli import RunConfig, main
 from corotcalc.matcore import Matrix
 from corotcalc.sampling import make_rng, random_skew, random_spd_ratio, random_symmetric
@@ -279,32 +278,6 @@ def test_simulate_bad_input_exit_2_as_console_script(case, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-# ---------------------------------------------------------------------------
-# bench
-
-
-def test_bench_discrepancy_column(capsys):
-    assert main(["bench", "--dims", "3,5", "--trials", "50", "--seed", "7"]) == 0
-    out = capsys.readouterr().out
-    rows = [line.split() for line in out.strip().splitlines()[1:]]
-    for row in rows:
-        assert float(row[3]) <= 1e-10
-
-
-def test_bench_rejects_large_dims(capsys):
-    with pytest.raises(SystemExit) as ei:
-        main(["bench", "--dims", "3,17", "--trials", "5"])
-    assert ei.value.code == 2
-
-
-def test_bench_smoke_ten_thousand_trials(capsys):
-    import time
-
-    t0 = time.perf_counter()
-    assert main(["bench", "--dims", "3", "--trials", "10000", "--seed", "7"]) == 0
-    assert time.perf_counter() - t0 < 10.0
-
-
 def test_verify_failure_exit_1(capsys, monkeypatch):
     # force a failing row to exercise the failure exit path and its message
     from corotcalc import cli as cli_mod
@@ -348,9 +321,6 @@ MALFORMED = {
     "kappa nan": (["simulate", "--kappa", "nan"], None, None),
     "rates not numbers": (["simulate", "--motion", "pure_stretch", "--rates", "a"], None, None),
     "rates inf": (["simulate", "--rates", "1,inf"], None, None),
-    "bench dims not numbers": (["bench", "--dims", "x"], None, None),
-    "bench trials zero": (["bench", "--trials", "0"], None, None),
-    "bench seed key overflow": (["bench", "--seed", str(2**64 - 3)], None, None),
     "verify seed negative": (["verify", "--seed=-1"], None, None),
     "verify seed key overflow": (["verify", "--seed", str(2**64 // 1000 + 1)], None, None),
     "verify trials zero": (["verify", "--trials", "0"], None, None),
@@ -359,8 +329,8 @@ MALFORMED = {
     "config dt zero": (["simulate", "--config", "{cfg}"], "dt=0\n", None),
     "config seed negative": (["verify", "--config", "{cfg}"], "seed=-1\n", None),
     "config unknown key": (["verify", "--config", "{cfg}"], "sed=3\n", None),
-    "config not key=value": (["bench", "--config", "{cfg}"], "seed 3\n", None),
-    "config missing": (["bench", "--config", "{input}.missing"], None, None),
+    "config not key=value": (["simulate", "--config", "{cfg}"], "seed 3\n", None),
+    "config missing": (["simulate", "--config", "{input}.missing"], None, None),
     "env tol not a number": (["spin", "--input", "{input}"], None, "abc"),
     "env tol zero": (["spin", "--input", "{input}"], None, "0"),
 }
@@ -430,22 +400,16 @@ def test_config_file_beats_env_tol(tmp_path, capsys, monkeypatch):
     assert main(["spin", "--input", str(path), "--config", str(cfg), "--tol", "1e-5"]) == 0
 
 
-def test_config_without_seed_leaves_bench_seed_default(tmp_path, capsys, monkeypatch):
-    keys = []
-    real = cli.make_rng
-
-    def spy(key):
-        keys.append(key)
-        return real(key)
-
-    monkeypatch.setattr(cli, "make_rng", spy)
+def test_config_without_seed_leaves_seed_default(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("dim=5\n")
-    assert main(["bench", "--dims", "3", "--trials", "2", "--config", str(cfg)]) == 0
-    assert keys == [7 + 3]
-    cfg.write_text("seed=11\n")
-    assert main(["bench", "--dims", "3", "--trials", "2", "--config", str(cfg)]) == 0
-    assert keys == [7 + 3, 11 + 3]
+    argv = ["simulate", "--motion", "polynomial", "--config", str(cfg)]
+    cfg.write_text("t_end=0.01\n")
+    assert main(argv) == 0
+    assert "polynomial(seed=42," in capsys.readouterr().out
+    cfg.write_text("t_end=0.01\nseed=11\n")
+    assert main(argv) == 0
+    assert "polynomial(seed=11," in capsys.readouterr().out
 
 
 def test_old_config_with_empty_output_path_writes_default(tmp_path, monkeypatch, capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from corotcalc import scalarfun as sf
 
@@ -270,3 +272,87 @@ def test_taylor_power_parity_consistent(kernel):
         pytest.skip("no parity declared")
     rem = 0 if kernel.parity == "even" else 1
     assert all(p % 2 == rem for p, _ in kernel.taylor)
+
+
+
+# ---------------------------------------------------------------------------
+# every Taylor table against a 60-digit oracle, and parity to the bit
+
+
+def _oracle_cases() -> dict:
+    """{name: (float coefficients by power, n -> exact coefficients 0..n, ulps)}."""
+    import mpmath as mp
+
+    from corotcalc import calculus as ca
+    from corotcalc import kinematics as ki
+
+    def dense(kernel):
+        out = [0.0] * (sf.TAYLOR_DEGREE + 1)
+        for p, c in kernel.taylor:
+            out[p] = c
+        return out
+
+    def taylor(form):
+        # coefficients 1..n+1 of x form(x): mpmath takes a singular constant
+        # term from one evaluation near 0, too close for gamma's cancellation
+        return lambda n: mp.taylor(lambda x: x * form(x), 0, n + 1, singular=True)[1:]
+
+    def ratio(top, q):
+        return lambda x: top(q * x / 2) / mp.sinh(x / 2) * x
+
+    kernels = [
+        (sf.SIGMA, lambda x: mp.coth(x) - 1 / x),
+        (sf.GAMMA, lambda x: (x * mp.coth(x / 2) - 2) / x**2),
+        (sf.ETA, lambda x: mp.expm1(x) / x),
+        (sf.ETA_NEG, lambda x: -mp.expm1(-x) / x),
+        (sf.ETA_NEG_RECIP, lambda x: x / -mp.expm1(-x)),
+        (sf.COTH_HALF_X, lambda x: x * mp.coth(x / 2)),
+    ]
+    kernels += [(sf.make_r_kernel(q), ratio(mp.cosh, q)) for q in (0.0, 1.0, 2.0, 3.0, -1.0)]
+    kernels += [(sf.make_sinh_ratio_kernel(q), ratio(mp.sinh, q)) for q in (0.0, 1.0, 2.0, 3.0)]
+    kernels += [(sf.make_sandwich_kernel(s), lambda x, s=s: x * mp.exp(s * x) / -mp.expm1(-x))
+                for s in (0.0, 1.0, -1.0, 2.0)]
+    cases = {k.name: (dense(k), taylor(f), 0) for k, f in kernels}
+    for q in (1.0, 3.0, -1.0):
+        k = sf.make_sqrt_r_kernel(q)
+        cases[k.name] = (dense(k), taylor(lambda x, q=q: mp.sqrt(ratio(mp.cosh, q)(x))), 1)
+    cases["spin series"] = (ki._SPIN_SERIES,
+                            taylor(lambda u: (mp.log1p(u) - u) / (u * mp.log1p(u))), 0)
+    cases["sigma spec"] = (ca.sigma_series_spec().coefficients,
+                           taylor(lambda x: mp.coth(x) - 1 / x), 0)
+    cases["eta_neg spec"] = (ca.eta_neg_series_spec().coefficients,
+                             taylor(lambda x: -mp.expm1(-x) / x), 0)
+    cases["exp spec"] = (ca.exp_series_spec().coefficients,
+                         lambda n: [1 / mp.factorial(k) for k in range(n + 1)], 0)
+    cases["log spec"] = (ca.log_series_spec().coefficients,
+                         lambda n: [mp.mpf(0)] + [mp.mpf((-1) ** (k + 1)) / k
+                                                  for k in range(1, n + 1)], 0)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_oracle_cases()))
+def test_taylor_coefficients_are_correctly_rounded(name):
+    # Each coefficient is the float nearest the exact one; sqrt_r's within
+    # 1 ulp, being rounded and then scaled by sqrt(2).  A coefficient the
+    # table holds as zero must vanish at the oracle's precision.
+    import mpmath as mp
+
+    got, exact, ulps = _oracle_cases()[name]
+    with mp.workdps(60):
+        ref = exact(len(got) - 1)
+        for n, (c, e) in enumerate(zip(got, ref)):
+            if c == 0.0:
+                assert abs(e) < mp.mpf(10) ** -60, (n, e)
+            else:
+                assert abs(c - float(e)) <= ulps * math.ulp(c), (n, c, float(e))
+
+
+@pytest.mark.parametrize("kernel", [k for k in ALL_FIXED_KERNELS + PARAM_KERNELS
+                                    if k.parity != "none"], ids=lambda k: k.name)
+@given(x=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 700.0)))
+def test_declared_parity_holds_to_the_bit(kernel, x):
+    # both branches, the switch radius itself and large |x|
+    sign = 1.0 if kernel.parity == "even" else -1.0
+    r = kernel.switch_radius
+    for t in (x, r, math.nextafter(r, 0.0), math.nextafter(r, 1.0)):
+        assert kernel(-t) == sign * kernel(t), t

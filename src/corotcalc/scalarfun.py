@@ -172,8 +172,9 @@ def _eta_series(s, degree: int) -> list:
 # x coth(x/2) = 2 B(x) + x, two powers longer for gamma's shift
 _COTH_HALF_X_SERIES = [2 * c for c in _bernoulli_series(1, TAYLOR_DEGREE + 2)]
 _COTH_HALF_X_SERIES[1] += 1
-# (x/2)/sinh(x/2) = B(x) e^(x/2)
-_HALF_X_OVER_SINH = _mul(_bernoulli_series(1, TAYLOR_DEGREE), _exp_series(0.5, TAYLOR_DEGREE))
+# (x/2)/sinh(x/2) = (x/2) (coth(x/4) - coth(x/2)) = 2 B(x/2) - B(x)
+_HALF_X_OVER_SINH = [2 * u - v for u, v in zip(_bernoulli_series(0.5, TAYLOR_DEGREE),
+                                                _bernoulli_series(1, TAYLOR_DEGREE))]
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -74,6 +74,8 @@ __all__ = [
 ]
 
 GROWTH_STREAK_LIMIT = 5
+# A series stops once a term's norm is below SERIES_TOL (1 + the partial sum's norm).
+SERIES_TOL = 1e-15
 
 
 class KernelDomainError(ValueError):
@@ -207,7 +209,7 @@ class SeriesResult:
 
     value: np.ndarray
     terms_used: int
-    stopped_by: str  # "tolerance" or "max_terms"
+    stopped_by: str  # "tolerance", or "max_terms" when the coefficients ran out
 
     def _one(self) -> "SeriesResult":
         """The only sum of a stack of one."""
@@ -216,54 +218,43 @@ class SeriesResult:
 
 @dataclass(frozen=True)
 class PowerSeriesSpec:
-    """Coefficients f_0, f_1, ... of a formal power series plus stop rules."""
+    """Coefficients f_0, f_1, ... of a formal power series; a sum uses at most all of them."""
 
     coefficients: tuple
-    max_terms: int = 128
-    tol: float = 1e-15
 
     def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
 
-@lru_cache(maxsize=64)  # bounded: callers may pass any scale, terms and tol
-def exp_series_spec(scale: float = 1.0, terms: int = 96, tol: float = 1e-15) -> PowerSeriesSpec:
-    """Series of e^(scale*x): coefficients scale^n / n!.
+@lru_cache(maxsize=64)  # bounded: callers may pass any scale
+def exp_series_spec(scale: float = 1.0) -> PowerSeriesSpec:
+    """Series of e^(scale*x): 96 coefficients scale^n / n!.
 
     A scale that is not finite, or whose coefficients leave the float range,
     raises ValueError.
     """
     try:
-        return PowerSeriesSpec(tuple(_exp_series(scale, terms - 1)), max_terms=terms, tol=tol)
+        return PowerSeriesSpec(tuple(_exp_series(scale, 95)))
     except OverflowError:
         raise ValueError(f"exp series of scale {scale!r} leaves the float range") from None
 
 
-@lru_cache(maxsize=64)
-def log_series_spec(terms: int = 160, tol: float = 1e-15) -> PowerSeriesSpec:
-    """Series of ln(1+u): (-1)^(n+1) u^n / n, converging for |u| < 1."""
-    return PowerSeriesSpec(tuple(_log1p_series(terms - 1)), max_terms=terms, tol=tol)
+@cache
+def log_series_spec() -> PowerSeriesSpec:
+    """Series of ln(1+u): 160 coefficients (-1)^(n+1) u^n / n, converging for |u| < 1."""
+    return PowerSeriesSpec(tuple(_log1p_series(159)))
 
 
-@lru_cache(maxsize=64)
-def sigma_series_spec(terms: int = 40, tol: float = 1e-15) -> PowerSeriesSpec:
-    """Series of coth(x) - 1/x, converging for |x| < pi.
-
-    Degree is capped by the exact-rational Bernoulli table (n <= 40).
-    """
-    if terms > 40:
-        raise ValueError("sigma series is limited to 40 terms by the Bernoulli table")
-    return PowerSeriesSpec(tuple(_sigma_series(terms - 1)), max_terms=terms, tol=tol)
+@cache
+def sigma_series_spec() -> PowerSeriesSpec:
+    """Series of coth(x) - 1/x: 40 coefficients, converging for |x| < pi."""
+    return PowerSeriesSpec(tuple(_sigma_series(39)))
 
 
-@lru_cache(maxsize=64)
-def eta_neg_series_spec(terms: int = 64, tol: float = 1e-15) -> PowerSeriesSpec:
-    """Series of (1 - e^-x)/x: (-1)^n x^n / (n+1)!."""
-    return PowerSeriesSpec(tuple(_eta_series(-1, terms - 1)), max_terms=terms, tol=tol)
+@cache
+def eta_neg_series_spec() -> PowerSeriesSpec:
+    """Series of (1 - e^-x)/x: 64 coefficients (-1)^n x^n / (n+1)!."""
+    return PowerSeriesSpec(tuple(_eta_series(-1, 63)))
 
 
 def _sum_series(spec: PowerSeriesSpec, first_term: np.ndarray, a: np.ndarray, step) -> SeriesResult:
@@ -283,7 +274,7 @@ def _sum_series(spec: PowerSeriesSpec, first_term: np.ndarray, a: np.ndarray, st
     # the matrices still summing: their rows, partial sums, terms and streaks
     live, acc, cur, streak = np.arange(len(out)), out.copy(), first_term, np.zeros(len(out))
     prev = np.full(len(out), np.nan)  # no term yet: never "growing"
-    for n in range(1, min(len(coeffs), spec.max_terms)):
+    for n in range(1, len(coeffs)):
         cur = step(cur, a)
         used[live] = n + 1
         if coeffs[n] == 0.0:
@@ -298,7 +289,7 @@ def _sum_series(spec: PowerSeriesSpec, first_term: np.ndarray, a: np.ndarray, st
             )
         prev = norm
         acc += term
-        small = norm < spec.tol * (1.0 + _norms(acc))
+        small = norm < SERIES_TOL * (1.0 + _norms(acc))
         if small.any():
             out[live[small]] = acc[small]
             by_tol[live[small]] = True
@@ -333,19 +324,19 @@ def f_of_ad_series(spec: PowerSeriesSpec, a, x) -> SeriesResult:
     return _ad_series(spec, aa[None], xx[None])._one()
 
 
-def matexp_series(a, terms: int = 96, tol: float = 1e-15) -> np.ndarray:
-    return matfun_series(exp_series_spec(terms=terms, tol=tol), a).value
+def matexp_series(a) -> np.ndarray:
+    return matfun_series(exp_series_spec(), a).value
 
 
 def _matexp(a: np.ndarray) -> np.ndarray:
-    """``matexp_series`` at its defaults of each matrix of an (N, d, d) stack."""
-    return _matfun_series(exp_series_spec(terms=96, tol=1e-15), a).value
+    """``matexp_series`` of each matrix of an (N, d, d) stack."""
+    return _matfun_series(exp_series_spec(), a).value
 
 
-def matlog_series(a, terms: int = 160, tol: float = 1e-15) -> SeriesResult:
+def matlog_series(a) -> SeriesResult:
     """Logarithm by the series in (A - I); diverges far from the identity."""
     aa = as_array(a)
-    return matfun_series(log_series_spec(terms=terms, tol=tol), aa - np.eye(aa.shape[0]))
+    return matfun_series(log_series_spec(), aa - np.eye(aa.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +353,14 @@ class SpectralAdOperator:
     """
 
     decomposition: EigenDecomposition
-    kernel_name: str
     kernel_table: np.ndarray
 
     @classmethod
-    def from_matrix(cls, g, kernel, decomposition=None, name=None) -> "SpectralAdOperator":
+    def from_matrix(cls, g, kernel, decomposition=None) -> "SpectralAdOperator":
         dec = _decomposition(g, decomposition)
         table = _pair_table(lambda a, b: kernel(a - b), dec.eigenvalues)
         table.setflags(write=False)
-        if name is None:  # repr only for an unnamed kernel: it is slow for a ScalarKernel
-            name = kernel.name if hasattr(kernel, "name") else repr(kernel)
-        return cls(dec, name, table)
+        return cls(dec, table)
 
     def apply(self, x) -> np.ndarray:
         return _hadamard(self.decomposition, self.kernel_table, x)
@@ -421,7 +409,8 @@ def d_log(a, x, decomposition=None) -> np.ndarray:
 
 
 def _d_log(dec: EigenDecomposition, x) -> np.ndarray:
-    """``d_log`` in the eigenbasis of dec; a stacked dec takes a stack X."""
+    """``d_log`` in the eigenbasis of dec; a stacked dec takes a stack X, or
+    several such stacks on a leading axis, all through one table."""
     table = _pair_table(lambda a, b: ETA_NEG_RECIP(math.log(a / b)) / a, dec.eigenvalues)
     return _hadamard(dec, table, x)
 
@@ -530,17 +519,9 @@ def adjoint_residuals(a, x, y, kernel) -> tuple:
     return r1, r2
 
 
-def gateaux_fd(fn, a, x, h: float = 1e-5, richardson: bool = False) -> np.ndarray:
-    """Central-difference directional derivative of a matrix map.
-
-    With ``richardson`` the h and h/2 stencils are combined to cancel the
-    leading O(h^2) error term.
-    """
-    aa, xx = _gate(a, x)
-    coarse = _central(fn, aa, xx, h)
-    if not richardson:
-        return coarse
-    return (4.0 * _central(fn, aa, xx, 0.5 * h) - coarse) / 3.0
+def gateaux_fd(fn, a, x, h: float = 1e-5) -> np.ndarray:
+    """Central-difference directional derivative of a matrix map."""
+    return _central(fn, *_gate(a, x), h)
 
 
 def _central(fn, a: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:

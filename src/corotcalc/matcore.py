@@ -88,7 +88,12 @@ class EigenConvergenceError(RuntimeError):
         )
 
 
-def _check_square_finite(arr: np.ndarray) -> np.ndarray:
+def _square_finite(entries, convert=np.array) -> np.ndarray:
+    """``convert(entries, dtype=float)`` if square and finite, else MatrixValidationError."""
+    try:
+        arr = convert(entries, dtype=float)
+    except (TypeError, ValueError) as exc:  # an entry that is not a number, or ragged rows
+        raise MatrixValidationError(f"matrix entries must be numbers: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MatrixValidationError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 1:
@@ -102,8 +107,7 @@ def as_array(a) -> np.ndarray:
     """Coerce a Matrix or array-like to a validated float64 square array."""
     if isinstance(a, Matrix):
         return a.array
-    arr = np.asarray(a, dtype=float)
-    return _check_square_finite(arr)
+    return _square_finite(a, np.asarray)
 
 
 def _gate(*args, shape=None) -> tuple:
@@ -163,7 +167,7 @@ class Matrix:
     __slots__ = ("_array",)
 
     def __init__(self, entries):
-        arr = _check_square_finite(np.array(entries, dtype=float))
+        arr = _square_finite(entries)
         arr.setflags(write=False)
         object.__setattr__(self, "_array", arr)
 
@@ -195,9 +199,10 @@ class Matrix:
         rows = obj["rows"]
         if not isinstance(dim, int) or dim < 1:
             raise MatrixValidationError(f"invalid dimension {dim!r}")
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise MatrixValidationError("'rows' shape does not match 'dim'")
-        return cls(rows)
+        matrix = cls(rows)
+        if matrix.dim != dim:
+            raise MatrixValidationError(f"'rows' is {matrix.dim}x{matrix.dim}, 'dim' is {dim}")
+        return matrix
 
     @staticmethod
     def identity(dim: int) -> "Matrix":
@@ -219,7 +224,7 @@ class SymMatrix(Matrix):
     __slots__ = ()
 
     def __init__(self, entries, sym_tol: float = DEFAULT_SYM_TOL):
-        arr = _check_square_finite(np.array(entries, dtype=float))
+        arr = _square_finite(entries)
         asym, bound, huge = _symmetry_defect(arr, sym_tol)
         if asym > bound:
             raise NotSymmetricError(
@@ -234,7 +239,7 @@ class SkewMatrix(Matrix):
     __slots__ = ()
 
     def __init__(self, entries, sym_tol: float = DEFAULT_SYM_TOL):
-        arr = _check_square_finite(np.array(entries, dtype=float))
+        arr = _square_finite(entries)
         dev, bound, huge = _symmetry_defect(arr, sym_tol, skew=True)
         if dev > bound:
             raise NotSkewError(

@@ -44,6 +44,10 @@ SUITE_NAMES = (
 
 POWER_PAIRS = ((1, 0), (2, 1), (0, -1))
 
+# The suites key their Philox generators seed * 1000 + k with 1 <= k <= KEY_OFFSET,
+# the largest k being monotonicity's last bridge check, 80 + 10 * 2 + 2.
+KEY_OFFSET = 102
+
 
 @dataclass(frozen=True)
 class VerifyRow:
@@ -140,16 +144,15 @@ def _suite_lemma2(seed: int, trials: int) -> list:
         tag = f"(p,s)=({p},{s})"
         rows.append(_row(f"power sandwich equals conjugation route {tag}",
                          _norms(sandwiched - conj), 1e-10))
+        args = [sandwiched, ca._ad(a, y), a @ y + y @ a] if idx == 0 else [sandwiched]
+        d_sand, *d_rest = ca._d_log(dec, np.stack(args))  # one table for every argument
         if idx == 0:
-            lhs = ca._d_log(dec, ca._ad(a, y))
-            comm = _norms(lhs - ca._ad(ca._matfun(math.log, dec), y))
-            anti = ca._log_eig_apply(COTH_HALF_X, dec, y)
-            anti = _norms(anti - ca._d_log(dec, a @ y + y @ a))
+            comm = _norms(d_rest[0] - ca._ad(ca._matfun(math.log, dec), y))
+            anti = _norms(ca._log_eig_apply(COTH_HALF_X, dec, y) - d_rest[1])
             rows.append(_row("log derivative of a commutator argument", comm, 1e-10))
             rows.append(_row("log derivative of an anticommutator argument", anti, 1e-10))
         sand = ca._log_eig_apply(make_sandwich_kernel(float(s)), dec, y)
-        rows.append(_row(f"log derivative of a power sandwich {tag}",
-                         _norms(sand - ca._d_log(dec, sandwiched)), 1e-10))
+        rows.append(_row(f"log derivative of a power sandwich {tag}", _norms(sand - d_sand), 1e-10))
     return rows
 
 
@@ -186,10 +189,11 @@ def _suite_lemma4(seed: int, trials: int) -> list:
         dec = _require_spd(_eigendecompose_stack(_spd_exp(s_log)[0]))
         ap, am = _diag(dec, dec.eigenvalues**p), _diag(dec, dec.eigenvalues**-s)
         tag = f"(p,s)=({p},{s})"
-        for sign, kernel, label in forms:
+        # sign * v is exactly -v or v; one d_log table for both arguments
+        rhs = ca._d_log(dec, np.stack([ap @ x @ am + sign * (am @ x @ ap) for sign, _, _ in forms]))
+        for (_, kernel, label), ref in zip(forms, rhs):
             lhs = ca._log_eig_apply(kernel(float(p + s)), dec, x)
-            arg = ap @ x @ am + sign * (am @ x @ ap)  # sign * v is exactly -v or v
-            rows.append(_row(f"{label} kernel {tag}", _norms(lhs - ca._d_log(dec, arg)), 1e-10))
+            rows.append(_row(f"{label} kernel {tag}", _norms(lhs - ref), 1e-10))
     return rows
 
 

@@ -165,7 +165,7 @@ def test_log_series_divergence_signaled():
 
 
 def test_series_reports_max_terms_stop():
-    spec = ca.PowerSeriesSpec((1.0, 1.0, 1.0), max_terms=3, tol=1e-30)
+    spec = ca.PowerSeriesSpec((1.0, 1.0, 1.0))
     res = ca.matfun_series(spec, 0.5 * np.eye(2))
     assert res.stopped_by == "max_terms"
     np.testing.assert_allclose(res.value, np.diag([1.75, 1.75]), atol=1e-15)
@@ -176,7 +176,7 @@ _SERIES_SPECS = {
     "log": ca.log_series_spec(),
     "sigma": ca.sigma_series_spec(),
     "eta_neg": ca.eta_neg_series_spec(),
-    "sparse, capped": ca.PowerSeriesSpec((0.0, 1.0, 0.0, -0.5, 0.0, 0.25) * 4, max_terms=17),
+    "sparse": ca.PowerSeriesSpec(((0.0, 1.0, 0.0, -0.5, 0.0, 0.25) * 3)[:17]),
 }
 
 
@@ -223,7 +223,7 @@ def test_series_spec_builders_are_cached():
     for build in (ca.exp_series_spec, ca.log_series_spec, ca.sigma_series_spec,
                   ca.eta_neg_series_spec):
         assert build() is build()
-        assert build.cache_info().maxsize is not None  # any scale, terms or tol: bounded
+    assert ca.exp_series_spec.cache_info().maxsize is not None  # any scale: bounded
     assert ca.exp_series_spec(scale=2.0) is ca.exp_series_spec(scale=2.0)
     assert ca.exp_series_spec(scale=2.0) is not ca.exp_series_spec()
 
@@ -238,27 +238,8 @@ def test_exp_series_spec_rejects_a_scale_beyond_the_float_range(scale):
                            method="series")
 
 
-def test_series_spec_validation():
-    with pytest.raises(ValueError):
-        ca.PowerSeriesSpec((1.0,), max_terms=0)
-    with pytest.raises(ValueError):
-        ca.PowerSeriesSpec((1.0,), tol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # the commutator-kernel operator
-
-
-def test_operator_names_a_named_kernel_without_repr(monkeypatch):
-    def no_repr(self):
-        raise AssertionError("repr called")
-
-    monkeypatch.setattr(type(SIGMA), "__repr__", no_repr)
-    g = np.diag([1.0, 0.5, -0.25])
-    assert ca.SpectralAdOperator.from_matrix(g, SIGMA).kernel_name == "sigma"
-    assert ca.SpectralAdOperator.from_matrix(g, SIGMA, name="s").kernel_name == "s"
-    unnamed = ca.SpectralAdOperator.from_matrix(g, math.exp)
-    assert unnamed.kernel_name == repr(math.exp)
 
 
 def test_f_of_ad_constant_kernel_is_identity_map():
@@ -755,16 +736,6 @@ def test_power_function_commutator_rule_exact():
             exact += np.linalg.matrix_power(a, j) @ c @ np.linalg.matrix_power(a, k - 1 - j)
         lhs = ca.ad(np.linalg.matrix_power(a, k), x)
         assert frobenius_norm(lhs - exact) <= 1e-12 * (1.0 + frobenius_norm(lhs))
-
-
-def test_gateaux_fd_richardson():
-    rng = make_rng(49)
-    a = random_symmetric(rng, 3)
-    x = random_matrix(rng, 3)
-    plain = ca.gateaux_fd(scipy.linalg.expm, a, x, h=1e-4)
-    refined = ca.gateaux_fd(scipy.linalg.expm, a, x, h=1e-4, richardson=True)
-    exact = ca.d_exp(a, x)
-    assert frobenius_norm(refined - exact) <= frobenius_norm(plain - exact)
 
 
 # ---------------------------------------------------------------------------

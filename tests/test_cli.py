@@ -99,6 +99,27 @@ def test_spin_missing_field_exit_2(tmp_path, capsys):
     assert main(["spin", "--input", str(path)]) == 2
 
 
+_EYE2 = {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("payload", [
+    5,
+    None,
+    "BDW",
+    ["B", "D", "W"],
+    {"B": {"dim": 2, "rows": 5}, "D": _EYE2, "W": _EYE2},
+    {"B": {"dim": 2, "rows": [1, 2]}, "D": _EYE2, "W": _EYE2},
+    {"B": {"dim": 2, "rows": [["a", 0.0], [0.0, 1.0]]}, "D": _EYE2, "W": _EYE2},
+    {"B": {"dim": 2, "rows": [[1.0, [2.0, 3.0]], [3.0, 4.0]]}, "D": _EYE2, "W": _EYE2},
+], ids=["number", "null", "string", "array", "rows-number", "rows-flat", "string-entry",
+        "ragged-nesting"])
+def test_spin_malformed_payload_exit_2(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["spin", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_spin_asymmetric_d_exit_2(tmp_path, capsys):
     rng = make_rng(8)
     path = write_payload(

@@ -56,6 +56,14 @@ def test_matrix_rejects_non_finite():
         Matrix([[np.inf, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("make", [Matrix, SymMatrix, SkewMatrix, SpdMatrix, matcore.as_array])
+@pytest.mark.parametrize("entries", [[["a", 0.0], [0.0, 1.0]], [[1.0, [2.0, 3.0]], [3.0, 4.0]],
+                                     [[{}, 0.0], [0.0, 1.0]]])
+def test_matrix_rejects_entries_that_are_not_numbers(make, entries):
+    with pytest.raises(MatrixValidationError):
+        make(entries)
+
+
 def test_matrix_is_immutable():
     m = Matrix([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError):
@@ -138,6 +146,12 @@ def test_json_round_trip():
 def test_json_rejects_bad_shape():
     with pytest.raises(MatrixValidationError):
         Matrix.from_json_dict({"dim": 2, "rows": [[1.0, 2.0]]})
+
+
+@pytest.mark.parametrize("rows", [5, [1.0, 2.0], None])
+def test_json_rejects_rows_that_are_not_lists(rows):
+    with pytest.raises(MatrixValidationError):
+        Matrix.from_json_dict({"dim": 2, "rows": rows})
 
 
 # ---------------------------------------------------------------------------

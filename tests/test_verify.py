@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import verify_reference
 
-from corotcalc import cli, verify
+from corotcalc import calculus as ca
+from corotcalc import cli, sampling, verify
+from corotcalc import kinematics as ki
 from corotcalc import monotonicity as mo
 from corotcalc.verify import SUITE_NAMES, VerifyRow, run_suite, run_suites
 
@@ -43,6 +45,46 @@ def test_run_suites_preserves_order():
 def test_trials_must_be_positive():
     with pytest.raises(ValueError):
         run_suite("lemma1", seed=1, trials=0)
+
+
+def test_suite_keys_fit_64_bits_at_the_largest_accepted_seed(monkeypatch):
+    top = (2**64 - 1 - verify.KEY_OFFSET) // 1000
+    parser = cli.build_parser()
+    assert parser.parse_args(["verify", "--seed", str(top)]).seed == top
+    with pytest.raises(SystemExit):
+        parser.parse_args(["verify", "--seed", str(top + 1)])
+    keys = []
+    make_rng = sampling.make_rng
+
+    def recording(seed):
+        keys.append(seed)
+        return make_rng(seed)
+
+    monkeypatch.setattr(sampling, "make_rng", recording)
+    run_suites(SUITE_NAMES, top, 1)
+    assert min(keys) > top * 1000
+    assert max(keys) == top * 1000 + verify.KEY_OFFSET < 2**64
+
+
+def test_each_suite_builds_each_pair_table_once(monkeypatch):
+    # a table is one kernel (code and captured objects) over one set of
+    # eigenvalues with the same per-row arguments; a second build of it is
+    # repeated kernel work
+    builds = []  # holds every kernel and argument, so no id is reused
+    pair_table = ca._pair_table
+
+    def counting(fn, values, *per_row):
+        builds.append((fn, np.asarray(values).tobytes(), per_row))
+        return pair_table(fn, values, *per_row)
+
+    for mod in (ca, ki, mo):
+        monkeypatch.setattr(mod, "_pair_table", counting)
+    for name in SUITE_NAMES:
+        builds.clear()
+        run_suite(name, seed=3, trials=20)
+        keys = {(fn.__code__, tuple(id(c.cell_contents) for c in fn.__closure__ or ()), vals,
+                 tuple(tuple(map(id, arg)) for arg in per_row)) for fn, vals, per_row in builds}
+        assert len(keys) == len(builds), f"{name}: {len(builds)} builds, {len(keys)} tables"
 
 
 @pytest.mark.parametrize("seed", (0, 42))

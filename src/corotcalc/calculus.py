@@ -151,15 +151,20 @@ def _spd_decomposition(a, decomposition=None) -> EigenDecomposition:
     return _require_spd(_decomposition(a, decomposition))
 
 
-def _checked(fn: Callable[..., float], *args: float) -> float:
-    """fn(*args) as a float; failures and non-finite values raise KernelDomainError."""
+def _checked(entries, values: np.ndarray, pairs: bool) -> np.ndarray:
+    """``entries``, f at each of ``values`` (eigenvalues, one row per matrix) or with
+    ``pairs`` at each pair of a row's values, as an array of that shape; a failing
+    evaluation or a non-finite value raises KernelDomainError."""
+    shape = values.shape + values.shape[-1:] if pairs else values.shape
     try:
-        value = float(fn(*args))
+        out = np.fromiter(entries, float, math.prod(shape)).reshape(shape)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise KernelDomainError(f"function undefined at eigenvalues {args!r}: {exc}") from exc
-    if not math.isfinite(value):
-        raise KernelDomainError(f"function non-finite at eigenvalues {args!r}")
-    return value
+        raise KernelDomainError(f"function undefined at an eigenvalue: {exc}") from exc
+    if not np.isfinite(out).all():
+        at = tuple(np.argwhere(~np.isfinite(out))[0])
+        args = (values[at[:-1]], values[at[:-2] + at[-1:]]) if pairs else (values[at],)
+        raise KernelDomainError(f"function non-finite at eigenvalues {tuple(map(float, args))!r}")
+    return out
 
 
 def _pair_table(fn: Callable[..., float], values, *per_row) -> np.ndarray:
@@ -172,9 +177,8 @@ def _pair_table(fn: Callable[..., float], values, *per_row) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     rows = vals.reshape(-1, vals.shape[-1]).tolist()
     extra = list(zip(*per_row)) if per_row else [()] * len(rows)
-    entries = (_checked(fn, a, b, *e) for row, e in zip(rows, extra) for a in row for b in row)
-    table = np.fromiter(entries, float, vals.size * vals.shape[-1])
-    return table.reshape(vals.shape + vals.shape[-1:])
+    entries = (fn(a, b, *e) for row, e in zip(rows, extra) for a in row for b in row)
+    return _checked(entries, vals, pairs=True)
 
 
 def _hadamard(dec: EigenDecomposition, table: np.ndarray, x) -> np.ndarray:
@@ -191,8 +195,8 @@ def _hadamard(dec: EigenDecomposition, table: np.ndarray, x) -> np.ndarray:
 
 def _matfun(f: Callable[[float], float], dec: EigenDecomposition) -> np.ndarray:
     """Q f(Lambda) Q^T, symmetrized; one per matrix of a stacked dec."""
-    vals = [_checked(f, v) for v in dec.eigenvalues.ravel().tolist()]
-    return _spectral(dec.q, np.reshape(vals, dec.eigenvalues.shape))
+    entries = (f(v) for v in dec.eigenvalues.ravel().tolist())
+    return _spectral(dec.q, _checked(entries, dec.eigenvalues, pairs=False))
 
 
 def matfun_spectral(f: Callable[[float], float], s, decomposition=None) -> np.ndarray:

@@ -67,8 +67,7 @@ def _config_items(text: str) -> dict:
 
 @dataclass
 class RunConfig:
-    """The keys of a ``--config`` file, at the command-line defaults; round-trips
-    losslessly through key=value text."""
+    """The keys of a ``--config`` file, at the command-line defaults."""
 
     seed: int = 42
     dim: int = 3
@@ -78,16 +77,6 @@ class RunConfig:
     motion: str = "simple_shear"
     method: str = "both"
     output_path: str = "traj.csv"
-
-    def to_text(self) -> str:
-        return "".join(f"{f.name}={getattr(self, f.name)!r}\n" for f in fields(self))
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        values = _config_items(text)
-        return cls(**{
-            f.name: type(f.default)(values[f.name]) for f in fields(cls) if f.name in values
-        })
 
 
 # ---------------------------------------------------------------------------

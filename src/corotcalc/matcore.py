@@ -196,21 +196,18 @@ class Matrix:
         if not isinstance(obj, dict) or "dim" not in obj or "rows" not in obj:
             raise MatrixValidationError("matrix object must have 'dim' and 'rows' keys")
         dim = obj["dim"]
-        rows = obj["rows"]
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise MatrixValidationError(f"invalid dimension {dim!r}")
+        try:
+            rows = np.asarray(obj["rows"])
+        except (TypeError, ValueError) as exc:  # ragged rows
+            raise MatrixValidationError(f"matrix entries must be numbers: {exc}") from None
+        if rows.dtype.kind not in "iuf":  # booleans, strings and other objects
+            raise MatrixValidationError(f"matrix entries must be numbers, got {rows.dtype}")
         matrix = cls(rows)
         if matrix.dim != dim:
             raise MatrixValidationError(f"'rows' is {matrix.dim}x{matrix.dim}, 'dim' is {dim}")
         return matrix
-
-    @staticmethod
-    def identity(dim: int) -> "Matrix":
-        return Matrix(np.eye(dim))
-
-    @staticmethod
-    def zeros(dim: int) -> "Matrix":
-        return Matrix(np.zeros((dim, dim)))
 
 
 class SymMatrix(Matrix):

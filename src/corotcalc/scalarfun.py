@@ -31,14 +31,6 @@ __all__ = [
     "TAYLOR_DEGREE",
     "ScalarKernel",
     "bernoulli",
-    "sigma",
-    "gamma_kernel",
-    "eta",
-    "eta_neg",
-    "eta_neg_recip",
-    "coth_half_times_x",
-    "r_kernel",
-    "sinh_ratio_kernel",
     "SIGMA",
     "GAMMA",
     "ETA",
@@ -47,7 +39,6 @@ __all__ = [
     "COTH_HALF_X",
     "make_r_kernel",
     "make_sinh_ratio_kernel",
-    "make_exp_kernel",
     "make_sandwich_kernel",
     "make_sqrt_r_kernel",
 ]
@@ -145,9 +136,6 @@ class ScalarKernel:
             acc += coeff * x**power
         return acc
 
-    def direct_eval(self, x: float) -> float:
-        return self.direct(x)
-
     def __call__(self, x: float) -> float:
         if abs(x) < self.switch_radius:
             return self.taylor_eval(x)
@@ -212,46 +200,22 @@ def _coth_half_x_direct(x: float) -> float:
     return x / math.tanh(0.5 * x)
 
 
+# coth(x) - 1/x, value 0 at the origin; odd
 SIGMA = ScalarKernel("sigma", _sigma_direct, _pairs(_sigma_series(TAYLOR_DEGREE)), parity="odd")
+# (x coth(x/2) - 2)/x^2, value 1/6 at the origin; even, positive
 GAMMA = ScalarKernel("gamma", _gamma_direct, _pairs(_COTH_HALF_X_SERIES[2:]), parity="even")
+# (e^x - 1)/x, value 1 at the origin
 ETA = ScalarKernel("eta", _eta_direct, _pairs(_eta_series(1, TAYLOR_DEGREE)))
+# (1 - e^-x)/x, value 1 at the origin; drives the exp derivative
 ETA_NEG = ScalarKernel("eta_neg", _eta_neg_direct, _pairs(_eta_series(-1, TAYLOR_DEGREE)))
+# x/(1 - e^-x), value 1 at the origin; positive, drives the log derivative
 ETA_NEG_RECIP = ScalarKernel(
     "eta_neg_recip", _eta_neg_recip_direct, _pairs(_bernoulli_series(-1, TAYLOR_DEGREE))
 )
+# x coth(x/2) = 2 + gamma(x) x^2, value 2 at the origin; even
 COTH_HALF_X = ScalarKernel(
     "coth_half_times_x", _coth_half_x_direct, _pairs(_COTH_HALF_X_SERIES[:-2]), parity="even"
 )
-
-
-def sigma(x: float) -> float:
-    """coth(x) - 1/x, extended by its limit 0 at the origin.  Odd."""
-    return SIGMA(x)
-
-
-def gamma_kernel(x: float) -> float:
-    """(coth(x/2) x - 2)/x^2 with value 1/6 at the origin.  Even, positive."""
-    return GAMMA(x)
-
-
-def eta(x: float) -> float:
-    """(e^x - 1)/x with value 1 at the origin."""
-    return ETA(x)
-
-
-def eta_neg(x: float) -> float:
-    """(1 - e^-x)/x with value 1 at the origin; drives the exp derivative."""
-    return ETA_NEG(x)
-
-
-def eta_neg_recip(x: float) -> float:
-    """x/(1 - e^-x), total and positive; drives the log derivative."""
-    return ETA_NEG_RECIP(x)
-
-
-def coth_half_times_x(x: float) -> float:
-    """coth(x/2) * x with value 2 at the origin; equals 2 + gamma(x) x^2."""
-    return COTH_HALF_X(x)
 
 
 @lru_cache(maxsize=None)
@@ -271,7 +235,7 @@ def make_r_kernel(q: float) -> ScalarKernel:
 
 @lru_cache(maxsize=None)
 def make_sinh_ratio_kernel(q: float) -> ScalarKernel:
-    """sinh(q x/2)/sinh(x/2) * x: odd in x, value 0 at the origin."""
+    """sinh(q x/2)/sinh(x/2) * x: odd in x, value 0 at the origin; x itself at q = 1."""
     q = float(q)
 
     def direct(x: float, _q=q) -> float:
@@ -285,17 +249,6 @@ def make_sinh_ratio_kernel(q: float) -> ScalarKernel:
     return ScalarKernel(
         f"sinh_ratio[q={q:g}]", direct, _pairs(_ratio_series(q, -1)), parity="odd"
     )
-
-
-@lru_cache(maxsize=None)
-def make_exp_kernel(scale: float) -> ScalarKernel:
-    """e^(scale * x); no fallback needed, the direct branch is total."""
-    scale = float(scale)
-
-    def direct(x: float, _s=scale) -> float:
-        return math.exp(_s * x)
-
-    return ScalarKernel(f"exp[s={scale:g}]", direct, (), switch_radius=0.0)
 
 
 @lru_cache(maxsize=None)
@@ -323,20 +276,10 @@ def make_sqrt_r_kernel(q: float) -> ScalarKernel:
     r_ker = make_r_kernel(q)
 
     def direct(x: float, _r=r_ker) -> float:
-        return math.sqrt(_r.direct_eval(x))
+        return math.sqrt(_r.direct(x))
 
     # sqrt(2) sqrt(r_q/2), whose exact series has constant term 1
     half = _pairs(_sqrt([c / 2 for c in _ratio_series(q, 1)]))
     taylor = tuple((p, c * math.sqrt(2.0)) for p, c in half)
     radius = min(SWITCH_RADIUS, 0.4 / max(1.0, abs(q)))
     return ScalarKernel(f"sqrt_r[q={q:g}]", direct, taylor, switch_radius=radius, parity="even")
-
-
-def r_kernel(q: float, x: float) -> float:
-    """Even positive kernel cosh(q x/2)/sinh(x/2) * x with r_q(0) = 2."""
-    return make_r_kernel(q)(x)
-
-
-def sinh_ratio_kernel(q: float, x: float) -> float:
-    """Odd kernel sinh(q x/2)/sinh(x/2) * x; reduces to x when q = 1."""
-    return make_sinh_ratio_kernel(q)(x)

@@ -11,8 +11,11 @@ from corotcalc import kinematics as ki
 from corotcalc import monotonicity as mo
 from corotcalc.matcore import (
     DimensionMismatchError,
+    EigenDecomposition,
     MatrixValidationError,
     NotSpdError,
+    _eigendecompose_stack,
+    _spectral,
     eigendecompose_symmetric,
     frobenius_dot,
     frobenius_norm,
@@ -125,6 +128,45 @@ def test_matfun_spectral_exp_log_round_trip():
 def test_matfun_spectral_domain_error():
     with pytest.raises(ca.KernelDomainError):
         ca.matfun_spectral(math.log, np.diag([1.0, -2.0]))
+
+
+# Each kernel fails at its eigenvalue ``bad`` and is finite on [0.5, 2].
+_FAILING_KERNELS = {
+    "domain": (math.log, -1.0),
+    "overflow": (math.exp, 800.0),
+    "zero-division": (lambda v: 1.0 / v, 0.0),
+    "inf": (lambda v: v * 1e307, 1e10),
+    "nan": (lambda v: v * 1e307 - v * 1e307, 1e10),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FAILING_KERNELS))
+def test_stack_failing_only_in_its_last_matrix_raises(kind):
+    f, bad = _FAILING_KERNELS[kind]
+    vals = make_rng(31).uniform(0.5, 2.0, (20, 3))
+    vals[-1, 1] = bad
+    with pytest.raises(ca.KernelDomainError):
+        ca._pair_table(lambda a, b: f(a) + f(b), vals)
+    dec = EigenDecomposition._trusted(np.tile(np.eye(3), (20, 1, 1)), vals)
+    with pytest.raises(ca.KernelDomainError):
+        ca._matfun(f, dec)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 3), (5, 2), (17, 4)])
+def test_tables_match_per_entry_evaluation_to_the_bit(n, d):
+    rng = make_rng(32 + 10 * n + d)
+    dec = _eigendecompose_stack(np.stack([random_symmetric(rng, d) for _ in range(n)]))
+    vals = dec.eigenvalues
+    scales = rng.uniform(-2.0, 2.0, n).tolist()
+
+    def fn(a, b, s):
+        return math.exp(s * (a - b)) * SIGMA(a - b)
+
+    rows = zip(vals.tolist(), scales)
+    want = [[[float(fn(a, b, s)) for b in row] for a in row] for row, s in rows]
+    np.testing.assert_array_equal(ca._pair_table(fn, vals, scales), np.array(want))
+    want = _spectral(dec.q, np.array([[float(SIGMA(v)) for v in row] for row in vals.tolist()]))
+    np.testing.assert_array_equal(ca._matfun(SIGMA, dec), want)
 
 
 def test_matfun_series_exp_at_zero():

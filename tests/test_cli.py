@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from corotcalc.cli import RunConfig, main
+from corotcalc.cli import main
 from corotcalc.matcore import Matrix
 from corotcalc.sampling import make_rng, random_skew, random_spd_ratio, random_symmetric
 
@@ -29,22 +29,6 @@ def spin_input(tmp_path):
     d = random_symmetric(rng, 3)
     w = random_skew(rng, 3)
     return write_payload(tmp_path / "in.json", b, d, w)
-
-
-# ---------------------------------------------------------------------------
-# run-config round trip
-
-
-def test_runconfig_round_trip():
-    cfg = RunConfig(seed=9, dim=4, tol=2.5e-11, dt=1e-4, t_end=2.0,
-                    motion="pure_stretch", method="spectral", output_path="x.csv")
-    again = RunConfig.from_text(cfg.to_text())
-    assert again == cfg
-
-
-def test_runconfig_rejects_garbage():
-    with pytest.raises(ValueError):
-        RunConfig.from_text("this is not a config")
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +95,14 @@ _EYE2 = {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]}
     {"B": {"dim": 2, "rows": [1, 2]}, "D": _EYE2, "W": _EYE2},
     {"B": {"dim": 2, "rows": [["a", 0.0], [0.0, 1.0]]}, "D": _EYE2, "W": _EYE2},
     {"B": {"dim": 2, "rows": [[1.0, [2.0, 3.0]], [3.0, 4.0]]}, "D": _EYE2, "W": _EYE2},
+    {"B": {"dim": True, "rows": [["2"]]}, "D": {"dim": 1, "rows": [["0.5"]]},
+     "W": {"dim": 1, "rows": [[0]]}},
+    {"B": {"dim": 1, "rows": [["2"]]}, "D": {"dim": 1, "rows": [[0.5]]},
+     "W": {"dim": 1, "rows": [[0]]}},
+    {"B": {"dim": 1, "rows": [[True]]}, "D": {"dim": 1, "rows": [[0.5]]},
+     "W": {"dim": 1, "rows": [[0]]}},
 ], ids=["number", "null", "string", "array", "rows-number", "rows-flat", "string-entry",
-        "ragged-nesting"])
+        "ragged-nesting", "dim-true", "numeric-string", "boolean-entry"])
 def test_spin_malformed_payload_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -158,7 +148,7 @@ def test_spin_config_file(tmp_path, capsys):
         tmp_path / "in.json", random_spd_ratio(rng, 3), random_symmetric(rng, 3), random_skew(rng, 3)
     )
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(RunConfig(method="spectral").to_text())
+    cfg.write_text("method=spectral\n")
     assert main(["spin", "--input", str(path), "--config", str(cfg)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert "method_discrepancy" not in out  # spectral came from the config file
@@ -248,9 +238,7 @@ def test_simulate_byte_identical(tmp_path):
 def test_simulate_config_supplies_output_path(tmp_path, capsys):
     out = tmp_path / "from_config.csv"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        RunConfig(motion="simple_shear", dt=1e-2, t_end=0.1, output_path=str(out)).to_text()
-    )
+    cfg.write_text(f"motion=simple_shear\ndt=1e-2\nt_end=0.1\noutput_path={out}\n")
     assert main(["simulate", "--config", str(cfg), "--record-every", "2"]) == 0
     assert out.exists()
 

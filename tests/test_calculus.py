@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,10 +146,13 @@ def test_stack_failing_only_in_its_last_matrix_raises(kind):
     f, bad = _FAILING_KERNELS[kind]
     vals = make_rng(31).uniform(0.5, 2.0, (20, 3))
     vals[-1, 1] = bad
-    with pytest.raises(ca.KernelDomainError):
+    # a non-finite value names its eigenvalues: the first failing pair is (v_0, v_1)
+    named = kind in ("inf", "nan")
+    pair = re.escape(repr((float(vals[-1, 0]), bad))) if named else None
+    with pytest.raises(ca.KernelDomainError, match=pair):
         ca._pair_table(lambda a, b: f(a) + f(b), vals)
     dec = EigenDecomposition._trusted(np.tile(np.eye(3), (20, 1, 1)), vals)
-    with pytest.raises(ca.KernelDomainError):
+    with pytest.raises(ca.KernelDomainError, match=re.escape(repr((bad,))) if named else None):
         ca._matfun(f, dec)
 
 

@@ -148,7 +148,11 @@ def test_spin_config_file(tmp_path, capsys):
         tmp_path / "in.json", random_spd_ratio(rng, 3), random_symmetric(rng, 3), random_skew(rng, 3)
     )
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("method=spectral\n")
+    # every RunConfig key: spin skips the ones it does not take
+    cfg.write_text(
+        "seed=42\ndim=3\ntol=1e-10\ndt=0.001\nt_end=1.0\n"
+        "motion='simple_shear'\nmethod='spectral'\noutput_path='traj.csv'\n"
+    )
     assert main(["spin", "--input", str(path), "--config", str(cfg)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert "method_discrepancy" not in out  # spectral came from the config file
@@ -238,7 +242,11 @@ def test_simulate_byte_identical(tmp_path):
 def test_simulate_config_supplies_output_path(tmp_path, capsys):
     out = tmp_path / "from_config.csv"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"motion=simple_shear\ndt=1e-2\nt_end=0.1\noutput_path={out}\n")
+    # every RunConfig key: simulate skips tol and method, which it does not take
+    cfg.write_text(
+        "seed=42\ndim=3\ntol=1e-10\ndt=0.01\nt_end=0.1\n"
+        f"motion='simple_shear'\nmethod='both'\noutput_path={str(out)!r}\n"
+    )
     assert main(["simulate", "--config", str(cfg), "--record-every", "2"]) == 0
     assert out.exists()
 

@@ -151,34 +151,104 @@ def _spd_decomposition(a, decomposition=None) -> EigenDecomposition:
     return _require_spd(_decomposition(a, decomposition))
 
 
-def _checked(entries, values: np.ndarray, pairs: bool) -> np.ndarray:
-    """``entries``, f at each of ``values`` (eigenvalues, one row per matrix) or with
-    ``pairs`` at each pair of a row's values, as an array of that shape; a failing
-    evaluation or a non-finite value raises KernelDomainError."""
-    shape = values.shape + values.shape[-1:] if pairs else values.shape
+def _evaluated(entries, count: int) -> np.ndarray:
+    """The ``count`` floats of ``entries``; a failing evaluation raises KernelDomainError."""
     try:
-        out = np.fromiter(entries, float, math.prod(shape)).reshape(shape)
+        return np.fromiter(entries, float, count)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise KernelDomainError(f"function undefined at an eigenvalue: {exc}") from exc
+
+
+def _checked(out: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``out``, f at each of ``values`` (eigenvalues, one row per matrix) or, one axis
+    longer, at each pair of a row's values; a non-finite value raises KernelDomainError
+    naming the first, in row-major order."""
     if not np.isfinite(out).all():
         at = tuple(np.argwhere(~np.isfinite(out))[0])
+        pairs = out.ndim > values.ndim
         args = (values[at[:-1]], values[at[:-2] + at[-1:]]) if pairs else (values[at],)
         raise KernelDomainError(f"function non-finite at eigenvalues {tuple(map(float, args))!r}")
     return out
 
 
-def _pair_table(fn: Callable[..., float], values, *per_row) -> np.ndarray:
+@lru_cache(maxsize=16)  # bounded: the index arrays grow as d^2
+def _triangle(d: int) -> tuple:
+    """The pairs i < j of a d x d table, row-major, and where each of its d*d
+    entries is found in [T_ij at those pairs, T_ji at them, T_ii for each i]."""
+    i, j = np.triu_indices(d, 1)
+    place = np.diag(np.arange(2 * len(i), 2 * len(i) + d))
+    place[i, j], place[j, i] = np.arange(len(i)), np.arange(len(i), 2 * len(i))
+    return i, j, place.ravel()
+
+
+def _pair_table(fn: Callable[..., float], values, *per_row, symmetric: bool = False) -> np.ndarray:
     """Table T_ij = fn(v_i, v_j) over all pairs of eigenvalues.
 
-    Difference kernels pass ``lambda a, b: kernel(a - b)``.  Values of shape
-    (N, d) give one table per row, shape (N, d, d).  Each ``per_row``
-    sequence passes fn one more argument, its entry for the row.
+    Values of shape (N, d) give one table per row, shape (N, d, d).  Each
+    ``per_row`` sequence passes fn one more argument, its entry for the row.
+    A ``symmetric`` fn, fn(a, b) equal to fn(b, a) to the bit, is evaluated
+    at i <= j only.  Difference kernels take ``_difference_table``.
     """
     vals = np.asarray(values, dtype=float)
-    rows = vals.reshape(-1, vals.shape[-1]).tolist()
+    d = vals.shape[-1]
+    rows = vals.reshape(-1, d).tolist()
     extra = list(zip(*per_row)) if per_row else [()] * len(rows)
-    entries = (fn(a, b, *e) for row, e in zip(rows, extra) for a in row for b in row)
-    return _checked(entries, vals, pairs=True)
+    if not symmetric:
+        entries = (fn(a, b, *e) for row, e in zip(rows, extra) for a in row for b in row)
+        return _checked(_evaluated(entries, vals.size * d).reshape(vals.shape + (d,)), vals)
+    i, j, place = _triangle(d)
+    at = [*zip(i.tolist(), j.tolist()), *zip(range(d), range(d))]
+    entries = (fn(row[p], row[q], *e) for row, e in zip(rows, extra) for p, q in at)
+    upper = _evaluated(entries, len(rows) * len(at)).reshape(len(rows), -1)
+    table = np.concatenate((upper[:, :len(i)], upper), axis=1).take(place, 1)
+    return _checked(table.reshape(vals.shape + (d,)), vals)
+
+
+def _difference_table(kernels, values) -> np.ndarray:
+    """Table T_ij = k(v_i - v_j) of a commutator kernel k over all pairs of eigenvalues.
+
+    Values of shape (N, d) give one table per row, shape (N, d, d), with one
+    kernel for all rows or a sequence of one per row.
+    """
+    vals = np.asarray(values, dtype=float)
+    rows = vals.reshape(-1, vals.shape[-1])
+    if callable(kernels):
+        table = _kernel_rows(kernels, rows)
+    else:
+        table = np.empty((len(rows), rows.shape[1] ** 2))
+        groups = {}  # by identity: a ScalarKernel hashes its whole Taylor table
+        for r, k in enumerate(kernels):
+            groups.setdefault(id(k), (k, []))[1].append(r)
+        for k, at in groups.values():
+            table[at] = _kernel_rows(k, rows[at])
+    return _checked(table.reshape(vals.shape + vals.shape[-1:]), vals)
+
+
+def _kernel_rows(k, rows: np.ndarray) -> np.ndarray:
+    """k(v_i - v_j) over each row of an (N, d) array, as N rows of d*d entries.
+
+    A kernel whose ``parity`` is "even" or "odd" is evaluated at i < j and
+    once at 0.0, then mirrored: v_j - v_i is exactly -(v_i - v_j), and the
+    declared parity holds to the bit (test_declared_parity_holds_to_the_bit).
+    A zero is evaluated at its mirror too, as parity need not fix its sign
+    (sinh_ratio at q = 0 is +0.0 at x > 0.25 and -0.0 at -x).  Any other
+    kernel is evaluated at every pair.
+    """
+    n, d = rows.shape
+    sign = {"even": 1.0, "odd": -1.0}.get(getattr(k, "parity", None))
+    if sign is None:
+        diffs = (rows[:, :, None] - rows[:, None, :]).ravel().tolist()
+        return _evaluated(map(k, diffs), n * d * d).reshape(n, -1)
+    i, j, place = _triangle(d)
+    diffs = rows.take(i, 1) - rows.take(j, 1)
+    out = _evaluated(map(k, [0.0, *diffs.ravel().tolist()]), diffs.size + 1)
+    up = out[1:].reshape(diffs.shape)
+    down = sign * up
+    if np.count_nonzero(up) < up.size:
+        zero = up == 0.0  # v_j - v_i is 0.0 - (v_i - v_j)
+        down[zero] = _evaluated(map(k, (0.0 - diffs[zero]).tolist()), int(zero.sum()))
+    diag = out[:1].repeat(n * d).reshape(n, d)
+    return np.concatenate((up, down, diag), axis=1).take(place, 1)
 
 
 def _hadamard(dec: EigenDecomposition, table: np.ndarray, x) -> np.ndarray:
@@ -195,8 +265,9 @@ def _hadamard(dec: EigenDecomposition, table: np.ndarray, x) -> np.ndarray:
 
 def _matfun(f: Callable[[float], float], dec: EigenDecomposition) -> np.ndarray:
     """Q f(Lambda) Q^T, symmetrized; one per matrix of a stacked dec."""
-    entries = (f(v) for v in dec.eigenvalues.ravel().tolist())
-    return _spectral(dec.q, _checked(entries, dec.eigenvalues, pairs=False))
+    vals = dec.eigenvalues
+    entries = map(f, vals.ravel().tolist())
+    return _spectral(dec.q, _checked(_evaluated(entries, vals.size).reshape(vals.shape), vals))
 
 
 def matfun_spectral(f: Callable[[float], float], s, decomposition=None) -> np.ndarray:
@@ -362,7 +433,7 @@ class SpectralAdOperator:
     @classmethod
     def from_matrix(cls, g, kernel, decomposition=None) -> "SpectralAdOperator":
         dec = _decomposition(g, decomposition)
-        table = _pair_table(lambda a, b: kernel(a - b), dec.eigenvalues)
+        table = _difference_table(kernel, dec.eigenvalues)
         table.setflags(write=False)
         return cls(dec, table)
 
@@ -399,7 +470,8 @@ def d_exp(a, x, method: str = "auto") -> np.ndarray:
 
 def _d_exp(dec: EigenDecomposition, x) -> np.ndarray:
     """The spectral ``d_exp`` in the eigenbasis of dec; a stacked dec takes a stack X."""
-    table = _pair_table(lambda a, b: math.exp(max(a, b)) * ETA_NEG(abs(a - b)), dec.eigenvalues)
+    table = _pair_table(lambda a, b: math.exp(max(a, b)) * ETA_NEG(abs(a - b)), dec.eigenvalues,
+                        symmetric=True)
     return _hadamard(dec, table, x)
 
 
@@ -422,7 +494,7 @@ def _d_log(dec: EigenDecomposition, x) -> np.ndarray:
 def _log_eig_apply(kernel, dec: EigenDecomposition, y) -> np.ndarray:
     """Apply a commutator kernel evaluated at ln A to Y, in the eigenbasis dec
     of SPD A; a stacked dec takes a stack Y."""
-    table = _pair_table(lambda a, b: kernel(a - b), np.log(dec.eigenvalues))
+    table = _difference_table(kernel, np.log(dec.eigenvalues))
     return _hadamard(dec, table, y)
 
 

@@ -20,7 +20,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import _central, _d_log, _hadamard, _matfun, _pair_table, _spd_decomposition
+from .calculus import (
+    _central,
+    _d_log,
+    _difference_table,
+    _hadamard,
+    _matfun,
+    _pair_table,
+    _spd_decomposition,
+)
 from .matcore import (
     SkewMatrix,
     _eigendecompose_stack,
@@ -118,7 +126,7 @@ def _spin(dec, d, w, commutator: bool) -> np.ndarray:
     rounding-level remainder and makes the spin exactly skew.
     """
     if commutator:
-        table = _pair_table(lambda x, y: SIGMA(x - y), 0.5 * np.log(dec.eigenvalues))
+        table = _difference_table(SIGMA, 0.5 * np.log(dec.eigenvalues))
     else:
         table = _pair_table(lambda x, y: -_pair_coefficient(x, y), dec.eigenvalues)
     m = _hadamard(dec, table, d)

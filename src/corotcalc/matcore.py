@@ -204,6 +204,9 @@ class Matrix:
             raise MatrixValidationError(f"matrix entries must be numbers: {exc}") from None
         if rows.dtype.kind not in "iuf":  # booleans, strings and other objects
             raise MatrixValidationError(f"matrix entries must be numbers, got {rows.dtype}")
+        # numpy reads a boolean among numbers as 1 or 0
+        if rows.ndim == 2 and bool in {type(x) for row in obj["rows"] for x in row}:
+            raise MatrixValidationError("matrix entries must be numbers, got a boolean")
         matrix = cls(rows)
         if matrix.dim != dim:
             raise MatrixValidationError(f"'rows' is {matrix.dim}x{matrix.dim}, 'dim' is {dim}")

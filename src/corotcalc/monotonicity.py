@@ -111,9 +111,11 @@ def _divided_difference_table(
     def entry(a: float, b: float, close: float) -> float:
         if abs(a - b) <= close:
             return fprime(0.5 * (a + b))
+        if a < b:  # the larger first: an exact zero quotient is then +0.0 both ways
+            a, b = b, a
         return (f(a) - f(b)) / (a - b)
 
-    return _pair_table(entry, vals, np.reshape(close, -1).tolist())
+    return _pair_table(entry, vals, np.reshape(close, -1).tolist(), symmetric=True)
 
 
 # ---------------------------------------------------------------------------

@@ -82,11 +82,6 @@ def _diag(dec, vals) -> np.ndarray:
     return (dec.q * vals[:, None, :]) @ dec.q.swapaxes(1, 2)
 
 
-def _table(dec, kernels) -> np.ndarray:
-    """The pair table of the commutator kernel kernels[i] at the i-th matrix of dec."""
-    return ca._pair_table(lambda u, v, f: f(u - v), dec.eigenvalues, kernels)
-
-
 def _fd_exp(a, x) -> np.ndarray:
     """Centered difference of the series exponential; independent of the
     spectral route it is used to check."""
@@ -216,11 +211,13 @@ def _suite_lemma5(seed: int, trials: int) -> list:
 
 def _suite_lemma6(seed: int, trials: int) -> list:
     a, x, y = _draw_trials(seed * 1000 + 50, trials, _sym, _mat, _mat)
-    kernels = [(SIGMA, GAMMA, math.exp)[n % 3] for n in range(trials)]
+    kinds = (SIGMA, GAMMA, math.exp)
+    # f(-t) declares no parity, so the flipped table is evaluated in full
+    flips = [lambda t, f=f: f(-t) for f in kinds]
     dec = _eigendecompose_stack(a)
-    table = _table(dec, kernels)
+    table = ca._difference_table([kinds[n % 3] for n in range(trials)], dec.eigenvalues)
     fx, fy = ca._hadamard(dec, table, x), ca._hadamard(dec, table, y)
-    flipped = _table(dec, [lambda t, f=f: f(-t) for f in kernels])
+    flipped = ca._difference_table([flips[n % 3] for n in range(trials)], dec.eigenvalues)
     fxt = ca._hadamard(dec, flipped, x.swapaxes(1, 2))
     return [
         _row("transpose rule for commutator kernels", _norms(fx.swapaxes(1, 2) - fxt), 1e-12),
@@ -294,10 +291,11 @@ def _suite_monotonicity(seed: int, trials: int) -> list:
     g, x, xs = _draw_trials(seed * 1000 + 90, trials, _sym, _mat, _sym)
     qs = [float((1, 3, -1)[n % 3]) for n in range(trials)]
     dec = _eigendecompose_stack(g)
-    sqrt_r = _table(dec, [make_sqrt_r_kernel(q) for q in qs])
+    sqrt_r = ca._difference_table([make_sqrt_r_kernel(q) for q in qs], dec.eigenvalues)
     once = ca._hadamard(dec, sqrt_r, x)
     twice = ca._hadamard(dec, sqrt_r, once)
-    direct = ca._hadamard(dec, _table(dec, [make_r_kernel(q) for q in qs]), x)
+    r_table = ca._difference_table([make_r_kernel(q) for q in qs], dec.eigenvalues)
+    direct = ca._hadamard(dec, r_table, x)
     back = ca._hadamard(dec, 1.0 / sqrt_r, once)
     out = ca._hadamard(dec, sqrt_r, xs)
     rows.append(_row("square-root kernel applied twice equals the kernel (rel)",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -22,7 +23,8 @@ from corotcalc.matcore import (
     frobenius_norm,
 )
 from corotcalc.sampling import make_rng, random_matrix, random_spd_exp, random_symmetric
-from corotcalc.scalarfun import GAMMA, SIGMA
+from corotcalc.scalarfun import ETA, ETA_NEG, GAMMA, SIGMA, ScalarKernel, make_sinh_ratio_kernel
+from test_scalarfun import ALL_FIXED_KERNELS, PARAM_KERNELS
 
 
 def spd_from_log(rng, dim=3, scale=1.0):
@@ -154,6 +156,10 @@ def test_stack_failing_only_in_its_last_matrix_raises(kind):
     dec = EigenDecomposition._trusted(np.tile(np.eye(3), (20, 1, 1)), vals)
     with pytest.raises(ca.KernelDomainError, match=re.escape(repr((bad,))) if named else None):
         ca._matfun(f, dec)
+    if named:  # f(v_0 - bad) is the first non-finite difference too, in full or mirrored
+        for kernels in (f, ScalarKernel(kind, f, (), parity="odd"), [SIGMA] * 19 + [f]):
+            with pytest.raises(ca.KernelDomainError, match=pair):
+                ca._difference_table(kernels, vals)
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 3), (5, 2), (17, 4)])
@@ -171,6 +177,115 @@ def test_tables_match_per_entry_evaluation_to_the_bit(n, d):
     np.testing.assert_array_equal(ca._pair_table(fn, vals, scales), np.array(want))
     want = _spectral(dec.q, np.array([[float(SIGMA(v)) for v in row] for row in vals.tolist()]))
     np.testing.assert_array_equal(ca._matfun(SIGMA, dec), want)
+
+
+# mirrored tables against per-entry evaluation of every pair, compared as
+# bytes so that the sign of a zero counts
+
+
+def _every_pair(kernels, vals) -> np.ndarray:
+    """k(v_i - v_j) at each pair of each row, one kernel per row, as one array."""
+    rows = vals.reshape(-1, vals.shape[-1]).tolist()
+    return np.array([[[float(k(a - b)) for b in row] for a in row]
+                     for k, row in zip(kernels, rows)]).reshape(vals.shape + vals.shape[-1:])
+
+
+def _spectra(rng, d: int, radius: float) -> dict:
+    """Spectra of d values, 3 rows of each kind; clustered ones step by about ``radius``."""
+    steps = radius * np.array([0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.0])
+    return {
+        "random": rng.uniform(-3.0, 3.0, (3, d)),
+        "clustered": rng.uniform(-1.0, 1.0, (3, 1)) + np.cumsum(rng.choice(steps, (3, d)), 1),
+        "repeated": rng.choice([-0.5, 0.0, 0.5], (3, d)),
+        "1e10-wide": 10.0 ** rng.uniform(-5.0, 5.0, (3, d)),
+        "1e10-wide logs": np.log(10.0 ** rng.uniform(-5.0, 5.0, (3, d))),
+    }
+
+
+def _assert_table_matches(kernels, vals):
+    # where an entry overflows (r kernels over 1e10-wide spectra), both raise
+    try:
+        want = _every_pair(kernels, vals)
+    except OverflowError:
+        with pytest.raises(ca.KernelDomainError):
+            ca._difference_table(kernels, vals)
+        return
+    got = ca._difference_table(kernels, vals)
+    assert got.tobytes() == want.tobytes()
+    if len(set(map(id, kernels))) == 1:
+        assert ca._difference_table(kernels[0], vals).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 8, 16))
+@pytest.mark.parametrize("kernel", [k for k in ALL_FIXED_KERNELS + PARAM_KERNELS
+                                    if k.parity != "none"], ids=lambda k: k.name)
+def test_mirrored_difference_tables_equal_every_pair_to_the_bit(kernel, d):
+    rng = make_rng(40 + d)
+    for vals in _spectra(rng, d, kernel.switch_radius).values():
+        _assert_table_matches([kernel] * len(vals), vals)
+
+
+def test_zeros_are_evaluated_at_their_mirror():
+    # sinh(0 x/2)/sinh(x/2) x is +0.0 at x > 0.25 and -0.0 at -x, so 0.0 - t
+    # would mirror it wrongly; sigma is +0.0 at both x and -x near the
+    # smallest subnormal, so -t would
+    sinh_ratio = make_sinh_ratio_kernel(0.0)
+    table = ca._difference_table(sinh_ratio, np.array([2.5, 1.0, 0.0]))
+    assert np.signbit(table).tolist() == [[False] * 3, [True, False, False], [True, True, False]]
+    table = ca._difference_table(SIGMA, np.array([5e-324, 0.0]))
+    assert not np.signbit(table).any()
+
+
+@pytest.mark.parametrize("d", (1, 3, 8))
+def test_per_row_kernels_mixing_parity_and_none_equal_every_pair(d):
+    mixed = [SIGMA, math.exp, GAMMA, lambda t: t * t - 1.0, make_sinh_ratio_kernel(0.0), ETA]
+    rng = make_rng(50 + d)
+    for vals in _spectra(rng, d, 0.25).values():
+        vals = np.concatenate([vals] * 4)  # 12 rows over 6 kernels, in runs and alone
+        _assert_table_matches([mixed[n % 6] for n in range(len(vals))], vals)
+        _assert_table_matches([mixed[n // 2 % 6] for n in range(len(vals))], vals)
+
+
+def test_eta_declared_even_gives_a_wrong_table():
+    # the builder trusts a declared parity: ETA is not even, so mirroring its
+    # upper triangle cannot reproduce the table of every pair
+    wrong = dataclasses.replace(ETA, parity="even")
+    vals = make_rng(60).uniform(-2.0, 2.0, (2, 4))
+    assert ca._difference_table(wrong, vals).tobytes() != _every_pair([wrong] * 2, vals).tobytes()
+    assert ca._difference_table(ETA, vals).tobytes() == _every_pair([ETA] * 2, vals).tobytes()
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 8, 16))
+def test_symmetric_pair_tables_equal_every_pair_to_the_bit(d):
+    # the exp derivative's e^max(a,b) eta_-(|a-b|) and the divided differences
+    def fn(a, b):
+        return math.exp(max(a, b)) * ETA_NEG(abs(a - b))
+
+    rng = make_rng(70 + d)
+    spectra = _spectra(rng, d, 1e-5)
+    spectra["close"] = 1.0 + rng.uniform(0.0, 3e-5, (3, d))
+    spectra.pop("1e10-wide")  # e^max overflows there
+    for vals in spectra.values():
+        dec = EigenDecomposition._trusted(np.tile(np.eye(d), (len(vals), 1, 1)), vals)
+        x = rng.uniform(-1.0, 1.0, (len(vals), d, d))
+        want = np.array([[[fn(a, b) for b in row] for a in row] for row in vals.tolist()])
+        assert ca._d_exp(dec, x).tobytes() == ca._hadamard(dec, want, x).tobytes()
+        for gen in (mo.cube_generator(), mo.exponential_generator()):
+            f, fp = gen.scalar_generator, gen.derivative_generator
+            close = mo.DIVIDED_DIFF_PAIR_TOL * (1.0 + np.abs(vals).max(axis=1))
+            want = np.array([[[fp(0.5 * (a + b)) if abs(a - b) <= c else (f(a) - f(b)) / (a - b)
+                               for b in row] for a in row] for row, c in zip(vals.tolist(), close)])
+            got = mo._divided_difference_table(f, fp, vals)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_divided_difference_of_an_even_function_is_symmetric_at_opposite_values():
+    # (f(a) - f(b))/(a - b) is an exact zero at b = -a for even f: the larger
+    # argument goes first, so both entries are +0.0
+    square = mo.square_generator()
+    table = mo._divided_difference_table(square.scalar_generator, square.derivative_generator,
+                                         np.array([-1.0, 1.0]))
+    assert table.tobytes() == np.array([[-2.0, 0.0], [0.0, 2.0]]).tobytes()
 
 
 def test_matfun_series_exp_at_zero():

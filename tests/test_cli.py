@@ -101,8 +101,12 @@ _EYE2 = {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]}
      "W": {"dim": 1, "rows": [[0]]}},
     {"B": {"dim": 1, "rows": [[True]]}, "D": {"dim": 1, "rows": [[0.5]]},
      "W": {"dim": 1, "rows": [[0]]}},
+    {"B": {"dim": 2, "rows": [[True, 0.0], [0.0, 2.0]]},
+     "D": {"dim": 2, "rows": [[0.5, 0], [0, 0.1]]}, "W": {"dim": 2, "rows": [[0, 1], [-1, 0]]}},
+    {"B": _EYE2, "D": _EYE2, "W": {"dim": 2, "rows": [[0, False], [0, 0]]}},
 ], ids=["number", "null", "string", "array", "rows-number", "rows-flat", "string-entry",
-        "ragged-nesting", "dim-true", "numeric-string", "boolean-entry"])
+        "ragged-nesting", "dim-true", "numeric-string", "boolean-entry",
+        "boolean-among-floats", "boolean-among-integers"])
 def test_spin_malformed_payload_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))

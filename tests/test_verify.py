@@ -68,23 +68,36 @@ def test_suite_keys_fit_64_bits_at_the_largest_accepted_seed(monkeypatch):
 
 def test_each_suite_builds_each_pair_table_once(monkeypatch):
     # a table is one kernel (code and captured objects) over one set of
-    # eigenvalues with the same per-row arguments; a second build of it is
-    # repeated kernel work
+    # eigenvalues with the same per-row arguments, or one commutator kernel
+    # per row (by identity) over one set of eigenvalues; a second build of it
+    # is repeated kernel work
     builds = []  # holds every kernel and argument, so no id is reused
-    pair_table = ca._pair_table
+    pair_table, difference_table = ca._pair_table, ca._difference_table
 
-    def counting(fn, values, *per_row):
-        builds.append((fn, np.asarray(values).tobytes(), per_row))
-        return pair_table(fn, values, *per_row)
+    def counting(fn, values, *per_row, **options):
+        key = (fn.__code__, tuple(id(c.cell_contents) for c in fn.__closure__ or ()),
+               tuple(tuple(map(id, arg)) for arg in per_row))
+        builds.append(("pair", key, np.asarray(values).tobytes(), fn, per_row))
+        return pair_table(fn, values, *per_row, **options)
+
+    def counting_differences(kernels, values):
+        vals = np.asarray(values)
+        per_row = [kernels] * (vals.size // vals.shape[-1]) if callable(kernels) else kernels
+        builds.append(("difference", tuple(map(id, per_row)), vals.tobytes(), per_row))
+        return difference_table(kernels, values)
 
     for mod in (ca, ki, mo):
         monkeypatch.setattr(mod, "_pair_table", counting)
+        if hasattr(mod, "_difference_table"):
+            monkeypatch.setattr(mod, "_difference_table", counting_differences)
+    builders = set()
     for name in SUITE_NAMES:
         builds.clear()
         run_suite(name, seed=3, trials=20)
-        keys = {(fn.__code__, tuple(id(c.cell_contents) for c in fn.__closure__ or ()), vals,
-                 tuple(tuple(map(id, arg)) for arg in per_row)) for fn, vals, per_row in builds}
+        keys = {build[:3] for build in builds}
         assert len(keys) == len(builds), f"{name}: {len(builds)} builds, {len(keys)} tables"
+        builders.update(build[0] for build in builds)
+    assert builders == {"pair", "difference"}
 
 
 @pytest.mark.parametrize("seed", (0, 42))

@@ -20,14 +20,18 @@ import numpy as np
 
 from .matcore import (
     EigenDecomposition,
+    _decomposition,
     _gate,
+    _hadamard,
+    _jacobi,
     _norms,
     _require_spd,
+    _require_symmetric,
+    _spd_decomposition,
     _spectral,
+    _symmetry_defect,
     as_array,
-    eigendecompose_symmetric,
     frobenius_norm,
-    is_symmetric,
 )
 from .scalarfun import (
     COTH_HALF_X,
@@ -139,18 +143,6 @@ def _ad_power_binomial(aa: np.ndarray, xx: np.ndarray, m: int) -> np.ndarray:
 # matrix functions
 
 
-def _decomposition(a, decomposition=None) -> EigenDecomposition:
-    """The given eigendecomposition of symmetric ``a``, or a fresh one."""
-    if decomposition is not None:
-        return decomposition
-    return eigendecompose_symmetric(a)
-
-
-def _spd_decomposition(a, decomposition=None) -> EigenDecomposition:
-    """As ``_decomposition``, raising NotSpdError unless every eigenvalue is positive."""
-    return _require_spd(_decomposition(a, decomposition))
-
-
 def _evaluated(entries, count: int) -> np.ndarray:
     """The ``count`` floats of ``entries``; a failing evaluation raises KernelDomainError."""
     try:
@@ -249,18 +241,6 @@ def _kernel_rows(k, rows: np.ndarray) -> np.ndarray:
         down[zero] = _evaluated(map(k, (0.0 - diffs[zero]).tolist()), int(zero.sum()))
     diag = out[:1].repeat(n * d).reshape(n, d)
     return np.concatenate((up, down, diag), axis=1).take(place, 1)
-
-
-def _hadamard(dec: EigenDecomposition, table: np.ndarray, x) -> np.ndarray:
-    """Q (T o Q^T X Q) Q^T: the table applied entrywise in the eigenbasis of dec.
-
-    This is the spectral route's one check of X: ``as_array``, shape of dec.
-    A stacked dec (q of shape (N, d, d)) takes an (N, d, d) stack X as is.
-    """
-    q = dec.q
-    xx = x if q.ndim == 3 else _gate(x, shape=q.shape)[0]
-    qt = q.swapaxes(-1, -2)
-    return q @ (table * (qt @ xx @ q)) @ qt
 
 
 def _matfun(f: Callable[[float], float], dec: EigenDecomposition) -> np.ndarray:
@@ -411,7 +391,7 @@ def _matexp(a: np.ndarray) -> np.ndarray:
 def matlog_series(a) -> SeriesResult:
     """Logarithm by the series in (A - I); diverges far from the identity."""
     aa = as_array(a)
-    return matfun_series(log_series_spec(), aa - np.eye(aa.shape[0]))
+    return _matfun_series(log_series_spec(), (aa - np.eye(aa.shape[0]))[None])._one()
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +430,19 @@ def f_of_ad_spectral(kernel, g, x, decomposition=None) -> np.ndarray:
 # derivatives of exp and log
 
 
+def _route(a, method: str) -> tuple:
+    """(A checked, its eigendecomposition) on the spectral route, (A checked,
+    None) on the series route.  "auto" takes the spectral route for a symmetric
+    A; its one symmetry test is also the eigensolver's gate."""
+    if method not in ("auto", "spectral", "series"):
+        raise ValueError(f"unknown method {method!r}")
+    aa = as_array(a)
+    if method == "auto":
+        asym, bound, _ = _symmetry_defect(aa)
+        return aa, (_jacobi(aa) if asym <= bound else None)
+    return aa, (_jacobi(_require_symmetric(aa)) if method == "spectral" else None)
+
+
 def d_exp(a, x, method: str = "auto") -> np.ndarray:
     """Directional derivative of the matrix exponential at A toward X.
 
@@ -459,13 +452,12 @@ def d_exp(a, x, method: str = "auto") -> np.ndarray:
     of the eigenvalues, which stay finite wherever the result is.  Series
     route (general A): the same two factors summed as formal series.
     """
-    if method == "auto":
-        method = "spectral" if is_symmetric(a) else "series"
-    if method == "spectral":
-        return _d_exp(eigendecompose_symmetric(a), x)
-    if method == "series":
-        return matexp_series(a) @ f_of_ad_series(eta_neg_series_spec(), a, x).value
-    raise ValueError(f"unknown method {method!r}")
+    aa, dec = _route(a, method)
+    if dec is not None:
+        return _d_exp(dec, x)
+    exp_a = _matexp(aa[None])[0]
+    xx = _gate(x, shape=aa.shape)[0]
+    return exp_a @ _ad_series(eta_neg_series_spec(), aa[None], xx[None]).value[0]
 
 
 def _d_exp(dec: EigenDecomposition, x) -> np.ndarray:
@@ -535,11 +527,10 @@ def dlog_commutator_residual(a, y, decomposition=None) -> np.ndarray:
     vanish to rounding for SPD A.
     """
     aa, yy = _gate(a, y)
-    dec = _spd_decomposition(aa, decomposition)
-    lhs = d_log(aa, aa @ yy - yy @ aa, decomposition=dec)
-    log_a = matfun_spectral(math.log, aa, decomposition=dec)
-    rhs = log_a @ yy - yy @ log_a
-    return lhs - rhs
+    dec = _require_spd(decomposition or _jacobi(_require_symmetric(aa)))
+    lhs = _d_log(dec, _ad(aa, yy))  # the commutator's one check: the operand gate
+    log_a = _matfun(math.log, dec)
+    return lhs - _ad(log_a, yy)
 
 
 def anticommutator_gap(a, x, decomposition=None) -> tuple:
@@ -549,10 +540,10 @@ def anticommutator_gap(a, x, decomposition=None) -> tuple:
     measures how far from commuting the pair is.
     """
     aa, xx = _gate(a, x)
-    dec = _spd_decomposition(aa, decomposition)
-    gap = frobenius_norm(dlog_anticommutator(aa, xx, decomposition=dec) - 2.0 * xx)
-    comm = frobenius_norm(aa @ xx - xx @ aa)
-    return gap, comm
+    dec = _require_spd(decomposition or _jacobi(_require_symmetric(aa)))
+    table = _difference_table(COTH_HALF_X, np.log(dec.eigenvalues))
+    gap = frobenius_norm(_hadamard(dec, table, xx, checked=True) - 2.0 * xx)
+    return gap, frobenius_norm(_ad(aa, xx))
 
 
 # ---------------------------------------------------------------------------
@@ -564,13 +555,11 @@ def exp_conjugation(a, y, s: float = 1.0, method: str = "auto") -> np.ndarray:
 
     The direct triple product is the standard oracle for this value.
     """
-    if method == "auto":
-        method = "spectral" if is_symmetric(a) else "series"
-    if method == "spectral":
-        return _exp_conjugation(eigendecompose_symmetric(a), y, [s])
-    if method == "series":
-        return f_of_ad_series(exp_series_spec(scale=s), a, y).value
-    raise ValueError(f"unknown method {method!r}")
+    aa, dec = _route(a, method)
+    if dec is not None:
+        return _exp_conjugation(dec, y, [s])
+    spec = exp_series_spec(scale=s)
+    return _ad_series(spec, aa[None], _gate(y, shape=aa.shape)[0][None]).value[0]
 
 
 def _exp_conjugation(dec: EigenDecomposition, y, s) -> np.ndarray:
@@ -586,11 +575,11 @@ def adjoint_residuals(a, x, y, kernel) -> tuple:
     r2 = |<f(ad_A)[X], Y> - <X, f(ad_A)[Y]>|; both vanish for symmetric A.
     """
     aa, xx, yy = _gate(a, x, y)
-    dec = eigendecompose_symmetric(aa)
-    fx = f_of_ad_spectral(kernel, aa, xx, decomposition=dec)
-    flipped = f_of_ad_spectral(lambda t: kernel(-t), aa, xx.T, decomposition=dec)
-    r1 = frobenius_norm(fx.T - flipped)
-    fy = f_of_ad_spectral(kernel, aa, yy, decomposition=dec)
+    dec = _jacobi(_require_symmetric(aa))
+    table = _difference_table(kernel, dec.eigenvalues)
+    fx, fy = _hadamard(dec, table, xx, checked=True), _hadamard(dec, table, yy, checked=True)
+    flipped = _difference_table(lambda t: kernel(-t), dec.eigenvalues)
+    r1 = frobenius_norm(fx.T - _hadamard(dec, flipped, xx.T, checked=True))
     r2 = abs(float(np.sum(fx * yy)) - float(np.sum(xx * fy)))
     return r1, r2
 

@@ -2,10 +2,10 @@
 
 Exit codes: 0 success; 1 a verification row failed; 2 malformed input (bad
 JSON or payload, non-symmetric D, non-skew W, a malformed flag, config
-value or COROTCALC_TOL, a motion that needs more dimensions, a trajectory
-over ``kinematics.MAX_STEPS`` or ``MAX_RECORD_BYTES``, a trajectory whose
-B leaves the float range, or an unwritable ``--out``); 3 B is not positive
-definite; 4 integrator abort.
+value or COROTCALC_TOL, a spin that leaves the float range, a motion that
+needs more dimensions, a trajectory over ``kinematics.MAX_STEPS`` or
+``MAX_RECORD_BYTES``, a trajectory whose B leaves the float range, or an
+unwritable ``--out``); 3 B is not positive definite; 4 integrator abort.
 
 All output is deterministic for a fixed seed and configuration: floats are
 printed with 17 significant digits and randomness flows through the seeded
@@ -161,7 +161,7 @@ def cmd_spin(args) -> int:
         return EXIT_BAD_INPUT
 
     try:
-        b = SpdMatrix(b_raw.array, sym_tol=args.tol)
+        b = SpdMatrix(b_raw, sym_tol=args.tol)
     except NotSpdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_SPD
@@ -169,8 +169,8 @@ def cmd_spin(args) -> int:
         print(f"error: B is not symmetric: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        d = SymMatrix(d_raw.array, sym_tol=args.tol)
-        w = SkewMatrix(w_raw.array, sym_tol=args.tol)
+        d = SymMatrix(d_raw, sym_tol=args.tol)
+        w = SkewMatrix(w_raw, sym_tol=args.tol)
     except (NotSymmetricError, NotSkewError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -180,15 +180,23 @@ def cmd_spin(args) -> int:
 
     dec = b.decomposition
     out: dict = {}
-    if args.method == "spectral":
-        omega = ki.log_spin_spectral(b.array, d.array, w.array, decomposition=dec)
-    elif args.method == "commutator":
-        omega = ki.log_spin_commutator(b.array, d.array, w.array, decomposition=dec)
-    else:
-        omega_sp = ki.log_spin_spectral(b.array, d.array, w.array, decomposition=dec)
-        omega = ki.log_spin_commutator(b.array, d.array, w.array, decomposition=dec)
-        out["method_discrepancy"] = float(frobenius_norm(omega_sp - omega))
-    out["omega_log"] = Matrix(omega).to_json_dict()
+    # A large enough D makes a spin overflow.  Each computed spin is checked
+    # once: by Matrix, and with "both" by the norm of the two spins'
+    # difference.  The overflow is reported by one error line, not by numpy.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.method == "spectral":
+                omega = ki.log_spin_spectral(b, d, w, decomposition=dec)
+            elif args.method == "commutator":
+                omega = ki.log_spin_commutator(b, d, w, decomposition=dec)
+            else:
+                omega_sp = ki.log_spin_spectral(b, d, w, decomposition=dec)
+                omega = ki.log_spin_commutator(b, d, w, decomposition=dec)
+                out["method_discrepancy"] = frobenius_norm(omega_sp - omega)
+        out["omega_log"] = Matrix(omega).to_json_dict()
+    except MatrixValidationError as exc:
+        print(f"error: the spin leaves the float range: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     print(json.dumps(out, sort_keys=True, indent=2))
     return EXIT_OK
 

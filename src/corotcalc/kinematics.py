@@ -20,21 +20,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import (
-    _central,
-    _d_log,
-    _difference_table,
-    _hadamard,
-    _matfun,
-    _pair_table,
-    _spd_decomposition,
-)
+from .calculus import _central, _d_log, _difference_table, _matfun, _pair_table
 from .matcore import (
     SkewMatrix,
     _eigendecompose_stack,
     _gate,
+    _hadamard,
     _norms,
     _require_spd,
+    _spd_decomposition,
     _worst,
     frobenius_norm,
     skew_part,

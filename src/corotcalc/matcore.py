@@ -167,7 +167,10 @@ class Matrix:
     __slots__ = ("_array",)
 
     def __init__(self, entries):
-        arr = _square_finite(entries)
+        self._freeze(_square_finite(entries))
+
+    def _freeze(self, arr: np.ndarray) -> None:
+        """Keep ``arr``, checked already, read-only and uncopied."""
         arr.setflags(write=False)
         object.__setattr__(self, "_array", arr)
 
@@ -207,10 +210,33 @@ class Matrix:
         # numpy reads a boolean among numbers as 1 or 0
         if rows.ndim == 2 and bool in {type(x) for row in obj["rows"] for x in row}:
             raise MatrixValidationError("matrix entries must be numbers, got a boolean")
-        matrix = cls(rows)
+        matrix = object.__new__(Matrix)
+        matrix._freeze(_square_finite(rows, np.asarray))  # rows is ours: converted once, not copied
+        if cls is not Matrix:
+            matrix = cls(matrix)  # a value type checks its own property only
         if matrix.dim != dim:
             raise MatrixValidationError(f"'rows' is {matrix.dim}x{matrix.dim}, 'dim' is {dim}")
         return matrix
+
+
+def _symmetrized(entries, sym_tol: float, skew: bool = False) -> np.ndarray:
+    """(A + A^T)/2, or with ``skew`` (A - A^T)/2 with a zero diagonal.
+
+    The one check of the entries: ``as_array`` (which takes a Matrix as
+    checked already), then symmetry or skewness within ``sym_tol``.
+    """
+    arr = as_array(entries)
+    defect, bound, huge = _symmetry_defect(arr, sym_tol, skew)
+    if defect > bound:
+        if skew:
+            raise NotSkewError(
+                f"deviation from skew-symmetry {defect:.3e} exceeds tolerance {bound:.3e}"
+            )
+        raise NotSymmetricError(f"asymmetry {defect:.3e} exceeds tolerance {bound:.3e}")
+    out = _half_sum(arr, -arr.T if skew else arr.T, huge)
+    if skew:
+        np.fill_diagonal(out, 0.0)
+    return out
 
 
 class SymMatrix(Matrix):
@@ -224,13 +250,7 @@ class SymMatrix(Matrix):
     __slots__ = ()
 
     def __init__(self, entries, sym_tol: float = DEFAULT_SYM_TOL):
-        arr = _square_finite(entries)
-        asym, bound, huge = _symmetry_defect(arr, sym_tol)
-        if asym > bound:
-            raise NotSymmetricError(
-                f"asymmetry {asym:.3e} exceeds tolerance {bound:.3e}"
-            )
-        super().__init__(_half_sum(arr, arr.T, huge))
+        self._freeze(_symmetrized(entries, sym_tol))
 
 
 class SkewMatrix(Matrix):
@@ -239,15 +259,7 @@ class SkewMatrix(Matrix):
     __slots__ = ()
 
     def __init__(self, entries, sym_tol: float = DEFAULT_SYM_TOL):
-        arr = _square_finite(entries)
-        dev, bound, huge = _symmetry_defect(arr, sym_tol, skew=True)
-        if dev > bound:
-            raise NotSkewError(
-                f"deviation from skew-symmetry {dev:.3e} exceeds tolerance {bound:.3e}"
-            )
-        skew = _half_sum(arr, -arr.T, huge)
-        np.fill_diagonal(skew, 0.0)
-        super().__init__(skew)
+        self._freeze(_symmetrized(entries, sym_tol, skew=True))
 
 
 class SpdMatrix(SymMatrix):
@@ -256,9 +268,9 @@ class SpdMatrix(SymMatrix):
     __slots__ = ("_decomposition",)
 
     def __init__(self, entries, sym_tol: float = DEFAULT_SYM_TOL):
-        super().__init__(entries, sym_tol=sym_tol)
-        dec = _require_spd(eigendecompose_symmetric(self.array))
-        object.__setattr__(self, "_decomposition", dec)
+        arr = _symmetrized(entries, sym_tol)
+        self._freeze(arr)
+        object.__setattr__(self, "_decomposition", _require_spd(_jacobi(arr)))
 
     @property
     def decomposition(self) -> "EigenDecomposition":
@@ -331,13 +343,20 @@ def frobenius_dot(u, v) -> float:
 
 
 def frobenius_norm(u) -> float:
-    uu = as_array(u)
-    return float(np.sqrt(np.sum(uu * uu)))
+    return float(_norms(as_array(u)))
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
-    """``frobenius_norm`` of each matrix of a stack, summed in the same order."""
-    return np.sqrt(np.sum(x * x, axis=(-2, -1)))
+    """The Frobenius norm of a matrix, or of each matrix of a stack.  Where the sum of
+    squares overflows it is taken again of the entries scaled by an exact power of two."""
+    with np.errstate(over="ignore"):
+        out = np.sqrt(np.sum(x * x, axis=(-2, -1)))
+    over = np.isinf(out)
+    if over.any():
+        exp2 = np.frexp(np.max(np.abs(x), axis=(-2, -1)))[1]
+        scaled = np.ldexp(x, -exp2[..., None, None])
+        out = np.where(over, np.ldexp(np.sqrt(np.sum(scaled * scaled, axis=(-2, -1))), exp2), out)
+    return out
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -354,6 +373,22 @@ def _spectral(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Q diag(vals) Q^T, symmetrized; one per matrix of a stack."""
     out = (q * vals[..., None, :]) @ q.swapaxes(-1, -2)
     return 0.5 * (out + out.swapaxes(-1, -2))
+
+
+def _hadamard(dec: EigenDecomposition, table: np.ndarray, x, checked: bool = False) -> np.ndarray:
+    """Q (T o Q^T X Q) Q^T: the table applied entrywise in the eigenbasis of dec.
+
+    This is the spectral route's one check of X: ``as_array``, unless its
+    caller ``checked`` X already, and the shape of dec.  A stacked dec (q of
+    shape (N, d, d)) takes an (N, d, d) stack X as is.
+    """
+    q = dec.q
+    if q.ndim == 2:
+        x = x if checked else as_array(x)
+        if x.shape != q.shape:
+            raise DimensionMismatchError(f"shape mismatch {q.shape} vs {x.shape}")
+    qt = q.swapaxes(-1, -2)
+    return q @ (table * (qt @ x @ q)) @ qt
 
 
 def sym_part(a) -> SymMatrix:
@@ -379,10 +414,31 @@ def eigendecompose_symmetric(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDe
     the eigenvector columns permuted to match.  Deterministic for a fixed
     input: no pivoting decisions depend on anything but the matrix values.
     """
-    arr = as_array(s)
+    return _jacobi(_require_symmetric(as_array(s)), max_sweeps)
+
+
+def _require_symmetric(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if symmetric within DEFAULT_SYM_TOL: the eigensolver's gate."""
     asym, bound, _ = _symmetry_defect(arr)
     if asym > bound:
         raise NotSymmetricError("input to the symmetric eigensolver is not symmetric")
+    return arr
+
+
+def _decomposition(a, decomposition=None) -> EigenDecomposition:
+    """The given eigendecomposition of symmetric ``a``, or a fresh one."""
+    if decomposition is not None:
+        return decomposition
+    return eigendecompose_symmetric(a)
+
+
+def _spd_decomposition(a, decomposition=None) -> EigenDecomposition:
+    """As ``_decomposition``, raising NotSpdError unless every eigenvalue is positive."""
+    return _require_spd(_decomposition(a, decomposition))
+
+
+def _jacobi(arr: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecomposition:
+    """``eigendecompose_symmetric`` of an array that passed its gate, unchecked."""
     d = arr.shape[0]
     if d == 1:
         return EigenDecomposition._trusted(np.eye(1), arr[0, :1].copy())
@@ -398,7 +454,7 @@ def eigendecompose_symmetric(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDe
         # Largest entry scaled below 2^(511 - bit_length(d)): the squared
         # norm is finite and small entries stay normal floats.
         exp2 = math.frexp(float(np.max(np.abs(arr))))[1] - 511 + d.bit_length()
-        dec = eigendecompose_symmetric(np.ldexp(arr, -exp2), max_sweeps)
+        dec = _jacobi(np.ldexp(arr, -exp2), max_sweeps)
         with np.errstate(over="ignore"):
             vals = np.ldexp(dec.eigenvalues, exp2)
         if np.isinf(vals).any():
@@ -572,7 +628,7 @@ def _eigendecompose_stack(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecom
     vals = np.take_along_axis(diag, order, axis=1)
     q = np.take_along_axis(q, order[:, None, :], axis=2)
     for i in scaled:
-        dec = eigendecompose_symmetric(arr[i], max_sweeps)
+        dec = _jacobi(arr[i], max_sweeps)
         q[i] = dec.q
         vals[i] = dec.eigenvalues
     return EigenDecomposition._trusted(q, vals)

@@ -18,28 +18,28 @@ from typing import Callable
 import numpy as np
 
 from .calculus import (
-    _decomposition,
-    _hadamard,
+    _ad,
+    _central,
+    _difference_table,
     _log_eig_apply,
     _pair_table,
-    ad,
-    dlog_sinh_pair,
     f_of_ad_spectral,
-    gateaux_fd,
     matexp_series,
     matfun_spectral,
 )
 from .matcore import (
     EigenDecomposition,
     NotSymmetricError,
+    _decomposition,
     _dots,
     _eigendecompose_stack,
     _gate,
+    _hadamard,
+    _norms,
     _require_spd,
     _symmetry_defect,
     _worst,
     as_array,
-    frobenius_dot,
     frobenius_norm,
 )
 from .sampling import _draw_trials, random_symmetric
@@ -199,13 +199,13 @@ def isotropic_commutation_residual(f: IsotropicFunction, a, y, h: float | None =
             raise ValueError(
                 f"generator {f.name!r} is not polynomial; pass a finite-difference step h"
             )
-        lhs = ad(aa, poly_gateaux(f.poly_coefficients, aa, yy))
-        rhs = poly_gateaux(f.poly_coefficients, aa, ad(aa, yy))
+        lhs = _ad(aa, _poly_gateaux(f.poly_coefficients, aa, yy))
+        rhs = _poly_gateaux(f.poly_coefficients, aa, _ad(aa, yy))
         return frobenius_norm(lhs - rhs)
     if f.matrix_eval is None:
         raise ValueError(f"generator {f.name!r} has no general-matrix evaluation")
-    lhs = ad(aa, gateaux_fd(f.matrix_eval, aa, yy, h=h))
-    rhs = gateaux_fd(f.matrix_eval, aa, ad(aa, yy), h=h)
+    lhs = _ad(aa, _central(f.matrix_eval, aa, yy, h))
+    rhs = _central(f.matrix_eval, aa, _ad(aa, yy), h)
     return frobenius_norm(lhs - rhs)
 
 
@@ -227,7 +227,7 @@ def _require_symmetric_nonzero(x) -> np.ndarray:
     asym, bound, _ = _symmetry_defect(xx)
     if asym > bound:
         raise NotSymmetricError("direction must be symmetric")
-    if frobenius_norm(xx) == 0.0:
+    if _norms(xx) == 0.0:
         raise ValueError("direction must be nonzero")
     return xx
 
@@ -240,20 +240,25 @@ def bilinear_lhs(
     <Df(G)|_{G=ln A} [ d(ln A)[A^p X A^-s + A^-s X A^p] ], X> evaluated by
     the chain rule: the inner derivative collapses to the r kernel of the
     commutator at ln A, the outer one to divided differences of the
-    generator in the same eigenbasis.  ``dlog_sinh_pair`` checks p - s = 1.
+    generator in the same eigenbasis.  Requires p - s = 1.
     """
     xx = _require_symmetric_nonzero(x)
     dec_a = _decomposition(a, decomposition)
-    inner = dlog_sinh_pair(a, xx, p, s, +1, decomposition=dec_a)
-    dec_g = EigenDecomposition._trusted(dec_a.q, np.log(dec_a.eigenvalues))
-    outer = f.derivative(None, inner, decomposition=dec_g)
-    return frobenius_dot(outer, xx)
+    if p - s != 1:
+        raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")
+    kernel = make_r_kernel(float(p + s))
+    log_vals = np.log(_require_spd(dec_a).eigenvalues)
+    inner = _hadamard(dec_a, _difference_table(kernel, log_vals), xx, checked=True)
+    outer = f.derivative(None, inner, decomposition=EigenDecomposition._trusted(dec_a.q, log_vals))
+    return float(_dots(as_array(outer), xx))  # the one check of the computed outer
 
 
 def bilinear_rhs(f: IsotropicFunction, g, x, decomposition=None) -> float:
     """Quadratic form of the generator's derivative at symmetric G: <Df(G)[X], X>."""
     xx = _require_symmetric_nonzero(x)
-    return frobenius_dot(f.derivative(g, xx, decomposition=decomposition), xx)
+    dec = _decomposition(g, decomposition)
+    table = _divided_difference_table(f.scalar_generator, f.derivative_generator, dec.eigenvalues)
+    return float(_dots(as_array(_hadamard(dec, table, xx, checked=True)), xx))
 
 
 @dataclass(frozen=True)

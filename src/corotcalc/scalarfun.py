@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable
 
 __all__ = [
@@ -165,7 +165,7 @@ _HALF_X_OVER_SINH = [2 * u - v for u, v in zip(_bernoulli_series(0.5, TAYLOR_DEG
                                                 _bernoulli_series(1, TAYLOR_DEGREE))]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # bounded: the factories below take any parameter
 def _ratio_series(q: float, sign: int) -> list:
     # (e^(q x/2) + sign e^(-q x/2)) (x/2)/sinh(x/2): r_q for sign 1, sinh_ratio_q for -1
     up, down = _exp_series(q / 2, TAYLOR_DEGREE), _exp_series(-q / 2, TAYLOR_DEGREE)
@@ -218,10 +218,29 @@ COTH_HALF_X = ScalarKernel(
 )
 
 
-@lru_cache(maxsize=None)
+def _kernel_factory(build):
+    """``build``, a kernel factory of one float parameter, keeping its last 64
+    kernels (callers may pass any value).  A value that is not finite, or whose
+    coefficients leave the float range, raises ValueError naming both."""
+
+    @lru_cache(maxsize=64)
+    @wraps(build)
+    def make(value):
+        value = float(value)
+        try:
+            if math.isfinite(value):
+                return build(value)
+        except (OverflowError, ValueError):  # a coefficient, or the r kernel under sqrt_r
+            pass
+        raise ValueError(f"{build.__name__}: {build.__code__.co_varnames[0]}={value!r} is not "
+                         "finite or takes the coefficients beyond the float range")
+
+    return make
+
+
+@_kernel_factory
 def make_r_kernel(q: float) -> ScalarKernel:
     """cosh(q x/2)/sinh(x/2) * x: even in x, positive, value 2 at the origin."""
-    q = float(q)
 
     def direct(x: float, _q=q) -> float:
         try:
@@ -233,10 +252,9 @@ def make_r_kernel(q: float) -> ScalarKernel:
     return ScalarKernel(f"r[q={q:g}]", direct, _pairs(_ratio_series(q, 1)), parity="even")
 
 
-@lru_cache(maxsize=None)
+@_kernel_factory
 def make_sinh_ratio_kernel(q: float) -> ScalarKernel:
     """sinh(q x/2)/sinh(x/2) * x: odd in x, value 0 at the origin; x itself at q = 1."""
-    q = float(q)
 
     def direct(x: float, _q=q) -> float:
         try:
@@ -251,10 +269,9 @@ def make_sinh_ratio_kernel(q: float) -> ScalarKernel:
     )
 
 
-@lru_cache(maxsize=None)
+@_kernel_factory
 def make_sandwich_kernel(s: float) -> ScalarKernel:
     """x e^(s x)/(1 - e^-x): log-derivative kernel for power-sandwich arguments."""
-    s = float(s)
 
     def direct(x: float, _s=s) -> float:
         return math.exp(_s * x) * x / (-math.expm1(-x))
@@ -263,7 +280,7 @@ def make_sandwich_kernel(s: float) -> ScalarKernel:
     return ScalarKernel(f"sandwich[s={s:g}]", direct, _pairs(coeffs))
 
 
-@lru_cache(maxsize=None)
+@_kernel_factory
 def make_sqrt_r_kernel(q: float) -> ScalarKernel:
     """Square root of the r kernel; even, positive, value sqrt(2) at the origin.
 
@@ -272,7 +289,6 @@ def make_sqrt_r_kernel(q: float) -> ScalarKernel:
     the switch radius is tightened accordingly.  The direct branch is stable
     down to tiny |x| (no cancellation), so a small switch radius is harmless.
     """
-    q = float(q)
     r_ker = make_r_kernel(q)
 
     def direct(x: float, _r=r_ker) -> float:

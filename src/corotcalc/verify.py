@@ -23,7 +23,8 @@ import numpy as np
 from . import calculus as ca
 from . import kinematics as ki
 from . import monotonicity as mo
-from .matcore import _dots, _eigendecompose_stack, _norms, _require_spd, _spectral, _worst
+from .matcore import _dots, _eigendecompose_stack, _hadamard, _norms, _require_spd, _spectral
+from .matcore import _worst
 from .sampling import _draw_trials, _spd_exp, random_matrix, random_skew, random_symmetric
 from .scalarfun import COTH_HALF_X, GAMMA, SIGMA, make_r_kernel, make_sandwich_kernel
 from .scalarfun import make_sinh_ratio_kernel, make_sqrt_r_kernel
@@ -216,9 +217,9 @@ def _suite_lemma6(seed: int, trials: int) -> list:
     flips = [lambda t, f=f: f(-t) for f in kinds]
     dec = _eigendecompose_stack(a)
     table = ca._difference_table([kinds[n % 3] for n in range(trials)], dec.eigenvalues)
-    fx, fy = ca._hadamard(dec, table, x), ca._hadamard(dec, table, y)
+    fx, fy = _hadamard(dec, table, x), _hadamard(dec, table, y)
     flipped = ca._difference_table([flips[n % 3] for n in range(trials)], dec.eigenvalues)
-    fxt = ca._hadamard(dec, flipped, x.swapaxes(1, 2))
+    fxt = _hadamard(dec, flipped, x.swapaxes(1, 2))
     return [
         _row("transpose rule for commutator kernels", _norms(fx.swapaxes(1, 2) - fxt), 1e-12),
         _row("self-adjointness in the trace inner product",
@@ -292,12 +293,12 @@ def _suite_monotonicity(seed: int, trials: int) -> list:
     qs = [float((1, 3, -1)[n % 3]) for n in range(trials)]
     dec = _eigendecompose_stack(g)
     sqrt_r = ca._difference_table([make_sqrt_r_kernel(q) for q in qs], dec.eigenvalues)
-    once = ca._hadamard(dec, sqrt_r, x)
-    twice = ca._hadamard(dec, sqrt_r, once)
+    once = _hadamard(dec, sqrt_r, x)
+    twice = _hadamard(dec, sqrt_r, once)
     r_table = ca._difference_table([make_r_kernel(q) for q in qs], dec.eigenvalues)
-    direct = ca._hadamard(dec, r_table, x)
-    back = ca._hadamard(dec, 1.0 / sqrt_r, once)
-    out = ca._hadamard(dec, sqrt_r, xs)
+    direct = _hadamard(dec, r_table, x)
+    back = _hadamard(dec, 1.0 / sqrt_r, once)
+    out = _hadamard(dec, sqrt_r, xs)
     rows.append(_row("square-root kernel applied twice equals the kernel (rel)",
                      _rel(twice, direct), 1e-12))
     rows.append(_row("square-root kernel inverted by its reciprocal (rel)", _rel(back, x), 1e-12))

@@ -452,3 +452,35 @@ def test_spin_accepts_wide_positive_spectrum(tmp_path, capsys):
     assert main(["spin", "--input", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["method_discrepancy"] <= 1e-10
+
+
+# A valid payload whose spin overflows: B = [[2, 0.9], [0.9, 1]], D = 1.7e308 * ones.
+OVERFLOW_PAYLOAD = {
+    "B": {"dim": 2, "rows": [[2.0, 0.9], [0.9, 1.0]]},
+    "D": {"dim": 2, "rows": [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]},
+    "W": {"dim": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("method", ["spectral", "both"])
+def test_spin_overflow_exit_2_as_console_script(method, tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOW_PAYLOAD))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corotcalc.cli", "spin", "--input", str(path), "--method", method],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_spin_discrepancy_of_spins_above_1e154_is_finite_json(tmp_path, capsys):
+    # spins of about 4.4e290: the squares in the discrepancy's norm overflow
+    payload = dict(OVERFLOW_PAYLOAD, D={"dim": 2, "rows": [[1e308, 1e308], [1e308, -1e308]]})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    assert main(["spin", "--input", str(path), "--method", "both"]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert 0.0 < out["method_discrepancy"] < math.inf

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -460,3 +462,29 @@ def test_eigen_stack_reports_first_unconverged_matrix():
         _eigendecompose_stack(np.array([easy, hard[0], hard[1]]), max_sweeps=1)
     assert ei.value.sweeps == 1
     assert ei.value.off_norm == ref.value.off_norm
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_norms_above_the_squared_float_range_match_hypot(scale):
+    # every square overflows; the norms themselves are in range
+    rng = np.random.default_rng(3)
+    stack = scale * rng.uniform(-1.0, 1.0, (4, 3, 3))
+    for m in stack:
+        want = math.hypot(*m.ravel().tolist())
+        assert frobenius_norm(m) == pytest.approx(want, rel=4e-16)
+    want = [math.hypot(*m.ravel().tolist()) for m in stack]
+    assert matcore._norms(stack) == pytest.approx(want, rel=4e-16)
+
+
+def test_norms_in_range_are_the_plain_sums():
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((5, 4, 4)) * np.array([1e-300, 1.0, 1e100, 1e150, 1e153])[:, None, None]
+    plain = np.sqrt(np.sum(stack * stack, axis=(-2, -1)))
+    assert matcore._norms(stack).tobytes() == plain.tobytes()
+    assert [frobenius_norm(m) for m in stack] == plain.tolist()
+
+
+def test_norms_of_a_stack_with_an_infinite_entry():
+    stack = np.ones((2, 3, 3))
+    stack[1, 0, 0] = np.inf
+    assert matcore._norms(stack).tolist() == [3.0, np.inf]

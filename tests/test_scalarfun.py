@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -351,3 +352,22 @@ def test_declared_parity_holds_to_the_bit(kernel, x):
     r = kernel.switch_radius
     for t in (x, r, math.nextafter(r, 0.0), math.nextafter(r, 1.0)):
         assert kernel(-t) == sign * kernel(t), t
+
+
+FACTORIES = [sf.make_r_kernel, sf.make_sinh_ratio_kernel, sf.make_sandwich_kernel,
+             sf.make_sqrt_r_kernel]
+
+
+@pytest.mark.parametrize("factory", [sf.make_r_kernel, sf.make_sandwich_kernel])
+def test_kernel_factory_cache_is_bounded(factory):
+    assert factory.cache_info().maxsize is not None  # callers may pass any parameter
+    for k in range(100):
+        factory(0.001 * k + 0.0005)
+    assert factory.cache_info().currsize <= 64
+
+
+@pytest.mark.parametrize("factory", FACTORIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e300])
+def test_kernel_factory_rejects_parameter_out_of_range(factory, value):
+    with pytest.raises(ValueError, match=rf"^{factory.__name__}: [qs]={re.escape(repr(value))} "):
+        factory(value)

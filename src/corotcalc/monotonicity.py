@@ -145,7 +145,7 @@ def exponential_generator() -> IsotropicFunction:
 def square_generator() -> IsotropicFunction:
     return IsotropicFunction(
         "square", lambda t: t * t, lambda t: 2.0 * t, poly_coefficients=(0.0, 0.0, 1.0),
-        matrix_eval=lambda m: as_array(m) @ as_array(m),
+        matrix_eval=lambda m: (a := as_array(m)) @ a,
     )
 
 
@@ -161,7 +161,7 @@ def cube_plus_identity_generator() -> IsotropicFunction:
     return IsotropicFunction(
         "cube_plus_identity", lambda t: t**3 + t, lambda t: 3.0 * t * t + 1.0,
         poly_coefficients=(0.0, 1.0, 0.0, 1.0),
-        matrix_eval=lambda m: np.linalg.matrix_power(as_array(m), 3) + as_array(m),
+        matrix_eval=lambda m: np.linalg.matrix_power(a := as_array(m), 3) + a,
     )
 
 

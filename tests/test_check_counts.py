@@ -78,9 +78,14 @@ CALLS = {
     "adjoint_residuals": (lambda: ca.adjoint_residuals(SYM, X, Y, SIGMA), (4, 1)),
     "isotropic_commutation_residual": (
         lambda: mo.isotropic_commutation_residual(mo.cube_generator(), SYM, Y), (3, 0)),
-    # four of the seven are the identity generator's own matrix_eval conversions
+    # four of the seven are the generator's own matrix_eval conversions, one per call
     "isotropic_commutation_residual with h": (
         lambda: mo.isotropic_commutation_residual(mo.identity_generator(), SYM, Y, h=1e-4), (7, 0)),
+    "isotropic_commutation_residual with h, square": (
+        lambda: mo.isotropic_commutation_residual(mo.square_generator(), SYM, Y, h=1e-4), (7, 0)),
+    "isotropic_commutation_residual with h, cube plus identity": (
+        lambda: mo.isotropic_commutation_residual(mo.cube_plus_identity_generator(), SYM, Y, 1e-4),
+        (7, 0)),
     "bilinear_lhs": (lambda: mo.bilinear_lhs(mo.exponential_generator(), SPD, XS, 1, 0), (4, 2)),
     "bilinear_rhs": (lambda: mo.bilinear_rhs(mo.exponential_generator(), SYM, XS), (3, 2)),
     "sym_part": (lambda: mc.sym_part(GEN), (2, 1)),

@@ -37,9 +37,13 @@ from .scalarfun import (
     COTH_HALF_X,
     ETA_NEG,
     ETA_NEG_RECIP,
+    KernelDomainError,
+    _checked,
+    _evaluated,
     _eta_series,
     _exp_series,
     _log1p_series,
+    _mapped,
     _sigma_series,
     make_r_kernel,
     make_sandwich_kernel,
@@ -80,10 +84,6 @@ __all__ = [
 GROWTH_STREAK_LIMIT = 5
 # A series stops once a term's norm is below SERIES_TOL (1 + the partial sum's norm).
 SERIES_TOL = 1e-15
-
-
-class KernelDomainError(ValueError):
-    """A scalar function is undefined or non-finite at a needed argument."""
 
 
 class SeriesDivergenceError(RuntimeError):
@@ -143,57 +143,49 @@ def _ad_power_binomial(aa: np.ndarray, xx: np.ndarray, m: int) -> np.ndarray:
 # matrix functions
 
 
-def _evaluated(entries, count: int) -> np.ndarray:
-    """The ``count`` floats of ``entries``; a failing evaluation raises KernelDomainError."""
-    try:
-        return np.fromiter(entries, float, count)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise KernelDomainError(f"function undefined at an eigenvalue: {exc}") from exc
-
-
-def _checked(out: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``out``, f at each of ``values`` (eigenvalues, one row per matrix) or, one axis
-    longer, at each pair of a row's values; a non-finite value raises KernelDomainError
-    naming the first, in row-major order."""
-    if not np.isfinite(out).all():
-        at = tuple(np.argwhere(~np.isfinite(out))[0])
-        pairs = out.ndim > values.ndim
-        args = (values[at[:-1]], values[at[:-2] + at[-1:]]) if pairs else (values[at],)
-        raise KernelDomainError(f"function non-finite at eigenvalues {tuple(map(float, args))!r}")
-    return out
-
-
 @lru_cache(maxsize=16)  # bounded: the index arrays grow as d^2
 def _triangle(d: int) -> tuple:
-    """The pairs i < j of a d x d table, row-major, and where each of its d*d
-    entries is found in [T_ij at those pairs, T_ji at them, T_ii for each i]."""
+    """(i, j, p, q, place): the pairs i < j of a d x d table, row-major; (p, q), those
+    and then each (k, k); where each entry is found in [T at (p, q), T_ji at (i, j)]."""
     i, j = np.triu_indices(d, 1)
-    place = np.diag(np.arange(2 * len(i), 2 * len(i) + d))
-    place[i, j], place[j, i] = np.arange(len(i)), np.arange(len(i), 2 * len(i))
-    return i, j, place.ravel()
+    m, diag = len(i), np.arange(d)
+    place = np.diag(m + diag)
+    place[i, j], place[j, i] = np.arange(m), np.arange(m + d, 2 * m + d)
+    return i, j, np.concatenate((i, diag)), np.concatenate((j, diag)), place.ravel()
 
 
-def _pair_table(fn: Callable[..., float], values, *per_row, symmetric: bool = False) -> np.ndarray:
-    """Table T_ij = fn(v_i, v_j) over all pairs of eigenvalues.
-
-    Values of shape (N, d) give one table per row, shape (N, d, d).  Each
-    ``per_row`` sequence passes fn one more argument, its entry for the row.
-    A ``symmetric`` fn, fn(a, b) equal to fn(b, a) to the bit, is evaluated
-    at i <= j only.  Difference kernels take ``_difference_table``.
-    """
+def _each_pair(entry, array, values, *per_row) -> np.ndarray:
+    """Table T_ij = entry(v_i, v_j, *e) over all pairs of eigenvalues, e the row's entries
+    of ``per_row``; ``array(a, b, *e)`` is the same over arrays that broadcast to the
+    table.  Values of shape (N, d) give one table per row, shape (N, d, d)."""
     vals = np.asarray(values, dtype=float)
-    d = vals.shape[-1]
-    rows = vals.reshape(-1, d).tolist()
-    extra = list(zip(*per_row)) if per_row else [()] * len(rows)
-    if not symmetric:
-        entries = (fn(a, b, *e) for row, e in zip(rows, extra) for a in row for b in row)
-        return _checked(_evaluated(entries, vals.size * d).reshape(vals.shape + (d,)), vals)
-    i, j, place = _triangle(d)
-    at = [*zip(i.tolist(), j.tolist()), *zip(range(d), range(d))]
-    entries = (fn(row[p], row[q], *e) for row, e in zip(rows, extra) for p, q in at)
-    upper = _evaluated(entries, len(rows) * len(at)).reshape(len(rows), -1)
-    table = np.concatenate((upper[:, :len(i)], upper), axis=1).take(place, 1)
-    return _checked(table.reshape(vals.shape + (d,)), vals)
+    rows = vals.reshape(-1, vals.shape[-1]).tolist()
+    extra = list(zip(*per_row)) or [()] * len(rows)
+    cols = [np.reshape(x, vals.shape[:-1] + (1, 1)) for x in per_row]
+    table = _evaluated(lambda: (entry(a, b, *e) for row, e in zip(rows, extra)
+                                for a in row for b in row), vals.size * vals.shape[-1],
+                       lambda: array(vals[..., :, None], vals[..., None, :], *cols))
+    return _checked(table.reshape(vals.shape + vals.shape[-1:]), vals)
+
+
+def _symmetric_table(entry, array, at_each, values, *per_row) -> np.ndarray:
+    """``_each_pair`` of an entry equal to the bit at (a, b) and (b, a), evaluated at
+    i < j (row-major), then at i = j, of each row.  ``array(a, b, g(a), g(b), *e)``
+    reads g = ``at_each`` taken once per eigenvalue."""
+    vals = np.asarray(values, dtype=float)
+    rows = vals.reshape(-1, vals.shape[-1])
+    i, _, p, q, place = _triangle(rows.shape[1])
+    pairs = list(zip(p.tolist(), q.tolist()))
+    extra = list(zip(*per_row)) or [()] * len(rows)
+
+    def at_once():
+        g, cols = _mapped(at_each, rows), (np.reshape(x, (-1, 1)) for x in per_row)
+        return array(rows.take(p, 1), rows.take(q, 1), g.take(p, 1), g.take(q, 1), *cols)
+
+    up = _evaluated(lambda: (entry(row[a], row[b], *e) for row, e in zip(rows.tolist(), extra)
+                             for a, b in pairs), len(rows) * len(p), at_once).reshape(len(rows), -1)
+    table = np.concatenate((up, up[:, :len(i)]), axis=1).take(place, 1)
+    return _checked(table.reshape(vals.shape + vals.shape[-1:]), vals)
 
 
 def _difference_table(kernels, values) -> np.ndarray:
@@ -228,26 +220,30 @@ def _kernel_rows(k, rows: np.ndarray) -> np.ndarray:
     """
     n, d = rows.shape
     sign = {"even": 1.0, "odd": -1.0}.get(getattr(k, "parity", None))
+    over = getattr(k, "over", None)
+
+    def at(x: np.ndarray, *lead: float) -> np.ndarray:  # k at ``lead``, then at each of x
+        return _evaluated(lambda: map(k, [*lead, *x.ravel().tolist()]), len(lead) + x.size,
+                          over and (lambda: over(np.concatenate((lead, x.ravel())))))
+
     if sign is None:
-        diffs = (rows[:, :, None] - rows[:, None, :]).ravel().tolist()
-        return _evaluated(map(k, diffs), n * d * d).reshape(n, -1)
-    i, j, place = _triangle(d)
+        return at(rows[:, :, None] - rows[:, None, :]).reshape(n, -1)
+    i, j, _, _, place = _triangle(d)
     diffs = rows.take(i, 1) - rows.take(j, 1)
-    out = _evaluated(map(k, [0.0, *diffs.ravel().tolist()]), diffs.size + 1)
+    out = at(diffs, 0.0)
     up = out[1:].reshape(diffs.shape)
     down = sign * up
     if np.count_nonzero(up) < up.size:
         zero = up == 0.0  # v_j - v_i is 0.0 - (v_i - v_j)
-        down[zero] = _evaluated(map(k, (0.0 - diffs[zero]).tolist()), int(zero.sum()))
-    diag = out[:1].repeat(n * d).reshape(n, d)
-    return np.concatenate((up, down, diag), axis=1).take(place, 1)
+        down[zero] = at(0.0 - diffs[zero])
+    return np.concatenate((up, out[:1].repeat(n * d).reshape(n, d), down), axis=1).take(place, 1)
 
 
 def _matfun(f: Callable[[float], float], dec: EigenDecomposition) -> np.ndarray:
     """Q f(Lambda) Q^T, symmetrized; one per matrix of a stacked dec."""
     vals = dec.eigenvalues
-    entries = map(f, vals.ravel().tolist())
-    return _spectral(dec.q, _checked(_evaluated(entries, vals.size).reshape(vals.shape), vals))
+    table = _evaluated(lambda: map(f, vals.ravel().tolist()), vals.size).reshape(vals.shape)
+    return _spectral(dec.q, _checked(table, vals))
 
 
 def matfun_spectral(f: Callable[[float], float], s, decomposition=None) -> np.ndarray:
@@ -462,8 +458,9 @@ def d_exp(a, x, method: str = "auto") -> np.ndarray:
 
 def _d_exp(dec: EigenDecomposition, x) -> np.ndarray:
     """The spectral ``d_exp`` in the eigenbasis of dec; a stacked dec takes a stack X."""
-    table = _pair_table(lambda a, b: math.exp(max(a, b)) * ETA_NEG(abs(a - b)), dec.eigenvalues,
-                        symmetric=True)
+    table = _symmetric_table(lambda a, b: math.exp(max(a, b)) * ETA_NEG(abs(a - b)),
+                             lambda a, b, e_a, e_b: np.where(b > a, e_b, e_a)
+                             * ETA_NEG.over(abs(a - b)), math.exp, dec.eigenvalues)
     return _hadamard(dec, table, x)
 
 
@@ -479,7 +476,9 @@ def d_log(a, x, decomposition=None) -> np.ndarray:
 def _d_log(dec: EigenDecomposition, x) -> np.ndarray:
     """``d_log`` in the eigenbasis of dec; a stacked dec takes a stack X, or
     several such stacks on a leading axis, all through one table."""
-    table = _pair_table(lambda a, b: ETA_NEG_RECIP(math.log(a / b)) / a, dec.eigenvalues)
+    table = _each_pair(lambda a, b: ETA_NEG_RECIP(math.log(a / b)) / a,
+                       lambda a, b: ETA_NEG_RECIP.over(_mapped(math.log, a / b)) / a,
+                       dec.eigenvalues)
     return _hadamard(dec, table, x)
 
 
@@ -564,7 +563,8 @@ def exp_conjugation(a, y, s: float = 1.0, method: str = "auto") -> np.ndarray:
 
 def _exp_conjugation(dec: EigenDecomposition, y, s) -> np.ndarray:
     """Spectral ``exp_conjugation`` in the eigenbasis of dec, one s per matrix."""
-    table = _pair_table(lambda a, b, s: math.exp(s * (a - b)), dec.eigenvalues, s)
+    table = _each_pair(lambda a, b, s: math.exp(s * (a - b)),
+                       lambda a, b, s: _mapped(math.exp, s * (a - b)), dec.eigenvalues, s)
     return _hadamard(dec, table, y)
 
 

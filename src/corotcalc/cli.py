@@ -168,6 +168,9 @@ def cmd_spin(args) -> int:
     except NotSymmetricError as exc:
         print(f"error: B is not symmetric: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except MatrixValidationError as exc:  # an eigenvalue of B beyond the float range
+        print(f"error: bad matrix B: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         d = SymMatrix(d_raw, sym_tol=args.tol)
         w = SkewMatrix(w_raw, sym_tol=args.tol)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import _central, _d_log, _difference_table, _matfun, _pair_table
+from .calculus import _central, _d_log, _difference_table, _each_pair, _matfun
 from .matcore import (
     SkewMatrix,
     _eigendecompose_stack,
@@ -34,7 +34,7 @@ from .matcore import (
     skew_part,
 )
 from .sampling import make_rng
-from .scalarfun import SIGMA, _div, _log1p_series
+from .scalarfun import SIGMA, _div, _log1p_series, _mapped
 
 __all__ = [
     "IntegrationAbort",
@@ -85,16 +85,32 @@ _LOG1P = _log1p_series(_SPIN_SERIES_DEGREE + 2)
 _SPIN_SERIES = [float(c) for c in _div(_LOG1P[2:], _LOG1P[1:])]
 
 
+def _spin_series(u):
+    """-1 - 2 Q(u) by Horner's rule, at a float or at each entry of an array."""
+    q = 0.0
+    for c in reversed(_SPIN_SERIES):
+        q = q * u + c
+    return -1.0 - 2.0 * q
+
+
 def _pair_coefficient(b_i: float, b_j: float) -> float:
     u = (b_i - b_j) / b_j
     if abs(u) <= _SPIN_SERIES_SWITCH:
-        q = 0.0
-        for c in reversed(_SPIN_SERIES):
-            q = q * u + c
-        return -1.0 - 2.0 * q
+        return _spin_series(u)
     # ln r, not ln(1+u): u rounds to -1 when b_i << b_j.
     r = b_i / b_j
     return (1.0 + r) / (1.0 - r) + 2.0 / math.log(r)
+
+
+def _pair_coefficients(b_i: np.ndarray, b_j: np.ndarray) -> np.ndarray:
+    """``_pair_coefficient`` at each pair of entries of two arrays, to the bit."""
+    u = (b_i - b_j) / b_j
+    near = np.abs(u) <= _SPIN_SERIES_SWITCH
+    out = np.empty(u.shape)
+    out[near] = _spin_series(u[near])
+    r = (b_i / b_j)[~near]
+    out[~near] = (1.0 + r) / (1.0 - r) + 2.0 / _mapped(math.log, r)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +138,8 @@ def _spin(dec, d, w, commutator: bool) -> np.ndarray:
     if commutator:
         table = _difference_table(SIGMA, 0.5 * np.log(dec.eigenvalues))
     else:
-        table = _pair_table(lambda x, y: -_pair_coefficient(x, y), dec.eigenvalues)
+        table = _each_pair(lambda x, y: -_pair_coefficient(x, y),
+                           lambda x, y: -_pair_coefficients(x, y), dec.eigenvalues)
     m = _hadamard(dec, table, d)
     ww = w if m.ndim == 3 else _gate(w, shape=m.shape)[0]
     return ww - 0.5 * (m - m.swapaxes(-1, -2))

@@ -497,17 +497,19 @@ def _jacobi(arr: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecom
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s_ = t * c
                 # Two-sided rotation A <- J^T A J with J mixing columns p, r.
+                # A stays exactly symmetric, so off the pivot block rows p
+                # and r of J^T (A J) are copies of its columns p and r; the
+                # block, written last, is rotated from both sides.
                 for i in rng_d:
                     ai = a[i]
                     cp = ai[p]
                     cr = ai[r]
-                    ai[p] = c * cp - s_ * cr
-                    ai[r] = s_ * cp + c * cr
-                for j in rng_d:
-                    rp = ap[j]
-                    rr = ar[j]
-                    ap[j] = c * rp - s_ * rr
-                    ar[j] = s_ * rp + c * rr
+                    ap[i] = ai[p] = c * cp - s_ * cr
+                    ar[i] = ai[r] = s_ * cp + c * cr
+                # A J at (p, p), (p, r) and (r, r), then J^T on the left
+                cpp, cpr, crr = c * app - s_ * apr, s_ * app + c * apr, s_ * apr + c * arr_
+                ap[p] = c * cpp - s_ * (c * apr - s_ * arr_)
+                ar[r] = s_ * cpr + c * crr
                 ap[r] = 0.0
                 ar[p] = 0.0
                 for i in rng_d:

@@ -22,7 +22,7 @@ from .calculus import (
     _central,
     _difference_table,
     _log_eig_apply,
-    _pair_table,
+    _symmetric_table,
     f_of_ad_spectral,
     matexp_series,
     matfun_spectral,
@@ -43,7 +43,7 @@ from .matcore import (
     frobenius_norm,
 )
 from .sampling import _draw_trials, random_symmetric
-from .scalarfun import make_r_kernel, make_sqrt_r_kernel
+from .scalarfun import _mapped, make_r_kernel, make_sqrt_r_kernel
 
 __all__ = [
     "IsotropicFunction",
@@ -115,7 +115,17 @@ def _divided_difference_table(
             a, b = b, a
         return (f(a) - f(b)) / (a - b)
 
-    return _pair_table(entry, vals, np.reshape(close, -1).tolist(), symmetric=True)
+    def over(a, b, fa, fb, close):  # f once per eigenvalue, f' at the close pairs only
+        near = abs(a - b) <= close
+        out = np.empty(a.shape)
+        out[near] = _mapped(fprime, 0.5 * (a[near] + b[near]))
+        swap = (a < b)[~near]
+        a, b, fa, fb = (v[~near] for v in (a, b, fa, fb))
+        hi, lo = np.where(swap, b, a), np.where(swap, a, b)
+        out[~near] = (np.where(swap, fb, fa) - np.where(swap, fa, fb)) / (hi - lo)
+        return out
+
+    return _symmetric_table(entry, over, f, vals, np.reshape(close, -1).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from corotcalc import calculus as ca
 from corotcalc import kinematics as ki
 from corotcalc import monotonicity as mo
+from corotcalc import scalarfun as sf
 from corotcalc.matcore import (
     DimensionMismatchError,
     EigenDecomposition,
@@ -143,27 +144,36 @@ _FAILING_KERNELS = {
 }
 
 
+def _both_paths(monkeypatch):
+    """Sets every table to be built over arrays, then entry by entry, once per item."""
+    for least in (0, math.inf):
+        monkeypatch.setattr(sf, "_ARRAY_MIN", least)
+        yield least
+
+
 @pytest.mark.parametrize("kind", sorted(_FAILING_KERNELS))
-def test_stack_failing_only_in_its_last_matrix_raises(kind):
+def test_stack_failing_only_in_its_last_matrix_raises(kind, monkeypatch):
     f, bad = _FAILING_KERNELS[kind]
     vals = make_rng(31).uniform(0.5, 2.0, (20, 3))
     vals[-1, 1] = bad
     # a non-finite value names its eigenvalues: the first failing pair is (v_0, v_1)
     named = kind in ("inf", "nan")
     pair = re.escape(repr((float(vals[-1, 0]), bad))) if named else None
-    with pytest.raises(ca.KernelDomainError, match=pair):
-        ca._pair_table(lambda a, b: f(a) + f(b), vals)
-    dec = EigenDecomposition._trusted(np.tile(np.eye(3), (20, 1, 1)), vals)
-    with pytest.raises(ca.KernelDomainError, match=re.escape(repr((bad,))) if named else None):
-        ca._matfun(f, dec)
-    if named:  # f(v_0 - bad) is the first non-finite difference too, in full or mirrored
-        for kernels in (f, ScalarKernel(kind, f, (), parity="odd"), [SIGMA] * 19 + [f]):
-            with pytest.raises(ca.KernelDomainError, match=pair):
-                ca._difference_table(kernels, vals)
+    for _ in _both_paths(monkeypatch):
+        with pytest.raises(ca.KernelDomainError, match=pair):
+            ca._each_pair(lambda a, b: f(a) + f(b),
+                          lambda a, b: ca._mapped(f, a) + ca._mapped(f, b), vals)
+        dec = EigenDecomposition._trusted(np.tile(np.eye(3), (20, 1, 1)), vals)
+        with pytest.raises(ca.KernelDomainError, match=re.escape(repr((bad,))) if named else None):
+            ca._matfun(f, dec)
+        if named:  # f(v_0 - bad) is the first non-finite difference too, in full or mirrored
+            for kernels in (f, ScalarKernel(kind, f, (), parity="odd"), [SIGMA] * 19 + [f]):
+                with pytest.raises(ca.KernelDomainError, match=pair):
+                    ca._difference_table(kernels, vals)
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 3), (5, 2), (17, 4)])
-def test_tables_match_per_entry_evaluation_to_the_bit(n, d):
+def test_tables_match_per_entry_evaluation_to_the_bit(n, d, monkeypatch):
     rng = make_rng(32 + 10 * n + d)
     dec = _eigendecompose_stack(np.stack([random_symmetric(rng, d) for _ in range(n)]))
     vals = dec.eigenvalues
@@ -172,9 +182,13 @@ def test_tables_match_per_entry_evaluation_to_the_bit(n, d):
     def fn(a, b, s):
         return math.exp(s * (a - b)) * SIGMA(a - b)
 
+    def over(a, b, s):
+        return ca._mapped(math.exp, s * (a - b)) * SIGMA.over(a - b)
+
     rows = zip(vals.tolist(), scales)
-    want = [[[float(fn(a, b, s)) for b in row] for a in row] for row, s in rows]
-    np.testing.assert_array_equal(ca._pair_table(fn, vals, scales), np.array(want))
+    want = np.array([[[float(fn(a, b, s)) for b in row] for a in row] for row, s in rows])
+    for _ in _both_paths(monkeypatch):
+        assert ca._each_pair(fn, over, vals, scales).tobytes() == want.tobytes()
     want = _spectral(dec.q, np.array([[float(SIGMA(v)) for v in row] for row in vals.tolist()]))
     np.testing.assert_array_equal(ca._matfun(SIGMA, dec), want)
 
@@ -286,6 +300,133 @@ def test_divided_difference_of_an_even_function_is_symmetric_at_opposite_values(
     table = mo._divided_difference_table(square.scalar_generator, square.derivative_generator,
                                          np.array([-1.0, 1.0]))
     assert table.tobytes() == np.array([[-2.0, 0.0], [0.0, 2.0]]).tobytes()
+
+
+# tables over arrays against tables entry by entry, compared as bytes, or as
+# the message of the KernelDomainError both raise
+
+
+def _outcome(build):
+    try:
+        return build().tobytes()
+    except ca.KernelDomainError as exc:
+        return str(exc)
+
+
+def _table_builds(vals, rng):
+    """{name: build} for every table the package builds, over the spectra ``vals``."""
+    n, d = vals.shape
+    dec = EigenDecomposition._trusted(np.tile(np.eye(d), (n, 1, 1)), vals)
+    spd = EigenDecomposition._trusted(dec.q, np.exp(np.clip(vals, -700.0, 700.0)))
+    x, w = rng.uniform(-1.0, 1.0, (2, n, d, d))
+    kernels = ALL_FIXED_KERNELS + PARAM_KERNELS + [math.exp]
+    builds = {getattr(k, "name", "exp"): (lambda k=k: ca._difference_table(k, vals))
+              for k in kernels}
+    builds["per-row kernels"] = lambda: ca._difference_table(
+        [kernels[r % len(kernels)] for r in range(n)], vals)
+    builds["d_exp"] = lambda: ca._d_exp(dec, x)
+    builds["d_log"] = lambda: ca._d_log(spd, x)
+    scales = rng.uniform(-2.0, 2.0, n).tolist()
+    builds["exp_conjugation"] = lambda: ca._exp_conjugation(dec, x, scales)
+    for commutator in (False, True):
+        builds[f"spin {commutator}"] = lambda c=commutator: ki._spin(spd, x + x.swapaxes(1, 2),
+                                                                     w, c)
+    for gen in (mo.identity_generator(), mo.negated_identity_generator(), mo.square_generator(),
+                mo.cube_generator(), mo.cube_plus_identity_generator(), mo.exponential_generator()):
+        builds[gen.name] = lambda f=gen.scalar_generator, fp=gen.derivative_generator: (
+            mo._divided_difference_table(f, fp, vals))
+    return builds
+
+
+def _arrays_only(entries, count, array=None):
+    """``_evaluated`` taking the array evaluation whenever there is one, without
+    falling back to entry by entry where it raises."""
+    if array is None:
+        return np.fromiter(entries(), float, count)
+    with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+        return array()
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 8, 16))
+def test_array_tables_equal_entry_by_entry_tables_to_the_bit(d, monkeypatch):
+    rng = make_rng(80 + d)
+    spectra = _spectra(rng, d, 0.25)
+    spectra["close"] = 1.0 + rng.uniform(0.0, 3e-5, (3, d))  # divided differences by f'
+    spectra["signed zeros"] = rng.choice([-0.0, 0.0, 1.0], (3, d))
+    spectra["beyond exp"] = rng.uniform(-1000.0, 1000.0, (3, d))  # e^v overflows
+    for kind, vals in spectra.items():
+        vals = np.concatenate([vals] * 4)  # per-row kernels in runs of one
+        for name, build in _table_builds(vals, rng).items():
+            got = [_outcome(build) for _ in _both_paths(monkeypatch)]
+            assert got[0] == got[1], (kind, name)
+            if isinstance(got[1], bytes):  # a finite table needs no fallback
+                with monkeypatch.context() as m:
+                    m.setattr(ca, "_evaluated", _arrays_only)
+                    assert build().tobytes() == got[1], (kind, name)
+
+
+def test_mirrored_zeros_over_arrays():
+    # the sinh_ratio zeros of test_zeros_are_evaluated_at_their_mirror, in a
+    # stack whose table takes the array path
+    rows = -(-sf._ARRAY_MIN // 3)
+    table = ca._difference_table(make_sinh_ratio_kernel(0.0), np.tile([2.5, 1.0, 0.0], (rows, 1)))
+    want = [[False] * 3, [True, False, False], [True, True, False]]
+    assert (np.signbit(table) == want).all()
+
+
+@pytest.mark.parametrize("side", (-1, 0))
+def test_stacks_on_both_sides_of_the_crossover_equal_every_pair(side):
+    # d = 3: a mirrored table has 3 entries a row and one at 0.0, a full one 9 a row
+    rng = make_rng(90)
+    mirrored = rng.uniform(-1.0, 1.0, (-(-(sf._ARRAY_MIN - 1) // 3) + side, 3))
+    assert (3 * len(mirrored) + 1 >= sf._ARRAY_MIN) == (side == 0)
+    got = ca._difference_table(SIGMA, mirrored)
+    assert got.tobytes() == _every_pair([SIGMA] * len(mirrored), mirrored).tobytes()
+    full = rng.uniform(-1.0, 1.0, (-(-sf._ARRAY_MIN // 9) + side, 3))
+    assert (9 * len(full) >= sf._ARRAY_MIN) == (side == 0)
+    want = _every_pair([ETA] * len(full), full)
+    assert ca._difference_table(ETA, full).tobytes() == want.tobytes()
+    b = np.exp(full)
+    want = np.array([[[-ki._pair_coefficient(p, q) for q in row] for p in row]
+                     for row in b.tolist()])
+    assert ca._each_pair(lambda p, q: -ki._pair_coefficient(p, q),
+                         lambda p, q: -ki._pair_coefficients(p, q), b).tobytes() == want.tobytes()
+
+
+def _failing(spectrum):
+    """A stack of 12 copies of one spectrum, and its decomposition."""
+    vals = np.tile(np.array(spectrum, dtype=float), (12, 1))
+    return vals, EigenDecomposition._trusted(np.tile(np.eye(vals.shape[1]), (12, 1, 1)), vals)
+
+
+_UNDEFINED = "function undefined at an eigenvalue: "
+_KERNEL_ERRORS = {
+    # row 1 overflows the kernel (ln ratio -713.8) before row 2's ratio rounds to 0
+    "d_log": (lambda: ca._d_log(_failing([1e305, 1e-5, 1e-20])[1], np.ones((12, 3, 3))),
+              _UNDEFINED + "math range error"),
+    "d_exp": (lambda: ca._d_exp(_failing([800.0, 1.0])[1], np.ones((12, 2, 2))),
+              _UNDEFINED + "math range error"),
+    "exp_conjugation": (lambda: ca._exp_conjugation(_failing([1.0, 0.0])[1], np.ones((12, 2, 2)),
+                                                    [1e3] * 12), _UNDEFINED + "math range error"),
+    "spin": (lambda: ki._spin(_failing([1e300, 1e-30])[1], np.ones((12, 2, 2)),
+                              np.zeros((12, 2, 2)), False), _UNDEFINED + "math domain error"),
+    "kernel": (lambda: ca._difference_table(ETA, _failing([1e3, 0.0, -1e3])[0]),
+               _UNDEFINED + "math range error"),
+    # f = t^3 raises at 1e200 but is never needed there: f' = 3 t^2 is inf
+    "divided difference": (lambda: mo._divided_difference_table(
+        lambda t: t**3, lambda t: 3.0 * t * t, _failing([1e200, 1e200])[0]),
+        "function non-finite at eigenvalues (1e+200, 1e+200)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_ERRORS))
+def test_kernel_domain_errors_are_those_of_the_first_failing_entry(name, monkeypatch):
+    build, message = _KERNEL_ERRORS[name]
+    with pytest.raises(ca.KernelDomainError, match=f"^{re.escape(message)}$"):
+        build()
+    for _ in _both_paths(monkeypatch):
+        with pytest.raises(ca.KernelDomainError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_matfun_series_exp_at_zero():

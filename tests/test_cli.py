@@ -476,6 +476,22 @@ def test_spin_overflow_exit_2_as_console_script(method, tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("method", ["spectral", "commutator", "both"])
+def test_spin_b_eigenvalue_beyond_float_range_exit_2_as_console_script(method, tmp_path):
+    # B's eigenvalues are 2e308 and 0: the eigensolve reports the overflow
+    payload = dict(OVERFLOW_PAYLOAD, B={"dim": 2, "rows": [[1e308, 1e308], [1e308, 1e308]]},
+                   D={"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]})
+    path = tmp_path / "huge_b.json"
+    path.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corotcalc.cli", "spin", "--input", str(path), "--method", method],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: bad matrix B: an eigenvalue lies beyond the float range\n"
+    assert proc.stdout == ""
+
+
 def test_spin_discrepancy_of_spins_above_1e154_is_finite_json(tmp_path, capsys):
     # spins of about 4.4e290: the squares in the discrepancy's norm overflow
     payload = dict(OVERFLOW_PAYLOAD, D={"dim": 2, "rows": [[1e308, 1e308], [1e308, -1e308]]})

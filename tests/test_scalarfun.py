@@ -354,6 +354,29 @@ def test_declared_parity_holds_to_the_bit(kernel, x):
         assert kernel(-t) == sign * kernel(t), t
 
 
+@pytest.mark.parametrize("kernel", ALL_FIXED_KERNELS + PARAM_KERNELS, ids=lambda k: k.name)
+def test_over_equals_the_kernel_at_each_entry_to_the_bit(kernel):
+    # both sides of the switch radius, signed zeros, subnormals, and |x| where
+    # the r and sinh_ratio kernels take their overflow branch (cosh(q x/2) or
+    # sinh(x/2) out of range) or a kernel overflows outright
+    r = kernel.switch_radius
+    near = [0.0, -0.0, 5e-324, -5e-324, 0.5 * r, math.nextafter(r, 0.0)]
+    far = [r, math.nextafter(r, 1.0), 2.0 * r, 1.0, 3.0, 40.0, 500.0, 1430.0, 1500.0, math.inf]
+    xs = near + [-x for x in near] + far + [-x for x in far]
+    xs += np.random.default_rng(5).uniform(-3.0, 3.0, 40).tolist()
+    good, failing = [], {}
+    for x in xs:
+        try:
+            good.append((x, float(kernel(x))))
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            failing[x] = exc
+    x = np.array([x for x, _ in good]).reshape(1, -1)  # any shape
+    assert kernel.over(x).tobytes() == np.array([v for _, v in good]).reshape(x.shape).tobytes()
+    for x, exc in failing.items():
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            kernel.over(np.array([1.0, x]))
+
+
 FACTORIES = [sf.make_r_kernel, sf.make_sinh_ratio_kernel, sf.make_sandwich_kernel,
              sf.make_sqrt_r_kernel]
 

@@ -67,18 +67,26 @@ def test_suite_keys_fit_64_bits_at_the_largest_accepted_seed(monkeypatch):
 
 
 def test_each_suite_builds_each_pair_table_once(monkeypatch):
-    # a table is one kernel (code and captured objects) over one set of
+    # a table is one pair function (code and captured objects) over one set of
     # eigenvalues with the same per-row arguments, or one commutator kernel
     # per row (by identity) over one set of eigenvalues; a second build of it
     # is repeated kernel work
     builds = []  # holds every kernel and argument, so no id is reused
-    pair_table, difference_table = ca._pair_table, ca._difference_table
+    each_pair, symmetric_table, difference_table = (
+        ca._each_pair, ca._symmetric_table, ca._difference_table)
 
-    def counting(fn, values, *per_row, **options):
-        key = (fn.__code__, tuple(id(c.cell_contents) for c in fn.__closure__ or ()),
-               tuple(tuple(map(id, arg)) for arg in per_row))
-        builds.append(("pair", key, np.asarray(values).tobytes(), fn, per_row))
-        return pair_table(fn, values, *per_row, **options)
+    def record(kind, entry, values, per_row, *objects):
+        key = (entry.__code__, tuple(id(c.cell_contents) for c in entry.__closure__ or ()),
+               tuple(map(id, objects)), tuple(tuple(map(id, arg)) for arg in per_row))
+        builds.append((kind, key, np.asarray(values).tobytes(), entry, objects, per_row))
+
+    def counting_each(entry, array, values, *per_row):
+        record("each", entry, values, per_row)
+        return each_pair(entry, array, values, *per_row)
+
+    def counting_symmetric(entry, array, at_each, values, *per_row):
+        record("symmetric", entry, values, per_row, at_each)
+        return symmetric_table(entry, array, at_each, values, *per_row)
 
     def counting_differences(kernels, values):
         vals = np.asarray(values)
@@ -86,10 +94,12 @@ def test_each_suite_builds_each_pair_table_once(monkeypatch):
         builds.append(("difference", tuple(map(id, per_row)), vals.tobytes(), per_row))
         return difference_table(kernels, values)
 
+    spies = {"_each_pair": counting_each, "_symmetric_table": counting_symmetric,
+             "_difference_table": counting_differences}
     for mod in (ca, ki, mo):
-        monkeypatch.setattr(mod, "_pair_table", counting)
-        if hasattr(mod, "_difference_table"):
-            monkeypatch.setattr(mod, "_difference_table", counting_differences)
+        for name, spy in spies.items():
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy)
     builders = set()
     for name in SUITE_NAMES:
         builds.clear()
@@ -97,7 +107,7 @@ def test_each_suite_builds_each_pair_table_once(monkeypatch):
         keys = {build[:3] for build in builds}
         assert len(keys) == len(builds), f"{name}: {len(builds)} builds, {len(keys)} tables"
         builders.update(build[0] for build in builds)
-    assert builders == {"pair", "difference"}
+    assert builders == {"each", "symmetric", "difference"}
 
 
 @pytest.mark.parametrize("seed", (0, 42))

@@ -145,13 +145,13 @@ def _ad_power_binomial(aa: np.ndarray, xx: np.ndarray, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)  # bounded: the index arrays grow as d^2
 def _triangle(d: int) -> tuple:
-    """(i, j, p, q, place): the pairs i < j of a d x d table, row-major; (p, q), those
-    and then each (k, k); where each entry is found in [T at (p, q), T_ji at (i, j)]."""
+    """(i, j, place): the pairs i < j of a d x d table, row-major, and where each
+    entry is found in [T at each (i, j), T at each (k, k), T_ji at each (i, j)]."""
     i, j = np.triu_indices(d, 1)
-    m, diag = len(i), np.arange(d)
-    place = np.diag(m + diag)
+    m = len(i)
+    place = np.diag(m + np.arange(d))
     place[i, j], place[j, i] = np.arange(m), np.arange(m + d, 2 * m + d)
-    return i, j, np.concatenate((i, diag)), np.concatenate((j, diag)), place.ravel()
+    return i, j, place.ravel()
 
 
 def _each_pair(entry, array, values, *per_row) -> np.ndarray:
@@ -165,26 +165,6 @@ def _each_pair(entry, array, values, *per_row) -> np.ndarray:
     table = _evaluated(lambda: (entry(a, b, *e) for row, e in zip(rows, extra)
                                 for a in row for b in row), vals.size * vals.shape[-1],
                        lambda: array(vals[..., :, None], vals[..., None, :], *cols))
-    return _checked(table.reshape(vals.shape + vals.shape[-1:]), vals)
-
-
-def _symmetric_table(entry, array, at_each, values, *per_row) -> np.ndarray:
-    """``_each_pair`` of an entry equal to the bit at (a, b) and (b, a), evaluated at
-    i < j (row-major), then at i = j, of each row.  ``array(a, b, g(a), g(b), *e)``
-    reads g = ``at_each`` taken once per eigenvalue."""
-    vals = np.asarray(values, dtype=float)
-    rows = vals.reshape(-1, vals.shape[-1])
-    i, _, p, q, place = _triangle(rows.shape[1])
-    pairs = list(zip(p.tolist(), q.tolist()))
-    extra = list(zip(*per_row)) or [()] * len(rows)
-
-    def at_once():
-        g, cols = _mapped(at_each, rows), (np.reshape(x, (-1, 1)) for x in per_row)
-        return array(rows.take(p, 1), rows.take(q, 1), g.take(p, 1), g.take(q, 1), *cols)
-
-    up = _evaluated(lambda: (entry(row[a], row[b], *e) for row, e in zip(rows.tolist(), extra)
-                             for a, b in pairs), len(rows) * len(p), at_once).reshape(len(rows), -1)
-    table = np.concatenate((up, up[:, :len(i)]), axis=1).take(place, 1)
     return _checked(table.reshape(vals.shape + vals.shape[-1:]), vals)
 
 
@@ -228,7 +208,7 @@ def _kernel_rows(k, rows: np.ndarray) -> np.ndarray:
 
     if sign is None:
         return at(rows[:, :, None] - rows[:, None, :]).reshape(n, -1)
-    i, j, _, _, place = _triangle(d)
+    i, j, place = _triangle(d)
     diffs = rows.take(i, 1) - rows.take(j, 1)
     out = at(diffs, 0.0)
     up = out[1:].reshape(diffs.shape)
@@ -458,9 +438,12 @@ def d_exp(a, x, method: str = "auto") -> np.ndarray:
 
 def _d_exp(dec: EigenDecomposition, x) -> np.ndarray:
     """The spectral ``d_exp`` in the eigenbasis of dec; a stacked dec takes a stack X."""
-    table = _symmetric_table(lambda a, b: math.exp(max(a, b)) * ETA_NEG(abs(a - b)),
-                             lambda a, b, e_a, e_b: np.where(b > a, e_b, e_a)
-                             * ETA_NEG.over(abs(a - b)), math.exp, dec.eigenvalues)
+    def over(a, b):  # e^v once per eigenvalue: e^a down a column, e^b its transpose
+        e = _mapped(math.exp, a)
+        return np.where(b > a, e.swapaxes(-1, -2), e) * ETA_NEG.over(abs(a - b))
+
+    table = _each_pair(lambda a, b: math.exp(max(a, b)) * ETA_NEG(abs(a - b)), over,
+                       dec.eigenvalues)
     return _hadamard(dec, table, x)
 
 

@@ -404,8 +404,9 @@ def integrate_motion(
     # Per-sample kinematic quantities, as stacks over the recorded samples.
     f_all = np.concatenate(fs)
     l_all = np.array([field(t) for t in times])
-    b = f_all @ f_all.swapaxes(1, 2)
-    b = 0.5 * (b + b.swapaxes(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # the eigensolver's gate reports it
+        b = f_all @ f_all.swapaxes(1, 2)
+        b = 0.5 * (b + b.swapaxes(1, 2))
     dec = _require_spd(_eigendecompose_stack(b))
     h = _matfun(_half_log, dec)
     d = 0.5 * (l_all + l_all.swapaxes(1, 2))

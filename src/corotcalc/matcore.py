@@ -183,9 +183,7 @@ class Matrix:
         return self._array.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self._array
-        return self._array.astype(dtype)
+        return np.array(self._array, dtype=dtype, copy=copy)
 
     def __repr__(self):
         return f"{type(self).__name__}({self._array.tolist()!r})"
@@ -318,17 +316,6 @@ class EigenDecomposition:
     def dim(self) -> int:
         return self.q.shape[-1]
 
-    def reconstruct(self) -> np.ndarray:
-        return self.q @ np.diag(self.eigenvalues) @ self.q.T
-
-    def orthogonality_residual(self) -> float:
-        d = self.dim
-        return float(np.sqrt(np.sum((self.q.T @ self.q - np.eye(d)) ** 2)))
-
-    def reconstruction_residual(self, source) -> float:
-        src = as_array(source)
-        return float(np.sqrt(np.sum((self.reconstruct() - src) ** 2)))
-
 
 def multiply(a, b) -> np.ndarray:
     """Standard matrix product."""
@@ -401,7 +388,7 @@ def skew_part(a) -> SkewMatrix:
     return SkewMatrix(0.5 * (arr - arr.T))
 
 
-def eigendecompose_symmetric(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecomposition:
+def eigendecompose_symmetric(s) -> EigenDecomposition:
     """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps rotate every off-diagonal pivot in a fixed row-major order until
@@ -414,7 +401,7 @@ def eigendecompose_symmetric(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDe
     the eigenvector columns permuted to match.  Deterministic for a fixed
     input: no pivoting decisions depend on anything but the matrix values.
     """
-    return _jacobi(_require_symmetric(as_array(s)), max_sweeps)
+    return _jacobi(_require_symmetric(as_array(s)))
 
 
 def _require_symmetric(arr: np.ndarray) -> np.ndarray:
@@ -437,7 +424,7 @@ def _spd_decomposition(a, decomposition=None) -> EigenDecomposition:
     return _require_spd(_decomposition(a, decomposition))
 
 
-def _jacobi(arr: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecomposition:
+def _jacobi(arr: np.ndarray) -> EigenDecomposition:
     """``eigendecompose_symmetric`` of an array that passed its gate, unchecked."""
     d = arr.shape[0]
     if d == 1:
@@ -454,7 +441,7 @@ def _jacobi(arr: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecom
         # Largest entry scaled below 2^(511 - bit_length(d)): the squared
         # norm is finite and small entries stay normal floats.
         exp2 = math.frexp(float(np.max(np.abs(arr))))[1] - 511 + d.bit_length()
-        dec = _jacobi(np.ldexp(arr, -exp2), max_sweeps)
+        dec = _jacobi(np.ldexp(arr, -exp2))
         with np.errstate(over="ignore"):
             vals = np.ldexp(dec.eigenvalues, exp2)
         if np.isinf(vals).any():
@@ -467,7 +454,7 @@ def _jacobi(arr: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecom
 
     off = math.sqrt(_sum_squares(a, d))
     converged = off <= stop
-    for sweep in range(max_sweeps):
+    for sweep in range(DEFAULT_MAX_SWEEPS):
         if converged:
             break
         # Skip near-converged pivots early on; rotate everything later.
@@ -521,7 +508,7 @@ def _jacobi(arr: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecom
         off = math.sqrt(_sum_squares(a, d))
         converged = off <= stop
     if not converged:
-        raise EigenConvergenceError(off, max_sweeps)
+        raise EigenConvergenceError(off, DEFAULT_MAX_SWEEPS)
 
     diag = np.array([a[i][i] for i in rng_d])
     order = np.argsort(-diag, kind="stable")
@@ -540,7 +527,7 @@ def _sum_squares(a: list, d: int, diagonal: bool = False) -> float:
     return acc
 
 
-def _eigendecompose_stack(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecomposition:
+def _eigendecompose_stack(s) -> EigenDecomposition:
     """``eigendecompose_symmetric`` of every matrix of an (N, d, d) stack at once.
 
     Every matrix goes through the scalar solver's arithmetic: the same pivots
@@ -557,7 +544,7 @@ def _eigendecompose_stack(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecom
     """
     arr = np.asarray(s, dtype=float)
     if len(arr) < _STACK_MIN:
-        decs = [eigendecompose_symmetric(m, max_sweeps) for m in arr]
+        decs = [eigendecompose_symmetric(m) for m in arr]
         q = np.array([dec.q for dec in decs]).reshape(arr.shape)
         vals = np.array([dec.eigenvalues for dec in decs]).reshape(arr.shape[:-1])
         return EigenDecomposition._trusted(q, vals)
@@ -580,7 +567,7 @@ def _eigendecompose_stack(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecom
     # Both branches of t are formed for every rotated matrix and np.where
     # keeps the one the scalar solver takes; the other may overflow.
     with np.errstate(over="ignore", divide="ignore"):
-        for sweep in range(max_sweeps):
+        for sweep in range(DEFAULT_MAX_SWEEPS):
             live = np.flatnonzero(off > stop)
             if live.size == 0:
                 break
@@ -623,14 +610,14 @@ def _eigendecompose_stack(s, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecom
             off[live] = np.sqrt(_stack_sum_squares(a[live]))
     failed = np.flatnonzero(off > stop)
     if failed.size:
-        raise EigenConvergenceError(off[failed[0]], max_sweeps)
+        raise EigenConvergenceError(off[failed[0]], DEFAULT_MAX_SWEEPS)
 
     diag = a[:, np.arange(d), np.arange(d)]
     order = np.argsort(-diag, axis=1, kind="stable")
     vals = np.take_along_axis(diag, order, axis=1)
     q = np.take_along_axis(q, order[:, None, :], axis=2)
     for i in scaled:
-        dec = _jacobi(arr[i], max_sweeps)
+        dec = _jacobi(arr[i])
         q[i] = dec.q
         vals[i] = dec.eigenvalues
     return EigenDecomposition._trusted(q, vals)

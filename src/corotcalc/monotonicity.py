@@ -21,8 +21,8 @@ from .calculus import (
     _ad,
     _central,
     _difference_table,
+    _each_pair,
     _log_eig_apply,
-    _symmetric_table,
     f_of_ad_spectral,
     matexp_series,
     matfun_spectral,
@@ -115,17 +115,17 @@ def _divided_difference_table(
             a, b = b, a
         return (f(a) - f(b)) / (a - b)
 
-    def over(a, b, fa, fb, close):  # f once per eigenvalue, f' at the close pairs only
-        near = abs(a - b) <= close
-        out = np.empty(a.shape)
-        out[near] = _mapped(fprime, 0.5 * (a[near] + b[near]))
-        swap = (a < b)[~near]
-        a, b, fa, fb = (v[~near] for v in (a, b, fa, fb))
-        hi, lo = np.where(swap, b, a), np.where(swap, a, b)
-        out[~near] = (np.where(swap, fb, fa) - np.where(swap, fa, fb)) / (hi - lo)
-        return out
+    def over(a, b, close):  # f once per eigenvalue, f' at the close pairs only
+        fa = _mapped(f, a)
+        fb, gap = fa.swapaxes(-1, -2), abs(a - b)  # gap is hi - lo to the bit
+        near, swap = gap <= close, a < b
+        out = np.empty(gap.shape)
+        out[near] = _mapped(fprime, (0.5 * (a + b))[near])
+        far = ~near
+        np.subtract(np.where(swap, fb, fa), np.where(swap, fa, fb), out=out, where=far)
+        return np.divide(out, gap, out=out, where=far)
 
-    return _symmetric_table(entry, over, f, vals, np.reshape(close, -1).tolist())
+    return _each_pair(entry, over, vals, np.reshape(close, -1).tolist())
 
 
 # ---------------------------------------------------------------------------

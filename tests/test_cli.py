@@ -268,7 +268,7 @@ def test_simulate_integrator_abort_exit_4(tmp_path, capsys):
 
 
 # Settings that parse but that the motion, a trajectory bound or the float
-# range rejects, and an unwritable --out: each is an error line and exit 2,
+# range rejects, and an unwritable --out: each is one error line and exit 2,
 # and no CSV is written.
 SIMULATE_BAD_INPUT = {
     "shear dim 1": (["--dim", "1"], "error: simple_shear acts in the (0, 1) plane"),
@@ -280,6 +280,8 @@ SIMULATE_BAD_INPUT = {
     "stretch B overflow": (["--motion", "pure_stretch", "--rates=-5,5", "--t-end", "100",
                             "--dt", "1e-2", "--record-every", "100"],
                            "error: matrix entries must be finite"),
+    "shear B overflow": (["--kappa", "1e200", "--t-end", "0.003"],
+                         "error: matrix entries must be finite"),
     "out in missing dir": (["--out", "{tmp}/missing/dir/x.csv", "--dt", "0.1"],
                            "error: cannot write {tmp}/missing/dir/x.csv"),
 }
@@ -294,8 +296,9 @@ def test_simulate_bad_input_exit_2_as_console_script(case, tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2
+    # the error line alone: no traceback, no numpy warning beside it
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert message.format(tmp=tmp_path) in proc.stderr
-    assert "Traceback" not in proc.stderr
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -72,6 +72,17 @@ def test_matrix_is_immutable():
         m.array[0, 0] = 9.0
 
 
+def test_array_of_a_matrix_copies_and_asarray_views():
+    m = Matrix([[1.0, 2.0], [3.0, 4.0]])
+    copied = np.array(m)
+    assert copied.flags.writeable and not np.shares_memory(copied, m.array)
+    copied[0, 0] = 9.0
+    assert m.array[0, 0] == 1.0
+    viewed = np.asarray(m)
+    assert np.shares_memory(viewed, m.array) and not viewed.flags.writeable
+    assert np.asarray(m, dtype=np.float32).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_sym_constructor_symmetrizes_borderline():
     eps = 1e-13
     m = SymMatrix([[1.0, 2.0 + eps], [2.0, 3.0]])
@@ -239,7 +250,7 @@ def test_parts_hand_oracle():
 def test_eigen_identity():
     dec = eigendecompose_symmetric(np.eye(3))
     np.testing.assert_allclose(dec.eigenvalues, [1.0, 1.0, 1.0], atol=0)
-    assert dec.orthogonality_residual() <= 1e-14
+    assert frobenius_norm(dec.q.T @ dec.q - np.eye(3)) <= 1e-14
 
 
 def test_eigen_already_diagonal():
@@ -250,7 +261,8 @@ def test_eigen_already_diagonal():
 def test_eigen_descending_order_from_shuffled_diagonal():
     dec = eigendecompose_symmetric(np.diag([2.0, 7.0, 5.0]))
     np.testing.assert_allclose(dec.eigenvalues, [7.0, 5.0, 2.0], atol=0)
-    np.testing.assert_allclose(dec.reconstruct(), np.diag([2.0, 7.0, 5.0]), atol=1e-14)
+    np.testing.assert_allclose(dec.q @ np.diag(dec.eigenvalues) @ dec.q.T,
+                               np.diag([2.0, 7.0, 5.0]), atol=1e-14)
 
 
 def test_eigen_characteristic_polynomial_oracle():
@@ -264,9 +276,10 @@ def test_eigen_rejects_asymmetric():
         eigendecompose_symmetric([[0.0, 1.0], [0.0, 0.0]])
 
 
-def test_eigen_reports_convergence_failure():
+def test_eigen_reports_convergence_failure(monkeypatch):
+    monkeypatch.setattr(matcore, "DEFAULT_MAX_SWEEPS", 0)
     with pytest.raises(EigenConvergenceError) as ei:
-        eigendecompose_symmetric([[2.0, 1.0], [1.0, 2.0]], max_sweeps=0)
+        eigendecompose_symmetric([[2.0, 1.0], [1.0, 2.0]])
     assert ei.value.off_norm > 0
 
 
@@ -290,7 +303,8 @@ def test_eigen_reconstruction_residual_bulk():
             s = 0.5 * (s + s.T)
             dec = eigendecompose_symmetric(s)
             scale = 1.0 + frobenius_norm(s)
-            assert dec.reconstruction_residual(s) <= 1e-12 * scale
+            residual = frobenius_norm(dec.q @ np.diag(dec.eigenvalues) @ dec.q.T - s)
+            assert residual <= 1e-12 * scale
 
 
 def test_eigen_permutation_invariance():
@@ -425,9 +439,9 @@ def test_small_stacks_take_the_scalar_solver(monkeypatch):
     scalar = matcore.eigendecompose_symmetric
     calls = []
 
-    def counted(s, max_sweeps=matcore.DEFAULT_MAX_SWEEPS):
+    def counted(s):
         calls.append(1)
-        return scalar(s, max_sweeps)
+        return scalar(s)
 
     monkeypatch.setattr(matcore, "eigendecompose_symmetric", counted)
     rng = np.random.default_rng(37)
@@ -452,14 +466,15 @@ def test_eigen_stack_checks_like_scalar_solver():
         _eigendecompose_stack(np.array([good, [[np.nan, 0.0], [0.0, 1.0]]]))
 
 
-def test_eigen_stack_reports_first_unconverged_matrix():
+def test_eigen_stack_reports_first_unconverged_matrix(monkeypatch):
     rng = np.random.default_rng(29)
     easy = np.diag([3.0, 2.0, 1.0])
     hard = [_test_matrix(rng, 3, "generic") for _ in range(2)]
+    monkeypatch.setattr(matcore, "DEFAULT_MAX_SWEEPS", 1)
     with pytest.raises(EigenConvergenceError) as ref:
-        eigendecompose_symmetric(hard[0], max_sweeps=1)
+        eigendecompose_symmetric(hard[0])
     with pytest.raises(EigenConvergenceError) as ei:
-        _eigendecompose_stack(np.array([easy, hard[0], hard[1]]), max_sweeps=1)
+        _eigendecompose_stack(np.array([easy, hard[0], hard[1]]))
     assert ei.value.sweeps == 1
     assert ei.value.off_norm == ref.value.off_norm
 

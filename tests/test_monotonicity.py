@@ -6,6 +6,7 @@ import pytest
 from corotcalc import monotonicity as mo
 from corotcalc.calculus import f_of_ad_spectral
 from corotcalc.matcore import (
+    DimensionMismatchError,
     NotSymmetricError,
     eigendecompose_symmetric,
     frobenius_dot,
@@ -59,8 +60,10 @@ def test_derivative_matches_exact_polynomial_rule():
         a = random_symmetric(rng, 3)
         x = random_symmetric(rng, 3)
         exact = a @ x + x @ a  # product rule for the square
-        got = gen.derivative(a, x)
-        assert frobenius_norm(got - exact) <= 1e-12 * (1.0 + frobenius_norm(exact))
+        for got in (gen.derivative(a, x), mo.poly_gateaux(gen.poly_coefficients, a, x)):
+            assert frobenius_norm(got - exact) <= 1e-12 * (1.0 + frobenius_norm(exact))
+    with pytest.raises(DimensionMismatchError):
+        mo.poly_gateaux(gen.poly_coefficients, a, np.eye(2))
 
 
 def test_derivative_close_eigenvalues_use_pointwise_slope():

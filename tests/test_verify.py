@@ -72,21 +72,13 @@ def test_each_suite_builds_each_pair_table_once(monkeypatch):
     # per row (by identity) over one set of eigenvalues; a second build of it
     # is repeated kernel work
     builds = []  # holds every kernel and argument, so no id is reused
-    each_pair, symmetric_table, difference_table = (
-        ca._each_pair, ca._symmetric_table, ca._difference_table)
-
-    def record(kind, entry, values, per_row, *objects):
-        key = (entry.__code__, tuple(id(c.cell_contents) for c in entry.__closure__ or ()),
-               tuple(map(id, objects)), tuple(tuple(map(id, arg)) for arg in per_row))
-        builds.append((kind, key, np.asarray(values).tobytes(), entry, objects, per_row))
+    each_pair, difference_table = ca._each_pair, ca._difference_table
 
     def counting_each(entry, array, values, *per_row):
-        record("each", entry, values, per_row)
+        key = (entry.__code__, tuple(id(c.cell_contents) for c in entry.__closure__ or ()),
+               tuple(tuple(map(id, arg)) for arg in per_row))
+        builds.append(("each", key, np.asarray(values).tobytes(), entry, per_row))
         return each_pair(entry, array, values, *per_row)
-
-    def counting_symmetric(entry, array, at_each, values, *per_row):
-        record("symmetric", entry, values, per_row, at_each)
-        return symmetric_table(entry, array, at_each, values, *per_row)
 
     def counting_differences(kernels, values):
         vals = np.asarray(values)
@@ -94,8 +86,7 @@ def test_each_suite_builds_each_pair_table_once(monkeypatch):
         builds.append(("difference", tuple(map(id, per_row)), vals.tobytes(), per_row))
         return difference_table(kernels, values)
 
-    spies = {"_each_pair": counting_each, "_symmetric_table": counting_symmetric,
-             "_difference_table": counting_differences}
+    spies = {"_each_pair": counting_each, "_difference_table": counting_differences}
     for mod in (ca, ki, mo):
         for name, spy in spies.items():
             if hasattr(mod, name):
@@ -107,7 +98,7 @@ def test_each_suite_builds_each_pair_table_once(monkeypatch):
         keys = {build[:3] for build in builds}
         assert len(keys) == len(builds), f"{name}: {len(builds)} builds, {len(keys)} tables"
         builders.update(build[0] for build in builds)
-    assert builders == {"each", "symmetric", "difference"}
+    assert builders == {"each", "difference"}
 
 
 @pytest.mark.parametrize("seed", (0, 42))

@@ -143,15 +143,7 @@ def _ad_power_binomial(aa: np.ndarray, xx: np.ndarray, m: int) -> np.ndarray:
 # matrix functions
 
 
-@lru_cache(maxsize=16)  # bounded: the index arrays grow as d^2
-def _triangle(d: int) -> tuple:
-    """(i, j, place): the pairs i < j of a d x d table, row-major, and where each
-    entry is found in [T at each (i, j), T at each (k, k), T_ji at each (i, j)]."""
-    i, j = np.triu_indices(d, 1)
-    m = len(i)
-    place = np.diag(m + np.arange(d))
-    place[i, j], place[j, i] = np.arange(m), np.arange(m + d, 2 * m + d)
-    return i, j, place.ravel()
+_triu_indices = lru_cache(maxsize=16)(np.triu_indices)  # bounded: the arrays grow as d^2
 
 
 def _each_pair(entry, array, values, *per_row) -> np.ndarray:
@@ -179,7 +171,7 @@ def _difference_table(kernels, values) -> np.ndarray:
     if callable(kernels):
         table = _kernel_rows(kernels, rows)
     else:
-        table = np.empty((len(rows), rows.shape[1] ** 2))
+        table = np.empty(rows.shape + rows.shape[-1:])
         groups = {}  # by identity: a ScalarKernel hashes its whole Taylor table
         for r, k in enumerate(kernels):
             groups.setdefault(id(k), (k, []))[1].append(r)
@@ -189,7 +181,7 @@ def _difference_table(kernels, values) -> np.ndarray:
 
 
 def _kernel_rows(k, rows: np.ndarray) -> np.ndarray:
-    """k(v_i - v_j) over each row of an (N, d) array, as N rows of d*d entries.
+    """k(v_i - v_j) over each row of an (N, d) array, as an (N, d, d) table.
 
     A kernel whose ``parity`` is "even" or "odd" is evaluated at i < j and
     once at 0.0, then mirrored: v_j - v_i is exactly -(v_i - v_j), and the
@@ -207,8 +199,8 @@ def _kernel_rows(k, rows: np.ndarray) -> np.ndarray:
                           over and (lambda: over(np.concatenate((lead, x.ravel())))))
 
     if sign is None:
-        return at(rows[:, :, None] - rows[:, None, :]).reshape(n, -1)
-    i, j, place = _triangle(d)
+        return at(rows[:, :, None] - rows[:, None, :]).reshape(n, d, d)
+    i, j = _triu_indices(d, 1)
     diffs = rows.take(i, 1) - rows.take(j, 1)
     out = at(diffs, 0.0)
     up = out[1:].reshape(diffs.shape)
@@ -216,7 +208,10 @@ def _kernel_rows(k, rows: np.ndarray) -> np.ndarray:
     if np.count_nonzero(up) < up.size:
         zero = up == 0.0  # v_j - v_i is 0.0 - (v_i - v_j)
         down[zero] = at(0.0 - diffs[zero])
-    return np.concatenate((up, out[:1].repeat(n * d).reshape(n, d), down), axis=1).take(place, 1)
+    table = np.empty((n, d, d))
+    table[:, i, j], table[:, j, i] = up, down
+    table.reshape(n, d * d)[:, :: d + 1] = out[0]  # the diagonal, k(0.0)
+    return table
 
 
 def _matfun(f: Callable[[float], float], dec: EigenDecomposition) -> np.ndarray:

@@ -36,7 +36,7 @@ from .matcore import (
     SymMatrix,
     frobenius_norm,
 )
-from .verify import KEY_OFFSET, SUITE_NAMES, run_suites
+from .verify import KEY_OFFSET, MAX_TRIALS, SUITE_NAMES, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -103,6 +103,7 @@ _finite = _checked(float, math.isfinite, "a finite number")
 _finites = _checked(lambda text: tuple(map(float, text.split(","))),
                     lambda xs: all(map(math.isfinite, xs)), "finite numbers a,b,...")
 _count = _checked(int, lambda n: n >= 1, "a positive integer")
+_trials = _checked(int, lambda n: 1 <= n <= MAX_TRIALS, f"a trial count in [1, {MAX_TRIALS}]")
 
 
 def _seed(scale: int, offset: int):
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = command("verify", cmd_verify, "run identity-verification suites")
     p_verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p_verify.add_argument("--seed", type=_seed(1000, KEY_OFFSET), default=cfg.seed)
-    p_verify.add_argument("--trials", type=_count, default=200)
+    p_verify.add_argument("--trials", type=_trials, default=200)
 
     p_sim = command("simulate", cmd_simulate, "integrate a motion and write the residual table")
     motions = ("simple_shear", "pure_stretch", "rigid_rotation", "polynomial")

@@ -218,7 +218,7 @@ class Matrix:
 
 
 def _symmetrized(entries, sym_tol: float, skew: bool = False) -> np.ndarray:
-    """(A + A^T)/2, or with ``skew`` (A - A^T)/2 with a zero diagonal.
+    """(A + A^T)/2, or with ``skew`` (A - A^T)/2, whose diagonal x + (-x) is +0.0.
 
     The one check of the entries: ``as_array`` (which takes a Matrix as
     checked already), then symmetry or skewness within ``sym_tol``.
@@ -231,10 +231,7 @@ def _symmetrized(entries, sym_tol: float, skew: bool = False) -> np.ndarray:
                 f"deviation from skew-symmetry {defect:.3e} exceeds tolerance {bound:.3e}"
             )
         raise NotSymmetricError(f"asymmetry {defect:.3e} exceeds tolerance {bound:.3e}")
-    out = _half_sum(arr, -arr.T if skew else arr.T, huge)
-    if skew:
-        np.fill_diagonal(out, 0.0)
-    return out
+    return _half_sum(arr, -arr.T if skew else arr.T, huge)
 
 
 class SymMatrix(Matrix):
@@ -287,6 +284,8 @@ class EigenDecomposition:
         vals = np.array(self.eigenvalues, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or vals.shape != (q.shape[0],):
             raise MatrixValidationError("inconsistent decomposition shapes")
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(vals))):
+            raise MatrixValidationError("decomposition entries must be finite")
         if np.any(np.diff(vals) > 0):
             raise MatrixValidationError("eigenvalues must be sorted descending")
         d = q.shape[0]
@@ -427,9 +426,6 @@ def _spd_decomposition(a, decomposition=None) -> EigenDecomposition:
 def _jacobi(arr: np.ndarray) -> EigenDecomposition:
     """``eigendecompose_symmetric`` of an array that passed its gate, unchecked."""
     d = arr.shape[0]
-    if d == 1:
-        return EigenDecomposition._trusted(np.eye(1), arr[0, :1].copy())
-
     # Scalar (pure Python) working storage: at d <= 16 the per-call overhead
     # of array ops dominates, and plain floats keep the solver free of any
     # backend dependence.  An average that overflows is a silent inf here
@@ -543,17 +539,18 @@ def _eigendecompose_stack(s) -> EigenDecomposition:
     eigenvalues of shape (N, d).
     """
     arr = np.asarray(s, dtype=float)
-    if len(arr) < _STACK_MIN:
-        decs = [eigendecompose_symmetric(m) for m in arr]
-        q = np.array([dec.q for dec in decs]).reshape(arr.shape)
-        vals = np.array([dec.eigenvalues for dec in decs]).reshape(arr.shape[:-1])
-        return EigenDecomposition._trusted(q, vals)
     if not np.all(np.isfinite(arr)):
         raise MatrixValidationError("matrix entries must be finite")
     n, d = arr.shape[0], arr.shape[-1]
-    asym = np.max(np.abs(arr - arr.swapaxes(1, 2)), axis=(1, 2))
+    with np.errstate(over="ignore"):  # an asymmetry that overflows is inf, and rejected
+        asym = np.max(np.abs(arr - arr.swapaxes(1, 2)), axis=(1, 2))
     if np.any(asym > DEFAULT_SYM_TOL * (1.0 + np.max(np.abs(arr), axis=(1, 2)))):
         raise NotSymmetricError("input to the symmetric eigensolver is not symmetric")
+    if n < _STACK_MIN:
+        decs = [_jacobi(m) for m in arr]
+        q = np.array([dec.q for dec in decs]).reshape(arr.shape)
+        vals = np.array([dec.eigenvalues for dec in decs]).reshape(arr.shape[:-1])
+        return EigenDecomposition._trusted(q, vals)
 
     with np.errstate(over="ignore"):
         a = 0.5 * (arr + arr.swapaxes(1, 2))

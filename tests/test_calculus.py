@@ -92,6 +92,8 @@ def test_ad_power_matches_binomial_bulk():
 def test_ad_power_depth_cap():
     with pytest.raises(ValueError):
         ca.ad_power(np.eye(2), np.eye(2), 65)
+    with pytest.raises(ValueError):
+        ca.ad_power_binomial(np.eye(2), np.eye(2), 65)
 
 
 def test_ad_adjoint_in_trace_inner_product():
@@ -720,6 +722,8 @@ def test_d_exp_series_route_matches_spectral():
     sp = ca.d_exp(a, x, method="spectral")
     se = ca.d_exp(a, x, method="series")
     assert frobenius_norm(sp - se) <= 1e-11
+    with pytest.raises(ValueError, match="unknown method"):
+        ca.d_exp(a, x, method="bogus")
 
 
 def test_d_exp_general_matrix_vs_finite_difference():

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from corotcalc.cli import main
+from corotcalc.cli import build_parser, main
 from corotcalc.matcore import Matrix
 from corotcalc.sampling import make_rng, random_skew, random_spd_ratio, random_symmetric
+from corotcalc.verify import MAX_TRIALS
 
 
 def write_payload(path, b, d, w):
@@ -104,9 +105,12 @@ _EYE2 = {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]}
     {"B": {"dim": 2, "rows": [[True, 0.0], [0.0, 2.0]]},
      "D": {"dim": 2, "rows": [[0.5, 0], [0, 0.1]]}, "W": {"dim": 2, "rows": [[0, 1], [-1, 0]]}},
     {"B": _EYE2, "D": _EYE2, "W": {"dim": 2, "rows": [[0, False], [0, 0]]}},
+    {"B": {"rows": [[1.0]]}, "D": _EYE2, "W": _EYE2},
+    {"B": _EYE2, "D": {"dim": 2}, "W": _EYE2},
+    {"B": {"dim": 3, "rows": _EYE2["rows"]}, "D": _EYE2, "W": _EYE2},
 ], ids=["number", "null", "string", "array", "rows-number", "rows-flat", "string-entry",
         "ragged-nesting", "dim-true", "numeric-string", "boolean-entry",
-        "boolean-among-floats", "boolean-among-integers"])
+        "boolean-among-floats", "boolean-among-integers", "no-dim", "no-rows", "rows-not-dim"])
 def test_spin_malformed_payload_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -154,6 +158,7 @@ def test_spin_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     # every RunConfig key: spin skips the ones it does not take
     cfg.write_text(
+        "# a comment line and a blank line are skipped\n\n"
         "seed=42\ndim=3\ntol=1e-10\ndt=0.001\nt_end=1.0\n"
         "motion='simple_shear'\nmethod='spectral'\noutput_path='traj.csv'\n"
     )
@@ -178,6 +183,17 @@ def test_verify_lemma3_table_shows_both_branches(capsys):
     out = capsys.readouterr().out
     assert "commuting directions" in out
     assert "generic directions" in out
+
+
+def test_verify_trials_bound_is_checked_by_the_parser(capsys):
+    # MAX_TRIALS is accepted and one more exits 2, before any suite runs
+    parser = build_parser()
+    assert parser.parse_args(["verify", "--trials", str(MAX_TRIALS)]).trials == MAX_TRIALS
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "--trials", str(MAX_TRIALS + 1)])
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"[1, {MAX_TRIALS}]" in captured.err
 
 
 def test_verify_deterministic(capsys):

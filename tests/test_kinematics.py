@@ -643,6 +643,9 @@ def test_rate_residuals_need_three_samples():
     samples = ki.integrate_motion(ki.simple_shear(1.0), np.eye(3), 0.01, 1e-2)
     with pytest.raises(ValueError):
         ki.corotational_rate_residuals(samples, "finite_difference")
+    samples = ki.integrate_motion(ki.simple_shear(1.0), np.eye(3), 0.03, 1e-2)
+    with pytest.raises(ValueError, match="unknown h_dot_method"):
+        ki.corotational_rate_residuals(samples, "bogus")
 
 
 def test_motion_sample_invariants():

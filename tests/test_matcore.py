@@ -49,6 +49,8 @@ def _stacked_solver_for_any_size():
 def test_matrix_rejects_non_square():
     with pytest.raises(MatrixValidationError):
         Matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    with pytest.raises(MatrixValidationError):
+        matcore.as_array(np.zeros((0, 0)))
 
 
 def test_matrix_rejects_non_finite():
@@ -347,8 +349,17 @@ def test_eigen_matches_numpy_eigh():
 
 
 def test_decomposition_validates_orthogonality():
-    with pytest.raises(MatrixValidationError):
-        EigenDecomposition(q=np.array([[1.0, 1.0], [0.0, 1.0]]), eigenvalues=np.array([2.0, 1.0]))
+    for q, eigenvalues in (
+        ([[1.0, 1.0], [0.0, 1.0]], [2.0, 1.0]),  # not orthogonal
+        (np.eye(3), [2.0, 1.0]),  # inconsistent shapes
+        (np.eye(2), [1.0, 2.0]),  # ascending
+        (np.full((3, 3), np.nan), [2.0, 1.0, 0.5]),  # NaN factor: no comparison fails
+        (np.eye(3), [np.nan, 1.0, 0.5]),
+        (np.eye(3), [np.inf, 1.0, 0.5]),
+        (np.eye(3), [1.0, 0.5, -np.inf]),
+    ):
+        with pytest.raises(MatrixValidationError):
+            EigenDecomposition(q=np.array(q), eigenvalues=np.array(eigenvalues))
 
 
 def test_predicates():
@@ -435,20 +446,22 @@ def test_eigen_stack_matches_scalar_on_many_matrices():
 
 
 def test_small_stacks_take_the_scalar_solver(monkeypatch):
+    # one scalar solve per matrix below _STACK_MIN, none at it; the stack is
+    # gated once, so the scalar solves are of the unchecked core
     monkeypatch.setattr(matcore, "_STACK_MIN", STACK_MIN)
-    scalar = matcore.eigendecompose_symmetric
-    calls = []
-
-    def counted(s):
-        calls.append(1)
-        return scalar(s)
-
-    monkeypatch.setattr(matcore, "eigendecompose_symmetric", counted)
+    scalar, calls = matcore._jacobi, []
     rng = np.random.default_rng(37)
     for n in (1, 2, STACK_MIN - 1, STACK_MIN):
+        stack = np.array([_test_matrix(rng, 3, "generic") for _ in range(n)])
+        refs = [eigendecompose_symmetric(s) for s in stack]  # before the spy: not counted
         calls.clear()
-        _assert_stack_matches_scalar(np.array([_test_matrix(rng, 3, "generic") for _ in range(n)]))
+        with monkeypatch.context() as mp:
+            mp.setattr(matcore, "_jacobi", lambda s: calls.append(1) or scalar(s))
+            dec = _eigendecompose_stack(stack)
         assert len(calls) == (n if n < STACK_MIN else 0)
+        for i, ref in enumerate(refs):
+            assert np.array_equal(dec.q[i], ref.q), i
+            assert np.array_equal(dec.eigenvalues[i], ref.eigenvalues), i
 
 
 def test_worst_residual_carries_nan():
@@ -462,6 +475,8 @@ def test_eigen_stack_checks_like_scalar_solver():
     good = np.eye(2)
     with pytest.raises(NotSymmetricError):
         _eigendecompose_stack(np.array([good, [[0.0, 1.0], [0.0, 0.0]]]))
+    with pytest.raises(NotSymmetricError):  # an asymmetry beyond the float range
+        _eigendecompose_stack(np.array([good, [[0.0, 1.7e308], [-1.7e308, 0.0]]]))
     with pytest.raises(MatrixValidationError):
         _eigendecompose_stack(np.array([good, [[np.nan, 0.0], [0.0, 1.0]]]))
 

@@ -117,10 +117,12 @@ def test_commutation_exact_polynomials():
 
 def test_commutation_requires_poly_or_step():
     rng = make_rng(77)
+    a, y = random_symmetric(rng, 3), random_matrix(rng, 3)
     with pytest.raises(ValueError):
-        mo.isotropic_commutation_residual(
-            mo.exponential_generator(), random_symmetric(rng, 3), random_matrix(rng, 3)
-        )
+        mo.isotropic_commutation_residual(mo.exponential_generator(), a, y)
+    no_matrix_eval = mo.IsotropicFunction("exp", math.exp, math.exp)
+    with pytest.raises(ValueError, match="no general-matrix evaluation"):
+        mo.isotropic_commutation_residual(no_matrix_eval, a, y, h=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +268,8 @@ def test_equivalence_check_deterministic():
     r1 = mo.equivalence_check(mo.exponential_generator(), 50, 11, 1, 0)
     r2 = mo.equivalence_check(mo.exponential_generator(), 50, 11, 1, 0)
     assert r1 == r2
+    with pytest.raises(ValueError, match="p - s = 1"):
+        mo.equivalence_check(mo.exponential_generator(), 50, 11, 2, 0)
 
 
 def test_divided_difference_table_stack_uses_each_rows_radius():

@@ -66,17 +66,19 @@ def test_suite_keys_fit_64_bits_at_the_largest_accepted_seed(monkeypatch):
     assert max(keys) == top * 1000 + verify.KEY_OFFSET < 2**64
 
 
-def test_each_suite_builds_each_pair_table_once(monkeypatch):
-    # a table is one pair function (code and captured objects) over one set of
-    # eigenvalues with the same per-row arguments, or one commutator kernel
-    # per row (by identity) over one set of eigenvalues; a second build of it
-    # is repeated kernel work
+def _spy_on_table_builders(monkeypatch) -> list:
+    """Record each pair-table build as (builder, key, eigenvalue bytes, ...).
+
+    A table is one pair function (code and captured objects) over one set of
+    eigenvalues with the same per-row arguments (by value), or one commutator
+    kernel per row (by identity) over one set of eigenvalues.
+    """
     builds = []  # holds every kernel and argument, so no id is reused
     each_pair, difference_table = ca._each_pair, ca._difference_table
 
     def counting_each(entry, array, values, *per_row):
         key = (entry.__code__, tuple(id(c.cell_contents) for c in entry.__closure__ or ()),
-               tuple(tuple(map(id, arg)) for arg in per_row))
+               tuple(np.asarray(arg, dtype=float).tobytes() for arg in per_row))
         builds.append(("each", key, np.asarray(values).tobytes(), entry, per_row))
         return each_pair(entry, array, values, *per_row)
 
@@ -91,6 +93,22 @@ def test_each_suite_builds_each_pair_table_once(monkeypatch):
         for name, spy in spies.items():
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, spy)
+    return builds
+
+
+def test_table_key_sees_a_repeated_divided_difference_build(monkeypatch):
+    # its per-row radii are a fresh list on every call: equal by value, not by identity
+    builds = _spy_on_table_builders(monkeypatch)
+    gen = mo.cube_generator()
+    vals = np.array([[2.0, 1.0, -0.5], [3.0, 3.0, 1.0]])
+    for _ in range(2):
+        mo._divided_difference_table(gen.scalar_generator, gen.derivative_generator, vals)
+    assert len(builds) == 2 and len({build[:3] for build in builds}) == 1
+
+
+def test_each_suite_builds_each_pair_table_once(monkeypatch):
+    # a second build of one table is repeated kernel work
+    builds = _spy_on_table_builders(monkeypatch)
     builders = set()
     for name in SUITE_NAMES:
         builds.clear()

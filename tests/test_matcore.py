@@ -458,6 +458,7 @@ def test_small_stacks_take_the_scalar_solver(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(matcore, "_jacobi", lambda s: calls.append(1) or scalar(s))
             dec = _eigendecompose_stack(stack)
+        assert not dec.q.flags.writeable and not dec.eigenvalues.flags.writeable
         assert len(calls) == (n if n < STACK_MIN else 0)
         for i, ref in enumerate(refs):
             assert np.array_equal(dec.q[i], ref.q), i

@@ -33,7 +33,7 @@ from .matcore import (
     frobenius_norm,
     skew_part,
 )
-from .sampling import make_rng
+from .sampling import _draw_trials, make_rng
 from .scalarfun import SIGMA, _div, _log1p_series, _mapped
 
 __all__ = [
@@ -479,8 +479,7 @@ def strain_measure_report() -> StrainMeasureReport:
     symmetric directions (seed 0), drawn and evaluated as one stack.
     """
     ident = np.eye(3)
-    x = make_rng(0).uniform(-1.0, 1.0, (20, 3, 3))
-    x = 0.5 * (x + x.swapaxes(1, 2))
+    (x,) = _draw_trials(0, 20, ("sym", 1.0))
     fd = _central(lambda b: _matfun(_half_log, _require_spd(_eigendecompose_stack(b))),
                   ident, x, 1e-5)
     worst = _worst(_norms(fd - 0.5 * x))

@@ -42,7 +42,7 @@ from .matcore import (
     as_array,
     frobenius_norm,
 )
-from .sampling import _draw_trials, random_symmetric
+from .sampling import _draw_trials
 from .scalarfun import _mapped, make_r_kernel, make_sqrt_r_kernel
 
 __all__ = [
@@ -293,14 +293,13 @@ def equivalence_check(
     [-1.5, 1.5]) giving A = exp(S) with ln A = S by construction, then one
     random symmetric nonzero direction X.  Checks that the form at A equals
     the form at G = S evaluated on the square-root-kernel image of X, and
-    counts sign agreement of the two forms.  The trials are drawn first and
+    counts sign agreement of the two forms.  The trials are drawn in one call and
     evaluated as stacks, each as ``bilinear_lhs`` and ``bilinear_rhs`` would
     evaluate it; a NaN residual makes ``max_rel_residual`` NaN.
     """
     if p - s != 1:
         raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")
-    s_mats, x = _draw_trials(seed, trials, lambda rng: random_symmetric(rng, 3, 1.5),
-                             lambda rng: random_symmetric(rng, 3))
+    s_mats, x = _draw_trials(seed, trials, ("sym", 1.5), ("sym", 1.0))
     dec_s = _eigendecompose_stack(s_mats)
     dec_a = _require_spd(EigenDecomposition._trusted(dec_s.q, np.exp(dec_s.eigenvalues)))
     inner = _log_eig_apply(make_r_kernel(float(p + s)), dec_a, x)

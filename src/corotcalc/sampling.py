@@ -1,9 +1,10 @@
 """Seeded random fixtures built on a counter-based generator.
 
-All randomization in the package flows through Philox4x64-10 (numpy's
-``Philox`` bit generator) keyed by a 64-bit seed, so fixtures are
-reproducible bit-for-bit at the draw-sequence level and a port to another
-language can replay them.  Draw order is documented per helper.
+All randomization in the package flows through Philox4x64-10 (numpy's ``Philox``
+bit generator) keyed by a 64-bit seed, so fixtures are reproducible bit-for-bit at
+the draw-sequence level and a port to another language can replay them.  Draw order
+is documented per helper.  ``_draw_trials`` draws a stack of trials in one call,
+each trial its spec columns in order, each block row-major, as the helpers would.
 """
 
 from __future__ import annotations
@@ -84,12 +85,21 @@ def _spd_exp(s: np.ndarray) -> tuple:
     return _spectral(dec.q, np.exp(dec.eigenvalues)), dec
 
 
-def _draw_trials(seed: int, trials: int, *draws) -> list:
-    """One stack per function of ``draws``: trial after trial, each function
-    draws once from the generator keyed ``seed``, in the order given, so each
-    trial's inputs are the ones a loop over the trials would draw."""
+def _draw_trials(seed: int, trials: int, *spec) -> list:
+    """One C-contiguous stack per (kind, scale) of ``spec``, drawn in one generator call
+    keyed ``seed``: each trial draws its spec columns in order, each block row-major, as
+    the public helpers would draw them one trial at a time.  "mat", "sym" and "skew" give
+    (N, 3, 3) stacks, "vec" (N, 3) and "scalar" (N,)."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = make_rng(seed)
-    rows = [[draw(rng) for draw in draws] for _ in range(trials)]
-    return [np.array(col) for col in zip(*rows)]
+    widths = [{"mat": 9, "sym": 9, "skew": 9, "vec": 3, "scalar": 1}.get(k, 0) for k, _ in spec]
+    if 0 in widths:
+        raise ValueError(f"unknown draw kind {spec[widths.index(0)][0]!r}")
+    hi = np.repeat([scale for _, scale in spec], widths)
+    flat = make_rng(seed).uniform(-hi, hi, (trials, hi.size))
+    stacks = []
+    for (kind, _), m in zip(spec, np.split(flat, np.cumsum(widths)[:-1], axis=1)):
+        m = m.reshape(trials, 3, 3) if m.shape[1] == 9 else m[:, 0] if kind == "scalar" else m
+        half = {"sym": np.add, "skew": np.subtract}.get(kind)
+        stacks.append(np.ascontiguousarray(0.5 * half(m, m.swapaxes(1, 2)) if half else m))
+    return stacks

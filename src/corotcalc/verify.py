@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from . import calculus as ca
-from . import kinematics as ki
-from . import monotonicity as mo
+from . import calculus as ca, kinematics as ki, monotonicity as mo
 from .matcore import _dots, _eigendecompose_stack, _hadamard, _norms, _require_spd, _spectral
 from .matcore import _worst
-from .sampling import _draw_trials, _spd_exp, random_matrix, random_skew, random_symmetric
+from .sampling import _draw_trials, _spd_exp
 from .scalarfun import COTH_HALF_X, GAMMA, SIGMA, make_r_kernel, make_sandwich_kernel
 from .scalarfun import make_sinh_ratio_kernel, make_sqrt_r_kernel
 
@@ -57,10 +54,7 @@ class VerifyRow:
 
 # ---------------------------------------------------------------------------
 # shared by the suites: draw the trials, solve them as stacks, reduce each row
-
-
-_mat = partial(random_matrix, dim=3)
-_sym = partial(random_symmetric, dim=3)
+_MAT, _SYM = ("mat", 1.0), ("sym", 1.0)
 
 
 def _row(label: str, residuals, threshold: float) -> VerifyRow:
@@ -88,13 +82,12 @@ def _fd_exp(a, x) -> np.ndarray:
 
 
 def _suite_lemma1(seed: int, trials: int) -> list:
-    a, x = _draw_trials(seed * 1000 + 1, trials, _sym, _mat)
+    a, x = _draw_trials(seed * 1000 + 1, trials, _SYM, _MAT)
     a *= (2.0 / np.maximum(1.0, _norms(a) / 0.9))[:, None, None]
     val = ca._d_exp(_eigendecompose_stack(a), x)
     rows = [_row("exp derivative vs centered difference (rel)", _rel(val, _fd_exp(a, x)), 1e-6)]
 
-    a, y, s = _draw_trials(seed * 1000 + 2, trials, _sym, _mat,
-                           lambda rng: float(rng.uniform(-1.5, 1.5)))
+    a, y, s = _draw_trials(seed * 1000 + 2, trials, _SYM, _MAT, ("scalar", 1.5))
     dec = _eigendecompose_stack(a)
     e_plus = _diag(dec, np.exp(s[:, None] * dec.eigenvalues))
     e_minus = _diag(dec, np.exp(-s[:, None] * dec.eigenvalues))
@@ -102,12 +95,12 @@ def _suite_lemma1(seed: int, trials: int) -> list:
     rows.append(_row("exp conjugation: kernel route vs triple product (rel)",
                      _rel(val, e_plus @ y @ e_minus), 1e-12))
 
-    s_log, x = _draw_trials(seed * 1000 + 3, trials, _sym, _mat)
+    s_log, x = _draw_trials(seed * 1000 + 3, trials, _SYM, _MAT)
     a, dec_s = _spd_exp(s_log)
     roundtrip = ca._d_log(_require_spd(_eigendecompose_stack(a)), ca._d_exp(dec_s, x))
     rows.append(_row("log derivative inverts exp derivative (rel)", _rel(roundtrip, x), 1e-10))
 
-    a, x = _draw_trials(seed * 1000 + 4, trials, _sym, _mat)
+    a, x = _draw_trials(seed * 1000 + 4, trials, _SYM, _MAT)
     k = 1 + np.arange(trials) % 6
 
     def power(m):
@@ -126,7 +119,7 @@ def _suite_lemma1(seed: int, trials: int) -> list:
 def _suite_lemma2(seed: int, trials: int) -> list:
     rows = []
     for idx, (p, s) in enumerate(POWER_PAIRS):
-        s_log, y = _draw_trials(seed * 1000 + 10 + idx, trials, _sym, _mat)
+        s_log, y = _draw_trials(seed * 1000 + 10 + idx, trials, _SYM, _MAT)
         a, dec_s = _spd_exp(s_log)
         dec = _require_spd(_eigendecompose_stack(a))
         sandwiched = _diag(dec, dec.eigenvalues**p) @ y @ _diag(dec, dec.eigenvalues**-s)
@@ -153,12 +146,12 @@ def _gap(a: np.ndarray, x: np.ndarray) -> tuple:
 
 
 def _suite_lemma3(seed: int, trials: int) -> list:
-    s_log, c = _draw_trials(seed * 1000 + 20, trials, _sym, lambda rng: rng.uniform(-1.0, 1.0, 3))
+    s_log, c = _draw_trials(seed * 1000 + 20, trials, _SYM, ("vec", 1.0))
     a, _ = _spd_exp(s_log)
     c = c[:, :, None, None]
     gap, _ = _gap(a, c[:, 0] * np.eye(3) + c[:, 1] * a + c[:, 2] * a @ a)
 
-    s_log, x = _draw_trials(seed * 1000 + 21, trials, _sym, _sym)
+    s_log, x = _draw_trials(seed * 1000 + 21, trials, _SYM, _SYM)
     a, _ = _spd_exp(s_log)
     violations = checked = 0
     for g, comm, s_norm in zip(*_gap(a, x), _norms(s_log)):
@@ -175,7 +168,7 @@ def _suite_lemma4(seed: int, trials: int) -> list:
              (1, make_r_kernel, "symmetric power pair via cosh"))
     rows = []
     for idx, (p, s) in enumerate(POWER_PAIRS):
-        s_log, x = _draw_trials(seed * 1000 + 30 + idx, trials, _sym, _mat)
+        s_log, x = _draw_trials(seed * 1000 + 30 + idx, trials, _SYM, _MAT)
         dec = _require_spd(_eigendecompose_stack(_spd_exp(s_log)[0]))
         ap, am = _diag(dec, dec.eigenvalues**p), _diag(dec, dec.eigenvalues**-s)
         tag = f"(p,s)=({p},{s})"
@@ -188,14 +181,14 @@ def _suite_lemma4(seed: int, trials: int) -> list:
 
 
 def _suite_lemma5(seed: int, trials: int) -> list:
-    a, y = _draw_trials(seed * 1000 + 40, trials, _sym, _mat)
+    a, y = _draw_trials(seed * 1000 + 40, trials, _SYM, _MAT)
     poly = np.empty(trials)
     for parity, gen in enumerate((mo.square_generator(), mo.cube_generator())):
         c, aa, yy = gen.poly_coefficients, a[parity::2], y[parity::2]
         lhs = ca._ad(aa, mo._poly_gateaux(c, aa, yy))
         poly[parity::2] = _norms(lhs - mo._poly_gateaux(c, aa, ca._ad(aa, yy)))
 
-    a, y = _draw_trials(seed * 1000 + 41, max(trials // 4, 25), _sym, _mat)
+    a, y = _draw_trials(seed * 1000 + 41, max(trials // 4, 25), _SYM, _MAT)
     lhs = ca._ad(a, ca._central(ca._matexp, a, y, 1e-5))
     fd = _norms(lhs - ca._central(ca._matexp, a, ca._ad(a, y), 1e-5))
     return [
@@ -205,7 +198,7 @@ def _suite_lemma5(seed: int, trials: int) -> list:
 
 
 def _suite_lemma6(seed: int, trials: int) -> list:
-    a, x, y = _draw_trials(seed * 1000 + 50, trials, _sym, _mat, _mat)
+    a, x, y = _draw_trials(seed * 1000 + 50, trials, _SYM, _MAT, _MAT)
     kinds = (SIGMA, GAMMA, math.exp)
     # f(-t) declares no parity, so the flipped table is evaluated in full
     flips = [lambda t, f=f: f(-t) for f in kinds]
@@ -223,8 +216,7 @@ def _suite_lemma6(seed: int, trials: int) -> list:
 
 def _suite_theorem1(seed: int, trials: int) -> list:
     # random_spd_ratio's draws (exponents, then a frame), then D and W
-    u, m, d, w = _draw_trials(seed * 1000 + 60, trials, lambda rng: rng.uniform(-1.5, 1.5, 3),
-                              _sym, _sym, lambda rng: random_skew(rng, 3))
+    u, m, d, w = _draw_trials(seed * 1000 + 60, trials, ("vec", 1.5), _SYM, _SYM, ("skew", 1.0))
     dec = _require_spd(_eigendecompose_stack(_spectral(_eigendecompose_stack(m).q, 10.0**u)))
     o_sp = ki._spin(dec, d, w, commutator=False)
     o_co = ki._spin(dec, d, w, commutator=True)
@@ -251,7 +243,7 @@ def _suite_theorem1(seed: int, trials: int) -> list:
 
 
 def _suite_appendix(seed: int, trials: int) -> list:
-    a, x = _draw_trials(seed * 1000 + 70, trials, _mat, _mat)
+    a, x = _draw_trials(seed * 1000 + 70, trials, _MAT, _MAT)
     nested, binom = np.empty_like(x), np.empty_like(x)
     for m in range(9):
         nested[m::9] = ca._ad_power(a[m::9], x[m::9], m)
@@ -259,12 +251,12 @@ def _suite_appendix(seed: int, trials: int) -> list:
     rows = [_row("commutator powers match the binomial expansion (m <= 8, rel)",
                  _rel(binom, nested), 1e-12)]
 
-    a, y = _draw_trials(seed * 1000 + 71, trials, partial(_mat, scale=0.5), _mat)
+    a, y = _draw_trials(seed * 1000 + 71, trials, ("mat", 0.5), _MAT)
     val = ca._ad_series(ca.exp_series_spec(scale=1.0), a, y).value
     rows.append(_row("exp of commutator equals conjugation (series route, general A, rel)",
                      _rel(val, ca._matexp(a) @ y @ ca._matexp(-a)), 1e-12))
 
-    a, x = _draw_trials(seed * 1000 + 72, trials, partial(_mat, scale=0.6), _mat)
+    a, x = _draw_trials(seed * 1000 + 72, trials, ("mat", 0.6), _MAT)
     val = ca._matexp(a) @ ca._ad_series(ca.eta_neg_series_spec(), a, x).value
     rows.append(_row("exp derivative re-check (series route, general A, rel)",
                      _rel(val, _fd_exp(a, x)), 1e-6))
@@ -283,7 +275,7 @@ def _suite_monotonicity(seed: int, trials: int) -> list:
                          [rep.max_rel_residual for rep in reports], 1e-9))
     rows.append(VerifyRow("sign disagreements between the two forms", float(disagreements), 0.5))
 
-    g, x, xs = _draw_trials(seed * 1000 + 90, trials, _sym, _mat, _sym)
+    g, x, xs = _draw_trials(seed * 1000 + 90, trials, _SYM, _MAT, _SYM)
     qs = [float((1, 3, -1)[n % 3]) for n in range(trials)]
     dec = _eigendecompose_stack(g)
     sqrt_r = ca._difference_table([make_sqrt_r_kernel(q) for q in qs], dec.eigenvalues)

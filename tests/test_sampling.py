@@ -1,7 +1,43 @@
 import numpy as np
 import pytest
 
-from corotcalc.sampling import make_rng, random_orthogonal, random_spd_ratio
+from corotcalc import sampling
+from corotcalc.sampling import (
+    _draw_trials,
+    make_rng,
+    random_matrix,
+    random_orthogonal,
+    random_skew,
+    random_spd_ratio,
+    random_symmetric,
+)
+
+# one trial's draw of each kind through the public helpers, and its shape
+ONE_TRIAL = {
+    "mat": (lambda rng, s: random_matrix(rng, 3, s), (3, 3)),
+    "sym": (lambda rng, s: random_symmetric(rng, 3, s), (3, 3)),
+    "skew": (lambda rng, s: random_skew(rng, 3, s), (3, 3)),
+    "vec": (lambda rng, s: rng.uniform(-s, s, 3), (3,)),
+    "scalar": (lambda rng, s: float(rng.uniform(-s, s)), ()),
+}
+
+# every (kind, scale) that verify and equivalence_check draw, then mixed patterns
+SPECS = [
+    (("mat", 1.0),),
+    (("mat", 0.5),),
+    (("mat", 0.6),),
+    (("sym", 1.0),),
+    (("sym", 1.5),),
+    (("skew", 1.0),),
+    (("vec", 1.0),),
+    (("vec", 1.5),),
+    (("scalar", 1.5),),
+    (("sym", 1.0), ("mat", 1.0), ("scalar", 1.5)),
+    (("vec", 1.5), ("sym", 1.0), ("sym", 1.0), ("skew", 1.0)),
+    (("sym", 1.0), ("vec", 1.0)),
+    (("mat", 0.5), ("mat", 1.0)),
+    (("sym", 1.5), ("sym", 1.0)),
+]
 
 
 @pytest.mark.parametrize("bad", [1e3, -1.0, float("nan"), float("inf")])
@@ -22,3 +58,38 @@ def test_random_spd_ratio_draw_order(max_log10_ratio):
     out = (q * lam) @ q.T
     expected = 0.5 * (out + out.T)
     np.testing.assert_array_equal(random_spd_ratio(make_rng(7), 3, max_log10_ratio), expected)
+
+
+@pytest.mark.parametrize("trials", [1, 25, 500])
+@pytest.mark.parametrize("seed", [1, 7003, 42090])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: "-".join(f"{k}{s}" for k, s in spec))
+def test_draw_trials_equals_a_per_trial_loop_over_the_helpers(spec, seed, trials):
+    rng = make_rng(seed)
+    rows = [[ONE_TRIAL[kind][0](rng, scale) for kind, scale in spec] for _ in range(trials)]
+    stacks = _draw_trials(seed, trials, *spec)
+    assert len(stacks) == len(spec)
+    for (kind, _), stack, column in zip(spec, stacks, zip(*rows)):
+        expected = np.array(column)
+        assert stack.dtype == expected.dtype == np.float64
+        assert stack.shape == expected.shape == (trials, *ONE_TRIAL[kind][1])
+        assert stack.flags.c_contiguous
+        np.testing.assert_array_equal(stack, expected)
+        assert stack.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec", [(("sim", 1.0),), (("mat", 1.0), ("vector", 1.5))])
+def test_draw_trials_rejects_an_unknown_kind_before_drawing(spec, monkeypatch):
+    keys = []
+    monkeypatch.setattr(sampling, "make_rng", keys.append)
+    with pytest.raises(ValueError, match=f"unknown draw kind {spec[-1][0]!r}"):
+        _draw_trials(5, 10, *spec)
+    assert keys == []
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_draw_trials_rejects_fewer_than_one_trial_before_drawing(trials, monkeypatch):
+    keys = []
+    monkeypatch.setattr(sampling, "make_rng", keys.append)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        _draw_trials(5, trials, ("sym", 1.0))
+    assert keys == []

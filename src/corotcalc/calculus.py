@@ -151,10 +151,9 @@ def _each_pair(entry, array, values, *per_row) -> np.ndarray:
     of ``per_row``; ``array(a, b, *e)`` is the same over arrays that broadcast to the
     table.  Values of shape (N, d) give one table per row, shape (N, d, d)."""
     vals = np.asarray(values, dtype=float)
-    rows = vals.reshape(-1, vals.shape[-1]).tolist()
-    extra = list(zip(*per_row)) or [()] * len(rows)
-    cols = [np.reshape(x, vals.shape[:-1] + (1, 1)) for x in per_row]
-    table = _evaluated(lambda: (entry(a, b, *e) for row, e in zip(rows, extra)
+    flat = vals.reshape(-1, vals.shape[-1])  # listed only if evaluated entry by entry
+    cols = (np.reshape(x, vals.shape[:-1] + (1, 1)) for x in per_row)
+    table = _evaluated(lambda: (entry(a, b, *e) for row, *e in zip(flat.tolist(), *per_row)
                                 for a in row for b in row), vals.size * vals.shape[-1],
                        lambda: array(vals[..., :, None], vals[..., None, :], *cols))
     return _checked(table.reshape(vals.shape + vals.shape[-1:]), vals)

@@ -44,8 +44,8 @@ DEFAULT_EIG_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 64
 _HALF_MAX = np.finfo(float).max / 2  # the sum of two entries below this is finite
 # Stacks of fewer matrices go to the scalar solver.  At d = 3 (2-core Xeon) a
-# stacked solve took 0.9 ms for one matrix, 1.7 ms for 16 and 2.2 ms for 200;
-# the scalar solver 80 to 100 us a matrix, so the two meet at about 16.
+# stacked solve took 0.9 ms for one matrix, 0.8 ms for 16 and 1.2 ms for 200;
+# the scalar solver 40 to 65 us a matrix, so the two meet at 16 to 20.
 _STACK_MIN = 16
 
 
@@ -98,7 +98,7 @@ def _square_finite(entries, convert=np.array) -> np.ndarray:
         raise MatrixValidationError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise MatrixValidationError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise MatrixValidationError("matrix entries must be finite")
     return arr
 
@@ -125,10 +125,10 @@ def _symmetry_defect(arr: np.ndarray, tol: float = DEFAULT_SYM_TOL, skew: bool =
     """(max|A - A^T|, tol (1 + max|A|), max|A| > _HALF_MAX), or max|A + A^T| first
     with ``skew``.  Above half the float range the difference is taken of the
     halved entries and doubled, so that it cannot overflow."""
-    scale = float(np.max(np.abs(arr)))
+    scale = float(np.abs(arr).max())
     huge = scale > _HALF_MAX
     a = 0.5 * arr if huge else arr
-    defect = float(np.max(np.abs(a + a.T if skew else a - a.T)))
+    defect = float(np.abs(a + a.T if skew else a - a.T).max())
     return (2.0 * defect if huge else defect), tol * (1.0 + scale), huge
 
 
@@ -144,10 +144,9 @@ def _half_sum(a: np.ndarray, b: np.ndarray, huge: bool) -> np.ndarray:
 def _require_spd(dec: "EigenDecomposition") -> "EigenDecomposition":
     """``dec`` (one matrix or a stack) if every eigenvalue is positive, the
     package's one SPD rule; else NotSpdError with the first offending one."""
-    smallest = np.atleast_1d(dec.eigenvalues[..., -1])
-    bad = smallest[~(smallest > 0.0)]
-    if bad.size:
-        raise NotSpdError(bad[0])
+    smallest = dec.eigenvalues[..., -1]
+    if not (smallest > 0.0).all():
+        raise NotSpdError(np.extract(~(smallest > 0.0), smallest)[0])
     return dec
 
 
@@ -336,7 +335,7 @@ def _norms(x: np.ndarray) -> np.ndarray:
     """The Frobenius norm of a matrix, or of each matrix of a stack.  Where the sum of
     squares overflows it is taken again of the entries scaled by an exact power of two."""
     with np.errstate(over="ignore"):
-        out = np.sqrt(np.sum(x * x, axis=(-2, -1)))
+        out = np.sqrt((x * x).sum(axis=(-2, -1)))
     over = np.isinf(out)
     if over.any():
         exp2 = np.frexp(np.max(np.abs(x), axis=(-2, -1)))[1]
@@ -526,25 +525,25 @@ def _sum_squares(a: list, d: int, diagonal: bool = False) -> float:
 def _eigendecompose_stack(s) -> EigenDecomposition:
     """``eigendecompose_symmetric`` of every matrix of an (N, d, d) stack at once.
 
-    Every matrix goes through the scalar solver's arithmetic: the same pivots
-    in the same row-major order, the same threshold, zeroing and rotation
-    formulas, the same stop rule, and sums of squares accumulated in the same
-    sequential order.  Each pivot's rotation is vectorized across the
-    matrices still live in the sweep; a converged matrix is never touched
-    again.  So each factor and eigenvalue is bit-identical to the scalar
-    solver's, whatever else the stack holds.  A matrix whose squared norm
-    overflows, and a stack of fewer than ``_STACK_MIN`` matrices, go through
-    the scalar solver.  Convergence failure reports the first matrix that did
-    not converge.  Returns one stacked decomposition: q of shape (N, d, d),
-    eigenvalues of shape (N, d).
+    Each matrix gets ``_jacobi``'s arithmetic (pivot order, threshold, zeroing,
+    rotation, stop rule, sequential sums of squares), so each factor and
+    eigenvalue is bit-identical to its own, signed zeros included.  A and Q^T
+    are (d, d, N) arrays: each entry is one contiguous vector over the stack.
+    At a pivot every live matrix takes ``_jacobi``'s one-sided update (rows p
+    and r rebuilt from the old ones and copied into columns p and r, the 2x2
+    block in closed form), and a masked copy writes it back only where
+    ``_jacobi`` rotates.  The live set is compacted once per sweep.  A matrix
+    whose squared norm overflows, and a stack of fewer than ``_STACK_MIN``,
+    take ``_jacobi``.  Convergence failure reports the first unconverged
+    matrix.  Returns q of shape (N, d, d) and eigenvalues of shape (N, d).
     """
     arr = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise MatrixValidationError("matrix entries must be finite")
     n, d = arr.shape[0], arr.shape[-1]
     with np.errstate(over="ignore"):  # an asymmetry that overflows is inf, and rejected
-        asym = np.max(np.abs(arr - arr.swapaxes(1, 2)), axis=(1, 2))
-    if np.any(asym > DEFAULT_SYM_TOL * (1.0 + np.max(np.abs(arr), axis=(1, 2)))):
+        asym = np.abs(arr - arr.swapaxes(1, 2)).max(axis=(1, 2))
+    if np.any(asym > DEFAULT_SYM_TOL * (1.0 + np.abs(arr).max(axis=(1, 2)))):
         raise NotSymmetricError("input to the symmetric eigensolver is not symmetric")
     if n < _STACK_MIN:
         decs = [_jacobi(m) for m in arr]
@@ -552,77 +551,86 @@ def _eigendecompose_stack(s) -> EigenDecomposition:
         vals = np.array([dec.eigenvalues for dec in decs]).reshape(arr.shape[:-1])
         return EigenDecomposition._trusted(q, vals)
 
-    with np.errstate(over="ignore"):
-        a = 0.5 * (arr + arr.swapaxes(1, 2))
+    # an average may overflow here, and so may the rotations that are not kept
+    with np.errstate(all="ignore"):
+        a = np.ascontiguousarray((0.5 * (arr + arr.swapaxes(1, 2))).transpose(1, 2, 0))
         sum_sq = _stack_sum_squares(a, diagonal=True)
-    scaled = np.flatnonzero(np.isinf(sum_sq))
-    a[scaled] = 0.0  # solved one at a time below; never live here
-    q = np.tile(np.eye(d), (n, 1, 1))
-    stop = 0.05 * DEFAULT_EIG_TOL * (1.0 + np.sqrt(sum_sq))
-    off = np.sqrt(_stack_sum_squares(a))
-    pivots = [(p, r) for p in range(d - 1) for r in range(p + 1, d)]
-    # Both branches of t are formed for every rotated matrix and np.where
-    # keeps the one the scalar solver takes; the other may overflow.
-    with np.errstate(over="ignore", divide="ignore"):
+        scaled = np.flatnonzero(np.isinf(sum_sq))
+        a[..., scaled] = 0.0  # solved one at a time below; never live here
+        qt = np.repeat(np.eye(d)[..., None], n, axis=2)  # qt[j] is column j of every Q
+        stop = 0.05 * DEFAULT_EIG_TOL * (1.0 + np.sqrt(sum_sq))
+        off = np.sqrt(_stack_sum_squares(a))
+        pivots = [(p, r) for p in range(d - 1) for r in range(p + 1, d)]
+        live = np.flatnonzero(off > stop)
+        al, ql = a.take(live, axis=2), qt.take(live, axis=2)  # the live matrices, C-contiguous
         for sweep in range(DEFAULT_MAX_SWEEPS):
-            live = np.flatnonzero(off > stop)
             if live.size == 0:
                 break
             thresh = 0.2 * off[live] / (d * d) if sweep < 3 else 0.0
             for p, r in pivots:
-                apr = a[live, p, r]
+                apr, app, arr_ = al[p, r], al[p, p], al[r, r]
                 g = 100.0 * np.abs(apr)
-                skip = (apr == 0.0) | (np.abs(apr) <= thresh)
+                rot = np.abs(apr) > thresh  # so never where apr == 0.0
                 if sweep >= 4:
-                    app = np.abs(a[live, p, p])
-                    arr_ = np.abs(a[live, r, r])
-                    tiny = (app + g == app) & (arr_ + g == arr_)
-                    a[live[tiny], p, r] = 0.0
-                    a[live[tiny], r, p] = 0.0
-                    skip |= tiny
-                rot = np.flatnonzero(~skip)
-                if rot.size == 0:
+                    tiny = (np.abs(app) + g == np.abs(app)) & (np.abs(arr_) + g == np.abs(arr_))
+                    if tiny.any():
+                        al[p, r] = al[r, p] = apr = np.where(tiny, 0.0, apr)
+                        rot &= ~tiny
+                if not rot.any():
                     continue
-                k = live[rot]
-                apr = apr[rot]
-                ak = a[k]
-                qk = q[k]
-                h = ak[:, r, r] - ak[:, p, p]
+                h = arr_ - app
                 theta = 0.5 * h / apr
                 t = 1.0 / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
-                t = np.where(theta < 0.0, -t, t)
-                t = np.where(np.abs(h) + g[rot] == np.abs(h), apr / h, t)
-                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
-                s_ = t[:, None] * c
-                cp, cr = ak[:, :, p], ak[:, :, r]
-                ak[:, :, p], ak[:, :, r] = c * cp - s_ * cr, s_ * cp + c * cr
-                rp, rr = ak[:, p, :], ak[:, r, :]
-                ak[:, p, :], ak[:, r, :] = c * rp - s_ * rr, s_ * rp + c * rr
-                ak[:, p, r] = 0.0
-                ak[:, r, p] = 0.0
-                qp, qr = qk[:, :, p], qk[:, :, r]
-                qk[:, :, p], qk[:, :, r] = c * qp - s_ * qr, s_ * qp + c * qr
-                a[k] = ak
-                q[k] = qk
-            off[live] = np.sqrt(_stack_sum_squares(a[live]))
-    failed = np.flatnonzero(off > stop)
-    if failed.size:
-        raise EigenConvergenceError(off[failed[0]], DEFAULT_MAX_SWEEPS)
+                np.negative(t, out=t, where=theta < 0.0)
+                np.divide(apr, h, out=t, where=np.abs(h) + g == np.abs(h))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s_ = t * c
+                rp, rr, qp, qr = al[p], al[r], ql[p], ql[r]
+                # off the block, _jacobi's new rows; on it, A J, from which J^T (A J)
+                new_p, new_r = c * rp - s_ * rr, s_ * rp + c * rr
+                new_p[p], new_r[r] = c * new_p[p] - s_ * new_p[r], s_ * new_r[p] + c * new_r[r]
+                new_p[r] = new_r[p] = 0.0
+                new_qp, new_qr = c * qp - s_ * qr, s_ * qp + c * qr
+                mask = True if rot.all() else rot  # a plain copy is faster
+                for old, new in zip((rp, rr, qp, qr), (new_p, new_r, new_qp, new_qr)):
+                    np.copyto(old, new, where=mask)  # in place, where _jacobi rotates
+                al[:, p], al[:, r] = rp, rr
+            off[live] = np.sqrt(_stack_sum_squares(al))
+            done = off[live] <= stop[live]
+            if done.any():
+                a[..., live[done]], qt[..., live[done]] = al[..., done], ql[..., done]
+                live, al, ql = live[~done], al.compress(~done, 2), ql.compress(~done, 2)
+    if live.size:
+        raise EigenConvergenceError(off[live[0]], DEFAULT_MAX_SWEEPS)
 
-    diag = a[:, np.arange(d), np.arange(d)]
+    diag = a[range(d), range(d)].T
     order = np.argsort(-diag, axis=1, kind="stable")
     vals = np.take_along_axis(diag, order, axis=1)
-    q = np.take_along_axis(q, order[:, None, :], axis=2)
+    q = np.take_along_axis(qt.transpose(2, 1, 0), order[:, None, :], axis=2)
     for i in scaled:
         dec = _jacobi(arr[i])
-        q[i] = dec.q
-        vals[i] = dec.eigenvalues
+        q[i], vals[i] = dec.q, dec.eigenvalues
     return EigenDecomposition._trusted(q, vals)
 
 
+def _split_solve(stacks) -> list:
+    """``_eigendecompose_stack`` of each of several stacks by one solve of their
+    concatenation.  Each decomposition is bit-identical to its stack's own, and
+    an error is the one that solving the stacks one after another raises."""
+    try:
+        dec = _eigendecompose_stack(np.concatenate(stacks))
+    except (MatrixValidationError, EigenConvergenceError):
+        for s in stacks:
+            _eigendecompose_stack(s)
+        raise
+    ends = np.cumsum([len(s) for s in stacks])[:-1]
+    return [EigenDecomposition._trusted(q, vals)
+            for q, vals in zip(np.split(dec.q, ends), np.split(dec.eigenvalues, ends))]
+
+
 def _stack_sum_squares(a: np.ndarray, diagonal: bool = False) -> np.ndarray:
-    """``_sum_squares`` of each matrix of a stack, in the same sequential order."""
-    sq = (a * a).reshape(len(a), -1)
+    """``_sum_squares`` of each matrix of a (d, d, N) stack, in the same sequential order."""
+    sq = (a * a).reshape(-1, a.shape[-1])
     if not diagonal:
-        sq[:, :: a.shape[-1] + 1] = 0.0  # adding +0.0 leaves a sum of squares unchanged
-    return np.cumsum(sq, axis=1)[:, -1]
+        sq[:: a.shape[0] + 1] = 0.0  # adding +0.0 leaves a sum of squares unchanged
+    return np.cumsum(sq, axis=0)[-1]  # sequential: sum() of one column would be pairwise

@@ -76,13 +76,12 @@ def random_spd_exp(rng: np.random.Generator, dim: int, scale: float = 1.5):
     Draws: one random_symmetric with entries uniform(-scale, scale).
     """
     s = random_symmetric(rng, dim, scale)
-    return _spd_exp(s[None])[0][0], s
+    return _spd_exp(_eigendecompose_stack(s[None]))[0], s
 
 
-def _spd_exp(s: np.ndarray) -> tuple:
-    """(exp S, the decomposition of S) of each S of a stack, as ``random_spd_exp``."""
-    dec = _eigendecompose_stack(s)
-    return _spectral(dec.q, np.exp(dec.eigenvalues)), dec
+def _spd_exp(dec) -> np.ndarray:
+    """exp S of each S of a stack, from its decomposition, as ``random_spd_exp``."""
+    return _spectral(dec.q, np.exp(dec.eigenvalues))
 
 
 def _draw_trials(seed: int, trials: int, *spec) -> list:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import calculus as ca, kinematics as ki, monotonicity as mo
 from .matcore import _dots, _eigendecompose_stack, _hadamard, _norms, _require_spd, _spectral
-from .matcore import _worst
+from .matcore import _split_solve, _worst
 from .sampling import _draw_trials, _spd_exp
 from .scalarfun import COTH_HALF_X, GAMMA, SIGMA, make_r_kernel, make_sandwich_kernel
 from .scalarfun import make_sinh_ratio_kernel, make_sqrt_r_kernel
@@ -84,21 +84,20 @@ def _fd_exp(a, x) -> np.ndarray:
 def _suite_lemma1(seed: int, trials: int) -> list:
     a, x = _draw_trials(seed * 1000 + 1, trials, _SYM, _MAT)
     a *= (2.0 / np.maximum(1.0, _norms(a) / 0.9))[:, None, None]
-    val = ca._d_exp(_eigendecompose_stack(a), x)
+    b, y, s = _draw_trials(seed * 1000 + 2, trials, _SYM, _MAT, ("scalar", 1.5))
+    s_log, z = _draw_trials(seed * 1000 + 3, trials, _SYM, _MAT)
+    dec_a, dec, dec_s = _split_solve([a, b, s_log])
+    val = ca._d_exp(dec_a, x)
     rows = [_row("exp derivative vs centered difference (rel)", _rel(val, _fd_exp(a, x)), 1e-6)]
 
-    a, y, s = _draw_trials(seed * 1000 + 2, trials, _SYM, _MAT, ("scalar", 1.5))
-    dec = _eigendecompose_stack(a)
     e_plus = _diag(dec, np.exp(s[:, None] * dec.eigenvalues))
     e_minus = _diag(dec, np.exp(-s[:, None] * dec.eigenvalues))
     val = ca._exp_conjugation(dec, y, s.tolist())
     rows.append(_row("exp conjugation: kernel route vs triple product (rel)",
                      _rel(val, e_plus @ y @ e_minus), 1e-12))
 
-    s_log, x = _draw_trials(seed * 1000 + 3, trials, _SYM, _MAT)
-    a, dec_s = _spd_exp(s_log)
-    roundtrip = ca._d_log(_require_spd(_eigendecompose_stack(a)), ca._d_exp(dec_s, x))
-    rows.append(_row("log derivative inverts exp derivative (rel)", _rel(roundtrip, x), 1e-10))
+    roundtrip = ca._d_log(_require_spd(_eigendecompose_stack(_spd_exp(dec_s))), ca._d_exp(dec_s, z))
+    rows.append(_row("log derivative inverts exp derivative (rel)", _rel(roundtrip, z), 1e-10))
 
     a, x = _draw_trials(seed * 1000 + 4, trials, _SYM, _MAT)
     k = 1 + np.arange(trials) % 6
@@ -116,12 +115,19 @@ def _suite_lemma1(seed: int, trials: int) -> list:
     return rows
 
 
+def _spd_exp_pairs(seed: int, trials: int) -> tuple:
+    """Per power pair: its draws (S, X), the decomposition of S, A = exp S and the
+    decomposition of A, checked SPD; the three pairs' stacks are solved together."""
+    draws = [_draw_trials(seed + idx, trials, _SYM, _MAT) for idx in range(len(POWER_PAIRS))]
+    decs_s = _split_solve([s_log for s_log, _ in draws])
+    exps = [_spd_exp(dec_s) for dec_s in decs_s]
+    return tuple(zip(draws, decs_s, exps, map(_require_spd, _split_solve(exps))))
+
+
 def _suite_lemma2(seed: int, trials: int) -> list:
     rows = []
-    for idx, (p, s) in enumerate(POWER_PAIRS):
-        s_log, y = _draw_trials(seed * 1000 + 10 + idx, trials, _SYM, _MAT)
-        a, dec_s = _spd_exp(s_log)
-        dec = _require_spd(_eigendecompose_stack(a))
+    pairs = _spd_exp_pairs(seed * 1000 + 10, trials)
+    for idx, ((p, s), ((_, y), dec_s, a, dec)) in enumerate(zip(POWER_PAIRS, pairs)):
         sandwiched = _diag(dec, dec.eigenvalues**p) @ y @ _diag(dec, dec.eigenvalues**-s)
         conj = a @ ca._exp_conjugation(dec_s, y, [float(s)] * trials)
         tag = f"(p,s)=({p},{s})"
@@ -139,22 +145,22 @@ def _suite_lemma2(seed: int, trials: int) -> list:
     return rows
 
 
-def _gap(a: np.ndarray, x: np.ndarray) -> tuple:
-    """``anticommutator_gap`` of each pair of matrices of two stacks."""
-    gap = ca._log_eig_apply(COTH_HALF_X, _require_spd(_eigendecompose_stack(a)), x) - 2.0 * x
+def _gap(dec, a: np.ndarray, x: np.ndarray) -> tuple:
+    """``anticommutator_gap`` of each pair of matrices of two stacks, dec that of a."""
+    gap = ca._log_eig_apply(COTH_HALF_X, _require_spd(dec), x) - 2.0 * x
     return _norms(gap), _norms(ca._ad(a, x))
 
 
 def _suite_lemma3(seed: int, trials: int) -> list:
-    s_log, c = _draw_trials(seed * 1000 + 20, trials, _SYM, ("vec", 1.0))
-    a, _ = _spd_exp(s_log)
-    c = c[:, :, None, None]
-    gap, _ = _gap(a, c[:, 0] * np.eye(3) + c[:, 1] * a + c[:, 2] * a @ a)
-
+    s_com, c = _draw_trials(seed * 1000 + 20, trials, _SYM, ("vec", 1.0))
     s_log, x = _draw_trials(seed * 1000 + 21, trials, _SYM, _SYM)
-    a, _ = _spd_exp(s_log)
+    a_com, a = map(_spd_exp, _split_solve([s_com, s_log]))
+    dec_com, dec = _split_solve([a_com, a])
+    c = c[:, :, None, None]
+    gap, _ = _gap(dec_com, a_com, c[:, 0] * np.eye(3) + c[:, 1] * a_com + c[:, 2] * a_com @ a_com)
+
     violations = checked = 0
-    for g, comm, s_norm in zip(*_gap(a, x), _norms(s_log)):
+    for g, comm, s_norm in zip(*_gap(dec, a, x), _norms(s_log)):
         if comm >= 1e-2:
             checked += 1
             violations += g < 1e-6 * comm**2 / (1.0 + s_norm**2)
@@ -167,9 +173,8 @@ def _suite_lemma4(seed: int, trials: int) -> list:
     forms = ((-1, make_sinh_ratio_kernel, "antisymmetric power pair via sinh"),
              (1, make_r_kernel, "symmetric power pair via cosh"))
     rows = []
-    for idx, (p, s) in enumerate(POWER_PAIRS):
-        s_log, x = _draw_trials(seed * 1000 + 30 + idx, trials, _SYM, _MAT)
-        dec = _require_spd(_eigendecompose_stack(_spd_exp(s_log)[0]))
+    pairs = _spd_exp_pairs(seed * 1000 + 30, trials)
+    for (p, s), ((_, x), _, _, dec) in zip(POWER_PAIRS, pairs):
         ap, am = _diag(dec, dec.eigenvalues**p), _diag(dec, dec.eigenvalues**-s)
         tag = f"(p,s)=({p},{s})"
         # sign * v is exactly -v or v; one d_log table for both arguments

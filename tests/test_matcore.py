@@ -25,6 +25,7 @@ from corotcalc.matcore import (
     is_symmetric,
     multiply,
     _eigendecompose_stack,
+    _split_solve,
     _worst,
     skew_part,
     sym_part,
@@ -396,12 +397,21 @@ def test_eigen_symmetrizes_huge_entries_without_overflow():
 # ---------------------------------------------------------------------------
 # the stacked solver: per matrix, the single-matrix solver bit for bit
 
-_SPECTRA = ("generic", "clustered", "repeated", "diagonal", "zero", "wide")
+_SPECTRA = ("generic", "clustered", "repeated", "diagonal", "zero", "wide", "signed_zero")
 
 
 def _test_matrix(rng, d: int, kind: str) -> np.ndarray:
     if kind == "zero":
         return np.zeros((d, d))
+    if kind == "signed_zero":
+        # -0.0 off the diagonal, +-0.0 and a few values on it; half of them
+        # with one nonzero pivot among the zeros, the only rotation there is
+        s = np.full((d, d), -0.0)
+        s[np.diag_indices(d)] = rng.choice([-0.0, 0.0, 1.0, -2.5], d)
+        if d > 1 and rng.random() < 0.5:
+            p, r = np.sort(rng.choice(d, 2, replace=False))
+            s[p, r] = s[r, p] = rng.uniform(-1.0, 1.0)
+        return s
     if kind == "wide":
         lam = rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(-150.0, 150.0, d)
     elif kind == "clustered":
@@ -418,12 +428,13 @@ def _test_matrix(rng, d: int, kind: str) -> np.ndarray:
 
 
 def _assert_stack_matches_scalar(stack: np.ndarray) -> None:
+    # bytes, not values: np.array_equal takes -0.0 for 0.0
     dec = _eigendecompose_stack(stack)
     assert not dec.q.flags.writeable and not dec.eigenvalues.flags.writeable
     for i, s in enumerate(stack):
         ref = eigendecompose_symmetric(s)
-        assert np.array_equal(dec.q[i], ref.q), i
-        assert np.array_equal(dec.eigenvalues[i], ref.eigenvalues), i
+        assert dec.q[i].tobytes() == ref.q.tobytes(), i
+        assert dec.eigenvalues[i].tobytes() == ref.eigenvalues.tobytes(), i
 
 
 @given(
@@ -443,6 +454,78 @@ def test_eigen_stack_matches_scalar_on_many_matrices():
     # a member whose squared norm overflows takes the scalar solver's scaled route
     huge = np.array([[1e200, 3e199, 0.0], [3e199, -2e199, 1.0], [0.0, 1.0, 5.0]])
     _assert_stack_matches_scalar(np.array([np.eye(3), huge, _test_matrix(rng, 3, "wide")]))
+
+
+def test_eigen_stack_keeps_the_signs_of_zeros():
+    # a rotation the stacked solver computes but does not keep must not reach
+    # a zero: each member's -0.0 entries come out as the scalar solver leaves them
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 5):
+        stack = np.array([_test_matrix(rng, d, "signed_zero") for _ in range(300)])
+        _assert_stack_matches_scalar(stack)
+        vals = _eigendecompose_stack(stack).eigenvalues
+        assert ((vals == 0.0) & np.signbit(vals)).any()  # -0.0 eigenvalues are there
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_stack_sum_squares_is_sequential(n):
+    # at one column numpy's sum() is pairwise; the sum must stay the scalar
+    # solver's sequential one however few matrices are live
+    rng = np.random.default_rng(n)
+    for d in (3, 4, 8):
+        stack = rng.uniform(-1.0, 1.0, (n, d, d)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, d, d))
+        layout = np.ascontiguousarray(stack.transpose(1, 2, 0))
+        for diagonal in (False, True):
+            got = matcore._stack_sum_squares(layout, diagonal)
+            want = [matcore._sum_squares(m.tolist(), d, diagonal) for m in stack]
+            assert got.tolist() == want, (d, diagonal)
+
+
+def _raised(call) -> tuple:
+    with pytest.raises(Exception) as ei:
+        call()
+    return type(ei.value), str(ei.value)
+
+
+def test_split_solve_equals_each_group_solved_alone(monkeypatch):
+    monkeypatch.setattr(matcore, "_STACK_MIN", STACK_MIN)
+    rng = np.random.default_rng(41)
+    kinds = _SPECTRA * 40
+    groups = [np.array([_test_matrix(rng, 3, kinds[i]) for i in range(n)])
+              for n in (1, STACK_MIN - 1, 200)]
+    decs = _split_solve(groups)
+    assert len(decs) == len(groups)
+    for group, dec in zip(groups, decs):
+        alone = _eigendecompose_stack(group)
+        assert not dec.q.flags.writeable and not dec.eigenvalues.flags.writeable
+        assert dec.q.tobytes() == alone.q.tobytes()
+        assert dec.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+        assert dec.q.shape == alone.q.shape and dec.eigenvalues.shape == alone.eigenvalues.shape
+
+
+def test_split_solve_raises_what_sequential_solves_raise(monkeypatch):
+    rng = np.random.default_rng(43)
+    good = np.array([_test_matrix(rng, 3, "diagonal") for _ in range(20)])  # no sweep
+    asym = good.copy()
+    asym[7, 0, 1] += 1.0
+    nan = good.copy()
+    nan[3, 2, 2] = np.nan
+    beyond = good.copy()  # an eigenvalue beyond the float range, found after the sweeps
+    beyond[5] = [[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 1.0]]
+    monkeypatch.setattr(matcore, "DEFAULT_MAX_SWEEPS", 2)
+    hard = np.array([_test_matrix(rng, 3, "generic") for _ in range(20)])
+    assert _raised(lambda: _eigendecompose_stack(hard))[0] is EigenConvergenceError
+    cases = {  # groups, and the type solving them one after another raises
+        "asymmetric before non-finite": ([good, asym, nan], NotSymmetricError),
+        "unconverged, first in the second group": ([good, hard[::-1], hard],
+                                                   EigenConvergenceError),
+        "beyond the float range before unconverged": ([beyond, hard], MatrixValidationError),
+        "unconverged before beyond the float range": ([hard, beyond], EigenConvergenceError),
+    }
+    for name, (groups, error) in cases.items():
+        sequential = _raised(lambda: [_eigendecompose_stack(g) for g in groups])
+        assert sequential[0] is error, name
+        assert _raised(lambda: _split_solve(groups)) == sequential, name
 
 
 def test_small_stacks_take_the_scalar_solver(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 import verify_reference
 
 from corotcalc import calculus as ca
-from corotcalc import cli, sampling, verify
+from corotcalc import cli, matcore, sampling, verify
 from corotcalc import kinematics as ki
 from corotcalc import monotonicity as mo
 from corotcalc.verify import SUITE_NAMES, VerifyRow, run_suite, run_suites
@@ -147,3 +147,26 @@ def test_nan_residual_fails_its_row(name, monkeypatch, capsys):
     failing = [line for line in captured.out.splitlines() if line.endswith("FAIL")]
     assert poisoned and len(failing) == len(poisoned)
     assert all(" nan " in line for line in failing)
+
+
+# stacked eigensolves per suite: the independent stacks of lemma1 to lemma4
+# are solved together (theorem1 counts its three trajectories' solves and
+# monotonicity its nine equivalence checks, one each)
+SOLVES = {"lemma1": 2, "lemma2": 2, "lemma3": 2, "lemma4": 2, "lemma5": 0, "lemma6": 1,
+          "theorem1": 5, "appendix": 0, "monotonicity": 10}
+
+
+def test_each_suite_solves_its_independent_stacks_together(monkeypatch):
+    solve, calls = matcore._eigendecompose_stack, []
+
+    def counting(s):
+        calls.append(len(s))
+        return solve(s)
+
+    for mod in (matcore, sampling, verify, ki, mo):
+        if hasattr(mod, "_eigendecompose_stack"):
+            monkeypatch.setattr(mod, "_eigendecompose_stack", counting)
+    for name in SUITE_NAMES:
+        calls.clear()
+        run_suite(name, seed=3, trials=20)
+        assert len(calls) == SOLVES[name], (name, calls)

@@ -342,6 +342,20 @@ def _rk4_matrix(l0, l_mid, l1, h: float) -> np.ndarray:
     return eye + (h / 6.0) * (l0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _b_rates(field: VelocityGradientField, times: list, b: np.ndarray) -> tuple:
+    """L at each time, dB/dt = L B + B L^T, and each sample's ``evolution_residual``
+    (the defect of B's centered difference, 0.0 at the ends).  Every k-th sample of
+    a run gives, to the bit, the residuals of a run recording k times as sparsely."""
+    l_all = np.array([field(t) for t in times])
+    db_dt = l_all @ b + b @ l_all.swapaxes(1, 2)
+    evol_res = [0.0] * len(times)
+    if len(times) > 2:
+        t_all = np.array(times)
+        db_fd = (b[2:] - b[:-2]) / (t_all[2:] - t_all[:-2])[:, None, None]
+        evol_res[1:-1] = _norms(db_fd - db_dt[1:-1]).tolist()
+    return l_all, db_dt, evol_res
+
+
 def integrate_motion(
     field: VelocityGradientField,
     f0,
@@ -403,25 +417,18 @@ def integrate_motion(
 
     # Per-sample kinematic quantities, as stacks over the recorded samples.
     f_all = np.concatenate(fs)
-    l_all = np.array([field(t) for t in times])
     with np.errstate(over="ignore", invalid="ignore"):  # the eigensolver's gate reports it
         b = f_all @ f_all.swapaxes(1, 2)
         b = 0.5 * (b + b.swapaxes(1, 2))
     dec = _require_spd(_eigendecompose_stack(b))
     h = _matfun(_half_log, dec)
+    l_all, db_dt, evol_res = _b_rates(field, times, b)
     d = 0.5 * (l_all + l_all.swapaxes(1, 2))
     w = 0.5 * (l_all - l_all.swapaxes(1, 2))
     omega = _spin(dec, d, w, commutator=True)
     agreement = _norms(omega - _spin(dec, d, w, commutator=False)).tolist()
-    db_dt = l_all @ b + b @ l_all.swapaxes(1, 2)
     h_dot = 0.5 * _d_log(dec, db_dt)
     rate_res = _norms(_corotational(h, h_dot, omega) - d).tolist()
-    n = len(times)
-    evol_res = [0.0] * n
-    if n > 2:
-        t_all = np.array(times)
-        db_fd = (b[2:] - b[:-2]) / (t_all[2:] - t_all[:-2])[:, None, None]
-        evol_res[1:-1] = _norms(db_fd - db_dt[1:-1]).tolist()
 
     for stack in (f_all, b, h, d, w, omega):
         stack.setflags(write=False)

@@ -293,14 +293,26 @@ def equivalence_check(
     [-1.5, 1.5]) giving A = exp(S) with ln A = S by construction, then one
     random symmetric nonzero direction X.  Checks that the form at A equals
     the form at G = S evaluated on the square-root-kernel image of X, and
-    counts sign agreement of the two forms.  The trials are drawn in one call and
-    evaluated as stacks, each as ``bilinear_lhs`` and ``bilinear_rhs`` would
-    evaluate it; a NaN residual makes ``max_rel_residual`` NaN.
+    counts sign agreement of the two forms.  The trials are drawn in one call
+    (``_bridge_draw``), S is solved as one stack, and ``_bridge`` evaluates them
+    as stacks, each as ``bilinear_lhs`` and ``bilinear_rhs`` would evaluate it; a
+    NaN residual makes ``max_rel_residual`` NaN.
     """
     if p - s != 1:
         raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")
-    s_mats, x = _draw_trials(seed, trials, ("sym", 1.5), ("sym", 1.0))
-    dec_s = _eigendecompose_stack(s_mats)
+    s_mats, x = _bridge_draw(seed, trials)
+    return _bridge(f, p, s, _eigendecompose_stack(s_mats), x)
+
+
+def _bridge_draw(seed: int, trials: int) -> tuple:
+    """``equivalence_check``'s trials: the stacks of S and of X, in its draw order."""
+    return _draw_trials(seed, trials, ("sym", 1.5), ("sym", 1.0))
+
+
+def _bridge(f: IsotropicFunction, p: int, s: int, dec_s, x) -> EquivalenceReport:
+    """``equivalence_check`` of drawn trials, given dec_s, the stacked decomposition
+    of S, and the directions x; p - s = 1 is the caller's to check.  A caller that
+    solves several draws' S together gets the same report for each."""
     dec_a = _require_spd(EigenDecomposition._trusted(dec_s.q, np.exp(dec_s.eigenvalues)))
     inner = _log_eig_apply(make_r_kernel(float(p + s)), dec_a, x)
     dec_g = EigenDecomposition._trusted(dec_a.q, np.log(dec_a.eigenvalues))
@@ -308,4 +320,4 @@ def equivalence_check(
     z = f_of_ad_spectral(make_sqrt_r_kernel(float(p + s)), None, x, decomposition=dec_s)
     rhs = _dots(f.derivative(None, z, decomposition=dec_s), z)
     agreements = int(np.sum((lhs > 0.0) == (rhs > 0.0)))
-    return EquivalenceReport(trials, _worst(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))), agreements)
+    return EquivalenceReport(len(x), _worst(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))), agreements)

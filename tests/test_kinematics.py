@@ -672,3 +672,16 @@ def test_integrate_motion_rejects_f0_of_another_dimension():
         ki.integrate_motion(ki.simple_shear(1.0), np.eye(2), 2.5, 1e-3)
     with pytest.raises(DimensionMismatchError):
         ki.integrate_motion(ki.polynomial_motion(3, dim=2), np.eye(3), 0.1, 1e-2)
+
+
+@pytest.mark.parametrize("field", [ki.pure_stretch((0.3, -0.3, 0.0)), ki.simple_shear(1.0),
+                                   ki.polynomial_motion(3)], ids=lambda f: f.descriptor)
+def test_evolution_residuals_of_every_second_sample_equal_a_coarser_run(field):
+    fine = ki.integrate_motion(field, np.eye(3), 1.0, 1e-3, record_every=10)
+    coarse = ki.integrate_motion(field, np.eye(3), 1.0, 1e-3, record_every=20)
+    strided = fine[::2]
+    assert [s.t for s in strided] == [s.t for s in coarse]
+    *_, got = ki._b_rates(field, [s.t for s in strided], np.array([s.b for s in strided]))
+    want = [s.evolution_residual for s in coarse]
+    assert [r.hex() for r in got] == [r.hex() for r in want]
+    assert max(want) > 0.0

@@ -8,6 +8,7 @@ from corotcalc.calculus import f_of_ad_spectral
 from corotcalc.matcore import (
     DimensionMismatchError,
     NotSymmetricError,
+    _split_solve,
     eigendecompose_symmetric,
     frobenius_dot,
     frobenius_norm,
@@ -298,3 +299,43 @@ def test_equivalence_check_carries_a_nan_residual(monkeypatch):
     monkeypatch.setattr(mo, "_dots", poisoned)
     rep = mo.equivalence_check(mo.exponential_generator(), 5, 11, 1, 0)
     assert math.isnan(rep.max_rel_residual)
+
+
+PAIRS = ((1, 0), (2, 1), (0, -1))
+
+
+def _reports_from_one_solve(gen, trials, seeds):
+    """The bridge core on draws whose S stacks are solved together, as verify does."""
+    draws = [mo._bridge_draw(seed, trials) for seed in seeds]
+    decs = _split_solve([s_mats for s_mats, _ in draws])
+    return [mo._bridge(gen, p, s, dec, x) for (p, s), dec, (_, x) in zip(PAIRS, decs, draws)]
+
+
+def _key(rep):
+    return rep.trials, rep.max_rel_residual.hex(), rep.sign_agreements
+
+
+@pytest.mark.parametrize("trials", [3, 7, 20, 200])
+@pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.name)
+def test_bridge_core_on_a_joint_solve_equals_equivalence_check(gen, trials):
+    # 3 x 3 stays on the scalar solver, 3 x 7 = 21 crosses to the stacked one
+    seeds = (90, 91, 92)
+    got = _reports_from_one_solve(gen, trials, seeds)
+    want = [mo.equivalence_check(gen, trials, seed, p, s) for seed, (p, s) in zip(seeds, PAIRS)]
+    assert [_key(r) for r in got] == [_key(r) for r in want]
+
+
+def test_bridge_core_carries_a_nan_residual_as_equivalence_check(monkeypatch):
+    dots = mo._dots
+
+    def poisoned(u, v):
+        out = dots(u, v)
+        out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(mo, "_dots", poisoned)
+    gen = mo.exponential_generator()
+    got = _reports_from_one_solve(gen, 5, (11, 12, 13))
+    want = [mo.equivalence_check(gen, 5, seed, p, s) for seed, (p, s) in zip((11, 12, 13), PAIRS)]
+    assert all(math.isnan(r.max_rel_residual) for r in got)
+    assert [_key(r) for r in got] == [_key(r) for r in want]

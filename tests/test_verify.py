@@ -153,7 +153,7 @@ def test_nan_residual_fails_its_row(name, monkeypatch, capsys):
 # are solved together (theorem1 counts its three trajectories' solves and
 # monotonicity its nine equivalence checks, one each)
 SOLVES = {"lemma1": 2, "lemma2": 2, "lemma3": 2, "lemma4": 2, "lemma5": 0, "lemma6": 1,
-          "theorem1": 5, "appendix": 0, "monotonicity": 10}
+          "theorem1": 4, "appendix": 0, "monotonicity": 4}
 
 
 def test_each_suite_solves_its_independent_stacks_together(monkeypatch):

@@ -1,13 +1,15 @@
 """Commutator-based functional calculus for symmetric matrices.
 
-Subpackages:
+Modules:
 
-- ``matcore``: matrix value types, refinement checks, Jacobi eigensolver
-- ``scalarfun``: scalar kernels with Bernoulli-series near-zero fallbacks
+- ``matcore``: matrix value types, the input checks, Jacobi eigensolver
+- ``scalarfun``: scalar kernels with exact-series near-zero fallbacks
 - ``calculus``: matrix functions, the commutator operator, kernel operators,
   and derivative identities of the matrix exponential/logarithm
 - ``kinematics``: deformation trajectories, log strain, spin tensors
 - ``monotonicity``: isotropic tensor functions and quadratic-form bridges
+- ``sampling``: seeded random matrices and stacks of trial inputs
+- ``verify``: the named identity suites behind ``corotcalc verify``
 - ``cli``: the ``corotcalc`` command-line tool
 """
 

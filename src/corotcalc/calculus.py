@@ -55,7 +55,6 @@ __all__ = [
     "SeriesDivergenceError",
     "SeriesResult",
     "PowerSeriesSpec",
-    "SpectralAdOperator",
     "ad",
     "ad_power",
     "ad_power_binomial",
@@ -368,32 +367,11 @@ def matlog_series(a) -> SeriesResult:
 # the commutator-kernel operator
 
 
-@dataclass(frozen=True)
-class SpectralAdOperator:
-    """Precomputed Hadamard realization of a commutator kernel.
-
-    In the eigenbasis of the symmetric source G the operator multiplies the
-    (i, j) component by f(g_i - g_j); the table is built once and the
-    operator can then be applied to any number of arguments.
-    """
-
-    decomposition: EigenDecomposition
-    kernel_table: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, g, kernel, decomposition=None) -> "SpectralAdOperator":
-        dec = _decomposition(g, decomposition)
-        table = _difference_table(kernel, dec.eigenvalues)
-        table.setflags(write=False)
-        return cls(dec, table)
-
-    def apply(self, x) -> np.ndarray:
-        return _hadamard(self.decomposition, self.kernel_table, x)
-
-
 def f_of_ad_spectral(kernel, g, x, decomposition=None) -> np.ndarray:
-    """Apply the commutator kernel of a symmetric G to X via the eigenbasis."""
-    return SpectralAdOperator.from_matrix(g, kernel, decomposition).apply(x)
+    """Apply the commutator kernel of a symmetric G to X via the eigenbasis:
+    the (i, j) component in the eigenbasis of G is multiplied by f(g_i - g_j)."""
+    dec = _decomposition(g, decomposition)
+    return _hadamard(dec, _difference_table(kernel, dec.eigenvalues), x)
 
 
 # ---------------------------------------------------------------------------

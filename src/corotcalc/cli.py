@@ -2,10 +2,11 @@
 
 Exit codes: 0 success; 1 a verification row failed; 2 malformed input (bad
 JSON or payload, non-symmetric D, non-skew W, a malformed flag, config
-value or COROTCALC_TOL, a spin that leaves the float range, a motion that
-needs more dimensions, a trajectory over ``kinematics.MAX_STEPS`` or
-``MAX_RECORD_BYTES``, a trajectory whose B leaves the float range, or an
-unwritable ``--out``); 3 B is not positive definite; 4 integrator abort.
+value or COROTCALC_TOL, a ``simulate --dim`` above ``kinematics.MAX_DIM``,
+a spin that leaves the float range, a motion that needs more dimensions, a
+trajectory over ``kinematics.MAX_STEPS`` or ``MAX_RECORD_BYTES``, a
+trajectory whose B leaves the float range, or an unwritable ``--out``); 3 B
+is not positive definite; 4 integrator abort.
 
 All output is deterministic for a fixed seed and configuration: floats are
 printed with 17 significant digits and randomness flows through the seeded
@@ -104,6 +105,7 @@ _finites = _checked(lambda text: tuple(map(float, text.split(","))),
                     lambda xs: all(map(math.isfinite, xs)), "finite numbers a,b,...")
 _count = _checked(int, lambda n: n >= 1, "a positive integer")
 _trials = _checked(int, lambda n: 1 <= n <= MAX_TRIALS, f"a trial count in [1, {MAX_TRIALS}]")
+_dim = _checked(int, lambda n: 1 <= n <= ki.MAX_DIM, f"a dimension in [1, {ki.MAX_DIM}]")
 
 
 def _seed(scale: int, offset: int):
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--record-every", type=_count, default=1)
     p_sim.add_argument("--seed", type=_seed(1, 0), default=cfg.seed,
                        help="seed for polynomial motion")
-    p_sim.add_argument("--dim", type=_count, default=cfg.dim)
+    p_sim.add_argument("--dim", type=_dim, default=cfg.dim)
     p_sim.add_argument("--out", dest="output_path", default=cfg.output_path,
                        help="output CSV path")
 

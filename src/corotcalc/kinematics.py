@@ -20,40 +20,32 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import _central, _d_log, _difference_table, _each_pair, _matfun
+from .calculus import _d_log, _difference_table, _each_pair, _matfun
 from .matcore import (
-    SkewMatrix,
     _eigendecompose_stack,
     _gate,
     _hadamard,
     _norms,
     _require_spd,
     _spd_decomposition,
-    _worst,
-    frobenius_norm,
-    skew_part,
 )
-from .sampling import _draw_trials, make_rng
+from .sampling import make_rng
 from .scalarfun import SIGMA, _div, _log1p_series, _mapped
 
 __all__ = [
     "IntegrationAbort",
     "VelocityGradientField",
     "MotionSample",
-    "StrainMeasureReport",
     "simple_shear",
     "pure_stretch",
     "rigid_rotation",
     "polynomial_motion",
     "hencky",
-    "strain_measure_report",
     "log_spin_spectral",
     "log_spin_commutator",
-    "corotational_rate",
-    "upper_convected_rate",
-    "jaumann_spin",
     "MAX_STEPS",
     "MAX_RECORD_BYTES",
+    "MAX_DIM",
     "integrate_motion",
     "corotational_rate_residuals",
 ]
@@ -166,24 +158,9 @@ def log_spin_commutator(b, d, w, decomposition=None) -> np.ndarray:
     return _spin(_spd_decomposition(b, decomposition), d, w, commutator=True)
 
 
-def corotational_rate(a, a_dot, omega) -> np.ndarray:
-    """Corotational derivative: dA/dt + A Omega - Omega A."""
-    return _corotational(*_gate(a, a_dot, omega))
-
-
 def _corotational(a, a_dot, omega) -> np.ndarray:
+    """Corotational derivative: dA/dt + A Omega - Omega A."""
     return a_dot + a @ omega - omega @ a
-
-
-def upper_convected_rate(a, a_dot, l) -> np.ndarray:
-    """Upper-convected derivative: dA/dt - L A - A L^T."""
-    aa, ad_, ll = _gate(a, a_dot, l)
-    return ad_ - ll @ aa - aa @ ll.T
-
-
-def jaumann_spin(l) -> SkewMatrix:
-    """Spin of the Jaumann corotational rate: the skew part of L."""
-    return skew_part(l)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +280,8 @@ MAX_STEPS = 10**7
 # bytes a sample (about 17 (d, d) float stacks and 1.2 KB of objects; peak
 # RSS measured 1.3, 2.2 and 36 KB a sample at d = 1, 3 and 16).
 MAX_RECORD_BYTES = 2**28
+# The largest d whose one sample fits in MAX_RECORD_BYTES: 1404.
+MAX_DIM = math.isqrt((MAX_RECORD_BYTES - 1200) // 136)
 # Steps whose F are kept at once, to check det F > 0 as one stack.
 _STEP_CHUNK = 1000
 
@@ -456,38 +435,3 @@ def corotational_rate_residuals(samples: list, h_dot_method: str = "analytic"):
                       for k in ("t", "h", "omega_log", "d"))
     h_dot = (h[2:] - h[:-2]) / (t[2:] - t[:-2])[:, None, None]
     return t[1:-1], _norms(_corotational(h[1:-1], h_dot, omega[1:-1]) - d[1:-1])
-
-
-# ---------------------------------------------------------------------------
-# genuine-strain-measure conditions
-
-
-@dataclass(frozen=True)
-class StrainMeasureReport:
-    """Residuals of the two defining conditions of a genuine strain measure."""
-
-    identity_residual: float
-    max_derivative_residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.identity_residual <= self.tolerance
-            and self.max_derivative_residual <= self.tolerance
-        )
-
-
-def strain_measure_report() -> StrainMeasureReport:
-    """Check that the log strain vanishes at B = I with derivative X/2 there.
-
-    The derivative condition is tested to 1e-6 by a centered difference
-    (h = 1e-5) of the strain map at the 3x3 identity along 20 random
-    symmetric directions (seed 0), drawn and evaluated as one stack.
-    """
-    ident = np.eye(3)
-    (x,) = _draw_trials(0, 20, ("sym", 1.0))
-    fd = _central(lambda b: _matfun(_half_log, _require_spd(_eigendecompose_stack(b))),
-                  ident, x, 1e-5)
-    worst = _worst(_norms(fd - 0.5 * x))
-    return StrainMeasureReport(frobenius_norm(hencky(ident)), worst, 1e-6)

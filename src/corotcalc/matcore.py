@@ -29,13 +29,8 @@ __all__ = [
     "SpdMatrix",
     "EigenDecomposition",
     "as_array",
-    "is_symmetric",
-    "is_skew",
-    "multiply",
     "frobenius_dot",
     "frobenius_norm",
-    "sym_part",
-    "skew_part",
     "eigendecompose_symmetric",
 ]
 
@@ -148,16 +143,6 @@ def _require_spd(dec: "EigenDecomposition") -> "EigenDecomposition":
     if not (smallest > 0.0).all():
         raise NotSpdError(np.extract(~(smallest > 0.0), smallest)[0])
     return dec
-
-
-def is_symmetric(a) -> bool:
-    defect, bound, _ = _symmetry_defect(as_array(a))
-    return defect <= bound
-
-
-def is_skew(a) -> bool:
-    defect, bound, _ = _symmetry_defect(as_array(a), skew=True)
-    return defect <= bound
 
 
 class Matrix:
@@ -315,12 +300,6 @@ class EigenDecomposition:
         return self.q.shape[-1]
 
 
-def multiply(a, b) -> np.ndarray:
-    """Standard matrix product."""
-    aa, bb = _gate(a, b)
-    return aa @ bb
-
-
 def frobenius_dot(u, v) -> float:
     """Trace inner product Tr(U V^T) = sum of elementwise products."""
     uu, vv = _gate(u, v)
@@ -374,16 +353,6 @@ def _hadamard(dec: EigenDecomposition, table: np.ndarray, x, checked: bool = Fal
             raise DimensionMismatchError(f"shape mismatch {q.shape} vs {x.shape}")
     qt = q.swapaxes(-1, -2)
     return q @ (table * (qt @ x @ q)) @ qt
-
-
-def sym_part(a) -> SymMatrix:
-    arr = as_array(a)
-    return SymMatrix(0.5 * (arr + arr.T))
-
-
-def skew_part(a) -> SkewMatrix:
-    arr = as_array(a)
-    return SkewMatrix(0.5 * (arr - arr.T))
 
 
 def eigendecompose_symmetric(s) -> EigenDecomposition:

@@ -49,12 +49,10 @@ __all__ = [
     "IsotropicFunction",
     "EquivalenceReport",
     "identity_generator",
-    "negated_identity_generator",
     "exponential_generator",
     "square_generator",
     "cube_generator",
     "cube_plus_identity_generator",
-    "poly_gateaux",
     "isotropic_commutation_residual",
     "sqrt_r_operator",
     "bilinear_lhs",
@@ -139,13 +137,6 @@ def identity_generator() -> IsotropicFunction:
     )
 
 
-def negated_identity_generator() -> IsotropicFunction:
-    return IsotropicFunction(
-        "negated_identity", lambda t: -t, lambda t: -1.0, poly_coefficients=(0.0, -1.0),
-        matrix_eval=lambda m: -np.array(as_array(m)),
-    )
-
-
 def exponential_generator() -> IsotropicFunction:
     return IsotropicFunction(
         "exp", math.exp, math.exp, matrix_eval=lambda m: matexp_series(m)
@@ -175,13 +166,9 @@ def cube_plus_identity_generator() -> IsotropicFunction:
     )
 
 
-def poly_gateaux(coefficients, a, x) -> np.ndarray:
-    """Exact directional derivative of sum c_n A^n: product rule per power."""
-    return _poly_gateaux(coefficients, *_gate(a, x))
-
-
 def _poly_gateaux(coefficients, aa: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    """``poly_gateaux``, unchecked; stacks take stacks."""
+    """Exact directional derivative of sum c_n A^n: product rule per power.
+    Unchecked; stacks take stacks."""
     top = len(coefficients) - 1
     powers = [np.eye(aa.shape[-1])]
     for _ in range(max(top - 1, 0)):

@@ -88,9 +88,6 @@ CALLS = {
         (7, 0)),
     "bilinear_lhs": (lambda: mo.bilinear_lhs(mo.exponential_generator(), SPD, XS, 1, 0), (4, 2)),
     "bilinear_rhs": (lambda: mo.bilinear_rhs(mo.exponential_generator(), SYM, XS), (3, 2)),
-    "sym_part": (lambda: mc.sym_part(GEN), (2, 1)),
-    "skew_part": (lambda: mc.skew_part(GEN), (2, 1)),
-    "jaumann_spin": (lambda: ki.jaumann_spin(GEN), (2, 1)),
     "eigendecompose_symmetric": (lambda: mc.eigendecompose_symmetric(SYM), (1, 1)),
     "d_log": (lambda: ca.d_log(SPD, X), (2, 1)),
     "log_spin_spectral": (lambda: ki.log_spin_spectral(SPD, SYM, SKEW), (3, 1)),

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from corotcalc import kinematics as ki
 from corotcalc.cli import build_parser, main
 from corotcalc.matcore import Matrix
 from corotcalc.sampling import make_rng, random_skew, random_spd_ratio, random_symmetric
@@ -191,6 +192,15 @@ def test_verify_trials_bound_is_checked_by_the_parser():
     assert args.trials == MAX_TRIALS
 
 
+def test_simulate_dim_bound_is_checked_by_the_parser():
+    # MAX_DIM is the largest d whose one sample fits the record bound, and the
+    # parser accepts it; MAX_DIM + 1 and 10^9 are in MALFORMED (exit 2, nothing allocated)
+    assert ki._step_count(0.0, 1.0, 1, ki.MAX_DIM) == 0
+    with pytest.raises(ValueError, match="recorded samples"):
+        ki._step_count(0.0, 1.0, 1, ki.MAX_DIM + 1)
+    assert build_parser().parse_args(["simulate", "--dim", str(ki.MAX_DIM)]).dim == ki.MAX_DIM
+
+
 def test_verify_deterministic(capsys):
     main(["verify", "--suite", "lemma6", "--seed", "11", "--trials", "30"])
     first = capsys.readouterr().out
@@ -353,6 +363,9 @@ MALFORMED = {
     "t-end negative": (["simulate", "--t-end=-1"], None, None),
     "record-every zero": (["simulate", "--record-every", "0"], None, None),
     "dim zero": (["simulate", "--dim", "0"], None, None),
+    "dim above MAX_DIM": (["simulate", "--dim", str(ki.MAX_DIM + 1)], None, None),
+    "dim 10^9": (["simulate", "--dim", "1000000000"], None, None),
+    "config dim 10^9": (["simulate", "--config", "{cfg}"], "dim=1000000000\n", None),
     "kappa nan": (["simulate", "--kappa", "nan"], None, None),
     "rates not numbers": (["simulate", "--motion", "pure_stretch", "--rates", "a"], None, None),
     "rates inf": (["simulate", "--rates", "1,inf"], None, None),

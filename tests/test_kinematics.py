@@ -56,15 +56,14 @@ def test_hencky_rejects_indefinite():
 # genuine-strain-measure conditions
 
 
-def test_strain_measure_identity_condition_exact():
-    rep = ki.strain_measure_report()
-    assert rep.identity_residual == 0.0
-
-
 def test_strain_measure_derivative_condition():
-    rep = ki.strain_measure_report()
-    assert rep.max_derivative_residual <= 1e-6
-    assert rep.passed
+    # the log strain's derivative at B = I is X/2: centered differences (h = 1e-5)
+    # along 20 random symmetric directions
+    rng, h = make_rng(0), 1e-5
+    for _ in range(20):
+        x = random_symmetric(rng, 3)
+        fd = (ki.hencky(np.eye(3) + h * x) - ki.hencky(np.eye(3) - h * x)) / (2 * h)
+        assert frobenius_norm(fd - 0.5 * x) <= 1e-6
 
 
 def test_strain_measure_derivative_along_identity_direction():
@@ -231,56 +230,22 @@ def test_corotational_rate_zero_spin():
     rng = make_rng(60)
     a, a_dot = random_matrix(rng, 3), random_matrix(rng, 3)
     np.testing.assert_array_equal(
-        ki.corotational_rate(a, a_dot, np.zeros((3, 3))), a_dot
+        ki._corotational(a, a_dot, np.zeros((3, 3))), a_dot
     )
 
 
 def test_corotational_rate_identity_tensor():
     rng = make_rng(61)
     a_dot, w = random_matrix(rng, 3), random_skew(rng, 3)
-    np.testing.assert_allclose(ki.corotational_rate(np.eye(3), a_dot, w), a_dot, atol=1e-15)
+    np.testing.assert_allclose(ki._corotational(np.eye(3), a_dot, w), a_dot, atol=1e-15)
 
 
 def test_corotational_rate_hand_oracle():
     # a*omega - omega*a computed by hand for the 2x2 exchange/rotation pair
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = ki.corotational_rate(a, np.zeros((2, 2)), omega)
+    out = ki._corotational(a, np.zeros((2, 2)), omega)
     np.testing.assert_array_equal(out, [[-2.0, 0.0], [0.0, 2.0]])
-
-
-def test_upper_convected_zero_gradient():
-    rng = make_rng(62)
-    a, a_dot = random_matrix(rng, 3), random_matrix(rng, 3)
-    np.testing.assert_array_equal(ki.upper_convected_rate(a, a_dot, np.zeros((3, 3))), a_dot)
-
-
-def test_upper_convected_identity_against_stretch():
-    rng = make_rng(63)
-    d = random_symmetric(rng, 3)
-    out = ki.upper_convected_rate(np.eye(3), np.zeros((3, 3)), d)
-    np.testing.assert_allclose(out, -2.0 * d, atol=1e-15)
-
-
-def test_upper_convected_vanishes_on_b_analytically():
-    # with dB/dt taken from the evolution equation the rate is exactly zero
-    rng = make_rng(64)
-    field = ki.polynomial_motion(3)
-    samples = ki.integrate_motion(field, np.eye(3), 0.5, 1e-3, record_every=100)
-    for s in samples:
-        l = s.d + s.w
-        db_dt = l @ s.b + s.b @ l.T
-        assert frobenius_norm(ki.upper_convected_rate(s.b, db_dt, l)) <= 1e-12
-
-
-def test_jaumann_spin():
-    rng = make_rng(65)
-    sym = random_symmetric(rng, 3)
-    np.testing.assert_array_equal(ki.jaumann_spin(sym).array, np.zeros((3, 3)))
-    skw = random_skew(rng, 3)
-    np.testing.assert_allclose(ki.jaumann_spin(skw).array, skw, atol=1e-15)
-    out = ki.jaumann_spin([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(out.array, [[0.0, 0.5], [-0.5, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +367,7 @@ def test_integrate_samples_match_single_matrix_functions(motion, dim):
             assert np.array_equal(got, want), i
             assert not got.flags.writeable
         assert s.spin_agreement == frobenius_norm(omega - omega_sp)
-        assert s.rate_residual == frobenius_norm(ki.corotational_rate(h, h_dot, omega) - d)
+        assert s.rate_residual == frobenius_norm(h_dot + h @ omega - omega @ h - d)
         assert s.evolution_residual == evol
         assert s.det_f == float(np.linalg.det(f))
 

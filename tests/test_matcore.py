@@ -11,7 +11,6 @@ from corotcalc.matcore import (
     EigenDecomposition,
     Matrix,
     MatrixValidationError,
-    DimensionMismatchError,
     NotSkewError,
     NotSpdError,
     NotSymmetricError,
@@ -21,14 +20,9 @@ from corotcalc.matcore import (
     eigendecompose_symmetric,
     frobenius_dot,
     frobenius_norm,
-    is_skew,
-    is_symmetric,
-    multiply,
     _eigendecompose_stack,
     _split_solve,
     _worst,
-    skew_part,
-    sym_part,
 )
 
 STACK_MIN = matcore._STACK_MIN
@@ -139,11 +133,13 @@ def test_sym_constructor_huge_entries_without_overflow():
 
 
 def test_symmetry_defect_huge_entries_without_overflow():
-    assert not is_symmetric([[1e308, -1e308], [1e308, 1e308]])
+    # the defect of halved entries, doubled: no overflow (RuntimeWarnings are errors)
     with pytest.raises(NotSymmetricError):
         SymMatrix([[1e308, -1e308], [1e308, 1e308]])
-    assert not is_skew([[0.0, 1e308], [1e308, 0.0]])
-    assert is_symmetric([[1e308, 5e307], [5e307, -1e308]])
+    with pytest.raises(NotSkewError):
+        SkewMatrix([[0.0, 1e308], [1e308, 0.0]])
+    s = SymMatrix([[1e308, 5e307], [5e307, -1e308]])
+    np.testing.assert_array_equal(s.array, [[1e308, 5e307], [5e307, -1e308]])
 
 
 def test_sym_constructor_keeps_subnormal_average_bits():
@@ -171,30 +167,7 @@ def test_json_rejects_rows_that_are_not_lists(rows):
 
 
 # ---------------------------------------------------------------------------
-# multiply / frobenius_dot
-
-
-def test_multiply_identity():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(multiply(np.eye(2), x), x)
-
-
-def test_multiply_diagonal():
-    np.testing.assert_array_equal(
-        multiply(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])), np.diag([3.0, 8.0])
-    )
-
-
-def test_multiply_hand_oracle():
-    # [[0,1],[0,0]] @ [[0,0],[1,0]]: row 0 picks up the single unit product.
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    b = np.array([[0.0, 0.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(multiply(a, b), [[1.0, 0.0], [0.0, 0.0]])
-
-
-def test_multiply_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        multiply(np.eye(2), np.eye(3))
+# frobenius_dot
 
 
 def test_frobenius_dot_identity():
@@ -220,30 +193,6 @@ def test_frobenius_dot_positive_definite():
         x = rng.uniform(-1, 1, (3, 3))
         assert frobenius_dot(x, x) > 0
     assert frobenius_dot(np.zeros((3, 3)), np.zeros((3, 3))) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# sym_part / skew_part
-
-
-def test_parts_reconstruct():
-    rng = np.random.default_rng(3)
-    a = rng.uniform(-2, 2, (4, 4))
-    np.testing.assert_allclose(
-        sym_part(a).array + skew_part(a).array, a, rtol=0, atol=1e-15
-    )
-
-
-def test_parts_of_symmetric():
-    s = np.array([[1.0, 2.0], [2.0, 5.0]])
-    np.testing.assert_array_equal(sym_part(s).array, s)
-    np.testing.assert_array_equal(skew_part(s).array, np.zeros((2, 2)))
-
-
-def test_parts_hand_oracle():
-    a = np.array([[0.0, 2.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(sym_part(a).array, [[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(skew_part(a).array, [[0.0, 1.0], [-1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +313,13 @@ def test_decomposition_validates_orthogonality():
 
 
 def test_predicates():
-    assert is_symmetric([[1.0, 2.0], [2.0, 1.0]])
-    assert not is_symmetric([[1.0, 2.0], [0.0, 1.0]])
-    assert is_skew([[0.0, 1.0], [-1.0, 0.0]])
-    assert not is_skew([[0.0, 1.0], [1.0, 0.0]])
+    sym, skew = [[1.0, 2.0], [2.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]]
+    np.testing.assert_array_equal(SymMatrix(sym).array, sym)
+    with pytest.raises(NotSymmetricError):
+        SymMatrix([[1.0, 2.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(SkewMatrix(skew).array, skew)
+    with pytest.raises(NotSkewError):
+        SkewMatrix([[0.0, 1.0], [1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------

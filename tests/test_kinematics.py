@@ -56,6 +56,12 @@ def test_hencky_rejects_indefinite():
 # genuine-strain-measure conditions
 
 
+def test_strain_measure_identity_condition_exact():
+    # the log strain vanishes exactly at B = I, in every dimension
+    for n in (1, 2, 3, 4):
+        assert frobenius_norm(ki.hencky(np.eye(n))) == 0.0
+
+
 def test_strain_measure_derivative_condition():
     # the log strain's derivative at B = I is X/2: centered differences (h = 1e-5)
     # along 20 random symmetric directions

@@ -371,7 +371,7 @@ def f_of_ad_spectral(kernel, g, x, decomposition=None) -> np.ndarray:
     """Apply the commutator kernel of a symmetric G to X via the eigenbasis:
     the (i, j) component in the eigenbasis of G is multiplied by f(g_i - g_j)."""
     dec = _decomposition(g, decomposition)
-    return _hadamard(dec, _difference_table(kernel, dec.eigenvalues), x)
+    return _hadamard(dec, _difference_table(kernel, dec.eigenvalues), *_gate(x, shape=dec.q.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +401,10 @@ def d_exp(a, x, method: str = "auto") -> np.ndarray:
     route (general A): the same two factors summed as formal series.
     """
     aa, dec = _route(a, method)
-    if dec is not None:
-        return _d_exp(dec, x)
-    exp_a = _matexp(aa[None])[0]
     xx = _gate(x, shape=aa.shape)[0]
-    return exp_a @ _ad_series(eta_neg_series_spec(), aa[None], xx[None]).value[0]
+    if dec is not None:
+        return _d_exp(dec, xx)
+    return _matexp(aa[None])[0] @ _ad_series(eta_neg_series_spec(), aa[None], xx[None]).value[0]
 
 
 def _d_exp(dec: EigenDecomposition, x) -> np.ndarray:
@@ -425,7 +424,8 @@ def d_log(a, x, decomposition=None) -> np.ndarray:
     Realized as the t/(1 - e^-t) kernel of the commutator at ln A, applied
     to A^-1 X; inverts the exp derivative at ln A.
     """
-    return _d_log(_spd_decomposition(a, decomposition), x)
+    dec = _spd_decomposition(a, decomposition)
+    return _d_log(dec, *_gate(x, shape=dec.q.shape))
 
 
 def _d_log(dec: EigenDecomposition, x) -> np.ndarray:
@@ -452,12 +452,14 @@ def dlog_sandwich(a, y, p: int, s: int, decomposition=None) -> np.ndarray:
     """
     if p - s != 1:
         raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")
-    return _log_eig_apply(make_sandwich_kernel(float(s)), _spd_decomposition(a, decomposition), y)
+    dec = _spd_decomposition(a, decomposition)
+    return _log_eig_apply(make_sandwich_kernel(float(s)), dec, *_gate(y, shape=dec.q.shape))
 
 
 def dlog_anticommutator(a, y, decomposition=None) -> np.ndarray:
     """Log derivative applied to AY + YA, via the coth(t/2) t kernel at ln A."""
-    return _log_eig_apply(COTH_HALF_X, _spd_decomposition(a, decomposition), y)
+    dec = _spd_decomposition(a, decomposition)
+    return _log_eig_apply(COTH_HALF_X, dec, *_gate(y, shape=dec.q.shape))
 
 
 def dlog_sinh_pair(a, x, p: int, s: int, sign: int, decomposition=None) -> np.ndarray:
@@ -471,7 +473,8 @@ def dlog_sinh_pair(a, x, p: int, s: int, sign: int, decomposition=None) -> np.nd
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
     kernel = (make_r_kernel if sign == 1 else make_sinh_ratio_kernel)(float(p + s))
-    return _log_eig_apply(kernel, _spd_decomposition(a, decomposition), x)
+    dec = _spd_decomposition(a, decomposition)
+    return _log_eig_apply(kernel, dec, *_gate(x, shape=dec.q.shape))
 
 
 def dlog_commutator_residual(a, y, decomposition=None) -> np.ndarray:
@@ -482,7 +485,7 @@ def dlog_commutator_residual(a, y, decomposition=None) -> np.ndarray:
     """
     aa, yy = _gate(a, y)
     dec = _require_spd(decomposition or _jacobi(_require_symmetric(aa)))
-    lhs = _d_log(dec, _ad(aa, yy))  # the commutator's one check: the operand gate
+    lhs = _d_log(dec, *_gate(_ad(aa, yy), shape=dec.q.shape))  # the commutator's one check
     log_a = _matfun(math.log, dec)
     return lhs - _ad(log_a, yy)
 
@@ -495,8 +498,7 @@ def anticommutator_gap(a, x, decomposition=None) -> tuple:
     """
     aa, xx = _gate(a, x)
     dec = _require_spd(decomposition or _jacobi(_require_symmetric(aa)))
-    table = _difference_table(COTH_HALF_X, np.log(dec.eigenvalues))
-    gap = frobenius_norm(_hadamard(dec, table, xx, checked=True) - 2.0 * xx)
+    gap = frobenius_norm(_log_eig_apply(COTH_HALF_X, dec, xx) - 2.0 * xx)
     return gap, frobenius_norm(_ad(aa, xx))
 
 
@@ -510,10 +512,10 @@ def exp_conjugation(a, y, s: float = 1.0, method: str = "auto") -> np.ndarray:
     The direct triple product is the standard oracle for this value.
     """
     aa, dec = _route(a, method)
+    yy = _gate(y, shape=aa.shape)[0]
     if dec is not None:
-        return _exp_conjugation(dec, y, [s])
-    spec = exp_series_spec(scale=s)
-    return _ad_series(spec, aa[None], _gate(y, shape=aa.shape)[0][None]).value[0]
+        return _exp_conjugation(dec, yy, [s])
+    return _ad_series(exp_series_spec(scale=s), aa[None], yy[None]).value[0]
 
 
 def _exp_conjugation(dec: EigenDecomposition, y, s) -> np.ndarray:
@@ -532,9 +534,9 @@ def adjoint_residuals(a, x, y, kernel) -> tuple:
     aa, xx, yy = _gate(a, x, y)
     dec = _jacobi(_require_symmetric(aa))
     table = _difference_table(kernel, dec.eigenvalues)
-    fx, fy = _hadamard(dec, table, xx, checked=True), _hadamard(dec, table, yy, checked=True)
+    fx, fy = _hadamard(dec, table, xx), _hadamard(dec, table, yy)
     flipped = _difference_table(lambda t: kernel(-t), dec.eigenvalues)
-    r1 = frobenius_norm(fx.T - _hadamard(dec, flipped, xx.T, checked=True))
+    r1 = frobenius_norm(fx.T - _hadamard(dec, flipped, xx.T))
     r2 = abs(float(np.sum(fx * yy)) - float(np.sum(xx * fy)))
     return r1, r2
 

@@ -119,7 +119,7 @@ def hencky(b, decomposition=None) -> np.ndarray:
 
 
 def _spin(dec, d, w, commutator: bool) -> np.ndarray:
-    """W - skew(Q (T o Q^T D Q) Q^T) in the eigenbasis of B; a stacked dec takes stacks.
+    """W - skew(Q (T o Q^T D Q) Q^T) in the eigenbasis of B, unchecked; stacks take stacks.
 
     T_ij is sigma(h_i - h_j) at the log strain eigenvalues h = ln(b)/2 with
     ``commutator``, else minus the classical weight c(b_i, b_j).  Both
@@ -133,8 +133,7 @@ def _spin(dec, d, w, commutator: bool) -> np.ndarray:
         table = _each_pair(lambda x, y: -_pair_coefficient(x, y),
                            lambda x, y: -_pair_coefficients(x, y), dec.eigenvalues)
     m = _hadamard(dec, table, d)
-    ww = w if m.ndim == 3 else _gate(w, shape=m.shape)[0]
-    return ww - 0.5 * (m - m.swapaxes(-1, -2))
+    return w - 0.5 * (m - m.swapaxes(-1, -2))
 
 
 def log_spin_spectral(b, d, w, decomposition=None) -> np.ndarray:
@@ -145,7 +144,8 @@ def log_spin_spectral(b, d, w, decomposition=None) -> np.ndarray:
     weight comes from its own series in r - 1, whose value at r = 1 is
     exactly zero, so coalescing and repeated eigenvalues need no merging.
     """
-    return _spin(_spd_decomposition(b, decomposition), d, w, commutator=False)
+    dec = _spd_decomposition(b, decomposition)
+    return _spin(dec, *_gate(d, w, shape=dec.q.shape), commutator=False)
 
 
 def log_spin_commutator(b, d, w, decomposition=None) -> np.ndarray:
@@ -155,7 +155,8 @@ def log_spin_commutator(b, d, w, decomposition=None) -> np.ndarray:
     eigenvalue bookkeeping is needed: the kernel vanishes at zero, so
     coalescing eigenvalues are benign by construction.
     """
-    return _spin(_spd_decomposition(b, decomposition), d, w, commutator=True)
+    dec = _spd_decomposition(b, decomposition)
+    return _spin(dec, *_gate(d, w, shape=dec.q.shape), commutator=True)
 
 
 def _corotational(a, a_dot, omega) -> np.ndarray:
@@ -198,6 +199,8 @@ def _constant_field(descriptor: str, l: np.ndarray) -> VelocityGradientField:
 def _plane_gradient(dim: int, motion: str) -> np.ndarray:
     if dim < 2:
         raise ValueError(f"{motion} acts in the (0, 1) plane: dim must be at least 2, got {dim}")
+    if dim > MAX_DIM:
+        raise ValueError(f"{motion}: dim must be at most MAX_DIM = {MAX_DIM}, got {dim}")
     return np.zeros((dim, dim))
 
 
@@ -229,6 +232,8 @@ def polynomial_motion(seed: int, dim: int = 3) -> VelocityGradientField:
     Draws: three random dim*dim blocks of uniform(-0.4, 0.4), attenuated by
     1/(k+1) per power so moderate horizons stay well-posed.
     """
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"polynomial_motion: dim must be from 1 to MAX_DIM = {MAX_DIM}, got {dim}")
     rng = make_rng(seed)
     coeffs = []
     for k in range(3):

@@ -339,19 +339,10 @@ def _spectral(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
-def _hadamard(dec: EigenDecomposition, table: np.ndarray, x, checked: bool = False) -> np.ndarray:
-    """Q (T o Q^T X Q) Q^T: the table applied entrywise in the eigenbasis of dec.
-
-    This is the spectral route's one check of X: ``as_array``, unless its
-    caller ``checked`` X already, and the shape of dec.  A stacked dec (q of
-    shape (N, d, d)) takes an (N, d, d) stack X as is.
-    """
-    q = dec.q
-    if q.ndim == 2:
-        x = x if checked else as_array(x)
-        if x.shape != q.shape:
-            raise DimensionMismatchError(f"shape mismatch {q.shape} vs {x.shape}")
-    qt = q.swapaxes(-1, -2)
+def _hadamard(dec: EigenDecomposition, table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q (T o Q^T X Q) Q^T: the table applied entrywise in the eigenbasis of dec,
+    unchecked; a stacked dec takes a stack X."""
+    q, qt = dec.q, dec.q.swapaxes(-1, -2)
     return q @ (table * (qt @ x @ q)) @ qt
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "isotropic_commutation_residual",
     "sqrt_r_operator",
     "bilinear_lhs",
-    "bilinear_rhs",
     "equivalence_check",
 ]
 
@@ -87,10 +86,12 @@ class IsotropicFunction:
     def derivative(self, g, x, decomposition=None) -> np.ndarray:
         """Directional derivative at symmetric g: divided differences in its basis."""
         dec = _decomposition(g, decomposition)
-        table = _divided_difference_table(
-            self.scalar_generator, self.derivative_generator, dec.eigenvalues
-        )
-        return _hadamard(dec, table, x)
+        return self._derivative(dec, *_gate(x, shape=dec.q.shape))
+
+    def _derivative(self, dec: EigenDecomposition, x: np.ndarray) -> np.ndarray:
+        """``derivative`` in the eigenbasis of dec, unchecked; a stacked dec takes a stack X."""
+        f, fprime = self.scalar_generator, self.derivative_generator
+        return _hadamard(dec, _divided_difference_table(f, fprime, dec.eigenvalues), x)
 
 
 def _divided_difference_table(
@@ -245,17 +246,9 @@ def bilinear_lhs(
         raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")
     kernel = make_r_kernel(float(p + s))
     log_vals = np.log(_require_spd(dec_a).eigenvalues)
-    inner = _hadamard(dec_a, _difference_table(kernel, log_vals), xx, checked=True)
+    inner = _hadamard(dec_a, _difference_table(kernel, log_vals), xx)
     outer = f.derivative(None, inner, decomposition=EigenDecomposition._trusted(dec_a.q, log_vals))
     return float(_dots(as_array(outer), xx))  # the one check of the computed outer
-
-
-def bilinear_rhs(f: IsotropicFunction, g, x, decomposition=None) -> float:
-    """Quadratic form of the generator's derivative at symmetric G: <Df(G)[X], X>."""
-    xx = _require_symmetric_nonzero(x)
-    dec = _decomposition(g, decomposition)
-    table = _divided_difference_table(f.scalar_generator, f.derivative_generator, dec.eigenvalues)
-    return float(_dots(as_array(_hadamard(dec, table, xx, checked=True)), xx))
 
 
 @dataclass(frozen=True)
@@ -282,8 +275,8 @@ def equivalence_check(
     the form at G = S evaluated on the square-root-kernel image of X, and
     counts sign agreement of the two forms.  The trials are drawn in one call
     (``_bridge_draw``), S is solved as one stack, and ``_bridge`` evaluates them
-    as stacks, each as ``bilinear_lhs`` and ``bilinear_rhs`` would evaluate it; a
-    NaN residual makes ``max_rel_residual`` NaN.
+    as stacks, each form as ``bilinear_lhs`` and ``IsotropicFunction.derivative``
+    would evaluate it; a NaN residual makes ``max_rel_residual`` NaN.
     """
     if p - s != 1:
         raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")
@@ -303,8 +296,8 @@ def _bridge(f: IsotropicFunction, p: int, s: int, dec_s, x) -> EquivalenceReport
     dec_a = _require_spd(EigenDecomposition._trusted(dec_s.q, np.exp(dec_s.eigenvalues)))
     inner = _log_eig_apply(make_r_kernel(float(p + s)), dec_a, x)
     dec_g = EigenDecomposition._trusted(dec_a.q, np.log(dec_a.eigenvalues))
-    lhs = _dots(f.derivative(None, inner, decomposition=dec_g), x)
-    z = f_of_ad_spectral(make_sqrt_r_kernel(float(p + s)), None, x, decomposition=dec_s)
-    rhs = _dots(f.derivative(None, z, decomposition=dec_s), z)
+    lhs = _dots(f._derivative(dec_g, inner), x)
+    z = _hadamard(dec_s, _difference_table(make_sqrt_r_kernel(float(p + s)), dec_s.eigenvalues), x)
+    rhs = _dots(f._derivative(dec_s, z), z)
     agreements = int(np.sum((lhs > 0.0) == (rhs > 0.0)))
     return EquivalenceReport(len(x), _worst(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))), agreements)

@@ -1100,6 +1100,9 @@ _GATED = {
         True,
         False,
     ),
+    "sqrt_r_operator": (
+        lambda a, x, dec: mo.sqrt_r_operator(a, 3.0, x, decomposition=dec), True, False
+    ),
 }
 
 _BAD = {
@@ -1150,3 +1153,22 @@ def test_matrix_argument_gate(name, bad):
         else:
             expected = call(_GATE_A, _GATE_D, dec)
             np.testing.assert_array_equal(call(_BAD[bad][0], _GATE_D, dec), expected)
+
+
+_STACK_DEC = _eigendecompose_stack(np.stack([_GATE_A, 2.0 * _GATE_A]))
+_OPERAND_STACKS = {
+    "stack": np.stack([_GATE_D, _GATE_W]),
+    "nan": np.stack([_GATE_D, np.where(np.eye(3) > 0, np.nan, _GATE_W)]),
+    "longer": np.stack([_GATE_D] * 3),
+}
+
+
+@pytest.mark.parametrize("operand", list(_OPERAND_STACKS))
+@pytest.mark.parametrize("name", list(_GATED))
+def test_operand_stack_rejected_with_stacked_decomposition(name, operand):
+    # An operand is one matrix: a stack of them is rejected even where the
+    # given decomposition is a stack, whose shape it would match.
+    call, takes_dec, reads_a = _GATED[name]
+    dec = _STACK_DEC if takes_dec else None
+    with pytest.raises(MatrixValidationError):
+        call(_GATE_A if reads_a else None, _OPERAND_STACKS[operand], dec)

@@ -87,9 +87,15 @@ CALLS = {
         lambda: mo.isotropic_commutation_residual(mo.cube_plus_identity_generator(), SYM, Y, 1e-4),
         (7, 0)),
     "bilinear_lhs": (lambda: mo.bilinear_lhs(mo.exponential_generator(), SPD, XS, 1, 0), (4, 2)),
-    "bilinear_rhs": (lambda: mo.bilinear_rhs(mo.exponential_generator(), SYM, XS), (3, 2)),
     "eigendecompose_symmetric": (lambda: mc.eigendecompose_symmetric(SYM), (1, 1)),
     "d_log": (lambda: ca.d_log(SPD, X), (2, 1)),
+    "f_of_ad_spectral": (lambda: ca.f_of_ad_spectral(SIGMA, SYM, X), (2, 1)),
+    "dlog_sandwich": (lambda: ca.dlog_sandwich(SPD, X, 1, 0), (2, 1)),
+    "dlog_anticommutator": (lambda: ca.dlog_anticommutator(SPD, X), (2, 1)),
+    "dlog_sinh_pair": (lambda: ca.dlog_sinh_pair(SPD, X, 1, 0, -1), (2, 1)),
+    "sqrt_r_operator": (lambda: mo.sqrt_r_operator(SYM, 3.0, X), (2, 1)),
+    "IsotropicFunction.derivative": (
+        lambda: mo.exponential_generator().derivative(SYM, X), (2, 1)),
     "log_spin_spectral": (lambda: ki.log_spin_spectral(SPD, SYM, SKEW), (3, 1)),
     "log_spin_commutator": (lambda: ki.log_spin_commutator(SPD, SYM, SKEW), (3, 1)),
     "Matrix.from_json_dict": (lambda: mc.Matrix.from_json_dict(WIRE), (1, 0)),

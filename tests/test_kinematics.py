@@ -438,6 +438,20 @@ def test_plane_motions_need_two_dimensions(make):
     assert make(1.0, dim=2).dim == 2
 
 
+@pytest.mark.parametrize("make", [
+    lambda dim: ki.simple_shear(1.0, dim=dim),
+    lambda dim: ki.rigid_rotation(1.0, dim=dim),
+    lambda dim: ki.polynomial_motion(3, dim=dim),
+], ids=["simple_shear", "rigid_rotation", "polynomial_motion"])
+def test_field_dimension_is_bounded_before_any_allocation(make):
+    # without the bound numpy refuses a 10^9-by-10^9 array at once: no memory is touched
+    for dim in (10**9, ki.MAX_DIM + 1):
+        with pytest.raises(ValueError, match=f"MAX_DIM = {ki.MAX_DIM}, got {dim}"):
+            make(dim)
+    with pytest.raises(ValueError):
+        make(0)
+
+
 def test_integrate_raises_not_spd_from_stack():
     # F0 = diag(1, 1, 1e-200) has det > 0, but its B underflows to a zero eigenvalue
     with pytest.raises(NotSpdError) as ei:

@@ -6,7 +6,8 @@ matrix and works for any kernel that is finite at the eigenvalue
 differences.  The series route sums a formal power series in the commutator
 and works for general square matrices, guarded by explicit divergence
 detection.  The derivative identities of the matrix exponential and
-logarithm are expressed through these operators.
+logarithm are expressed through these operators.  Each spectral function
+solves the eigendecomposition of the matrix it is given.
 """
 
 from __future__ import annotations
@@ -20,17 +21,16 @@ import numpy as np
 
 from .matcore import (
     EigenDecomposition,
-    _decomposition,
     _gate,
     _hadamard,
     _jacobi,
     _norms,
     _require_spd,
     _require_symmetric,
-    _spd_decomposition,
     _spectral,
     _symmetry_defect,
     as_array,
+    eigendecompose_symmetric,
     frobenius_norm,
 )
 from .scalarfun import (
@@ -219,9 +219,9 @@ def _matfun(f: Callable[[float], float], dec: EigenDecomposition) -> np.ndarray:
     return _spectral(dec.q, _checked(table, vals))
 
 
-def matfun_spectral(f: Callable[[float], float], s, decomposition=None) -> np.ndarray:
+def matfun_spectral(f: Callable[[float], float], s) -> np.ndarray:
     """Apply a real function to a symmetric matrix through its eigenvalues."""
-    return _matfun(f, _decomposition(s, decomposition))
+    return _matfun(f, eigendecompose_symmetric(s))
 
 
 @dataclass(frozen=True)
@@ -367,10 +367,10 @@ def matlog_series(a) -> SeriesResult:
 # the commutator-kernel operator
 
 
-def f_of_ad_spectral(kernel, g, x, decomposition=None) -> np.ndarray:
+def f_of_ad_spectral(kernel, g, x) -> np.ndarray:
     """Apply the commutator kernel of a symmetric G to X via the eigenbasis:
     the (i, j) component in the eigenbasis of G is multiplied by f(g_i - g_j)."""
-    dec = _decomposition(g, decomposition)
+    dec = eigendecompose_symmetric(g)
     return _hadamard(dec, _difference_table(kernel, dec.eigenvalues), *_gate(x, shape=dec.q.shape))
 
 
@@ -418,13 +418,13 @@ def _d_exp(dec: EigenDecomposition, x) -> np.ndarray:
     return _hadamard(dec, table, x)
 
 
-def d_log(a, x, decomposition=None) -> np.ndarray:
+def d_log(a, x) -> np.ndarray:
     """Directional derivative of the matrix logarithm at SPD A toward X.
 
     Realized as the t/(1 - e^-t) kernel of the commutator at ln A, applied
     to A^-1 X; inverts the exp derivative at ln A.
     """
-    dec = _spd_decomposition(a, decomposition)
+    dec = _require_spd(eigendecompose_symmetric(a))
     return _d_log(dec, *_gate(x, shape=dec.q.shape))
 
 
@@ -444,7 +444,7 @@ def _log_eig_apply(kernel, dec: EigenDecomposition, y) -> np.ndarray:
     return _hadamard(dec, table, y)
 
 
-def dlog_sandwich(a, y, p: int, s: int, decomposition=None) -> np.ndarray:
+def dlog_sandwich(a, y, p: int, s: int) -> np.ndarray:
     """Log derivative applied to A^p Y A^-s (p - s = 1), via one kernel.
 
     The kernel t e^(s t)/(1 - e^-t) at ln A reproduces d_log(A, A^p Y A^-s)
@@ -452,17 +452,17 @@ def dlog_sandwich(a, y, p: int, s: int, decomposition=None) -> np.ndarray:
     """
     if p - s != 1:
         raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")
-    dec = _spd_decomposition(a, decomposition)
+    dec = _require_spd(eigendecompose_symmetric(a))
     return _log_eig_apply(make_sandwich_kernel(float(s)), dec, *_gate(y, shape=dec.q.shape))
 
 
-def dlog_anticommutator(a, y, decomposition=None) -> np.ndarray:
+def dlog_anticommutator(a, y) -> np.ndarray:
     """Log derivative applied to AY + YA, via the coth(t/2) t kernel at ln A."""
-    dec = _spd_decomposition(a, decomposition)
+    dec = _require_spd(eigendecompose_symmetric(a))
     return _log_eig_apply(COTH_HALF_X, dec, *_gate(y, shape=dec.q.shape))
 
 
-def dlog_sinh_pair(a, x, p: int, s: int, sign: int, decomposition=None) -> np.ndarray:
+def dlog_sinh_pair(a, x, p: int, s: int, sign: int) -> np.ndarray:
     """Log derivative applied to A^p X A^-s -+ A^-s X A^p (p - s = 1).
 
     sign=-1 selects the difference (sinh-ratio kernel), sign=+1 the sum
@@ -473,31 +473,31 @@ def dlog_sinh_pair(a, x, p: int, s: int, sign: int, decomposition=None) -> np.nd
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
     kernel = (make_r_kernel if sign == 1 else make_sinh_ratio_kernel)(float(p + s))
-    dec = _spd_decomposition(a, decomposition)
+    dec = _require_spd(eigendecompose_symmetric(a))
     return _log_eig_apply(kernel, dec, *_gate(x, shape=dec.q.shape))
 
 
-def dlog_commutator_residual(a, y, decomposition=None) -> np.ndarray:
+def dlog_commutator_residual(a, y) -> np.ndarray:
     """Residual of: log derivative of [A, Y] equals [ln A, Y].
 
     Both sides are evaluated independently; the returned matrix should
     vanish to rounding for SPD A.
     """
     aa, yy = _gate(a, y)
-    dec = _require_spd(decomposition or _jacobi(_require_symmetric(aa)))
-    lhs = _d_log(dec, *_gate(_ad(aa, yy), shape=dec.q.shape))  # the commutator's one check
+    dec = _require_spd(_jacobi(_require_symmetric(aa)))
+    lhs = _d_log(dec, as_array(_ad(aa, yy)))  # the commutator's one check
     log_a = _matfun(math.log, dec)
     return lhs - _ad(log_a, yy)
 
 
-def anticommutator_gap(a, x, decomposition=None) -> tuple:
+def anticommutator_gap(a, x) -> tuple:
     """(||d_log(A, AX+XA) - 2X||_F, ||[A, X]||_F).
 
     The first entry vanishes exactly when X commutes with A; the second
     measures how far from commuting the pair is.
     """
     aa, xx = _gate(a, x)
-    dec = _require_spd(decomposition or _jacobi(_require_symmetric(aa)))
+    dec = _require_spd(_jacobi(_require_symmetric(aa)))
     gap = frobenius_norm(_log_eig_apply(COTH_HALF_X, dec, xx) - 2.0 * xx)
     return gap, frobenius_norm(_ad(aa, xx))
 

@@ -2,11 +2,11 @@
 
 Exit codes: 0 success; 1 a verification row failed; 2 malformed input (bad
 JSON or payload, non-symmetric D, non-skew W, a malformed flag, config
-value or COROTCALC_TOL, a ``simulate --dim`` above ``kinematics.MAX_DIM``,
-a spin that leaves the float range, a motion that needs more dimensions, a
-trajectory over ``kinematics.MAX_STEPS`` or ``MAX_RECORD_BYTES``, a
-trajectory whose B leaves the float range, or an unwritable ``--out``); 3 B
-is not positive definite; 4 integrator abort.
+value or COROTCALC_TOL, a ``simulate --dim`` above ``kinematics.MAX_DIM``
+or more ``--rates`` than that, a spin that leaves the float range, a motion
+that needs more dimensions, a trajectory over ``kinematics.MAX_STEPS`` or
+``MAX_RECORD_BYTES``, a trajectory whose B leaves the float range, or an
+unwritable ``--out``); 3 B is not positive definite; 4 integrator abort.
 
 All output is deterministic for a fixed seed and configuration: floats are
 printed with 17 significant digits and randomness flows through the seeded
@@ -101,8 +101,9 @@ def _checked(convert, ok, what: str):
 
 _positive = _checked(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
 _finite = _checked(float, math.isfinite, "a finite number")
-_finites = _checked(lambda text: tuple(map(float, text.split(","))),
-                    lambda xs: all(map(math.isfinite, xs)), "finite numbers a,b,...")
+_rates = _checked(lambda text: tuple(map(float, text.split(","))),
+                  lambda xs: len(xs) <= ki.MAX_DIM and all(map(math.isfinite, xs)),
+                  f"at most {ki.MAX_DIM} finite numbers a,b,...")
 _count = _checked(int, lambda n: n >= 1, "a positive integer")
 _trials = _checked(int, lambda n: 1 <= n <= MAX_TRIALS, f"a trial count in [1, {MAX_TRIALS}]")
 _dim = _checked(int, lambda n: 1 <= n <= ki.MAX_DIM, f"a dimension in [1, {ki.MAX_DIM}]")
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     motions = ("simple_shear", "pure_stretch", "rigid_rotation", "polynomial")
     p_sim.add_argument("--motion", choices=motions, default=cfg.motion)
     p_sim.add_argument("--kappa", type=_finite, default=1.0, help="shear rate")
-    p_sim.add_argument("--rates", type=_finites, default="0.3,-0.3,0",
+    p_sim.add_argument("--rates", type=_rates, default="0.3,-0.3,0",
                        help="stretch rates, comma separated")
     p_sim.add_argument("--rate", type=_finite, default=1.0, help="rotation rate")
     p_sim.add_argument("--dt", type=_positive, default=cfg.dt)

@@ -27,7 +27,7 @@ from .matcore import (
     _hadamard,
     _norms,
     _require_spd,
-    _spd_decomposition,
+    eigendecompose_symmetric,
 )
 from .sampling import make_rng
 from .scalarfun import SIGMA, _div, _log1p_series, _mapped
@@ -113,9 +113,9 @@ def _half_log(v: float) -> float:
     return 0.5 * math.log(v)
 
 
-def hencky(b, decomposition=None) -> np.ndarray:
+def hencky(b) -> np.ndarray:
     """Logarithmic strain: half the spectral logarithm of B = F F^T."""
-    return _matfun(_half_log, _spd_decomposition(b, decomposition))
+    return _matfun(_half_log, _require_spd(eigendecompose_symmetric(b)))
 
 
 def _spin(dec, d, w, commutator: bool) -> np.ndarray:
@@ -143,8 +143,9 @@ def log_spin_spectral(b, d, w, decomposition=None) -> np.ndarray:
     classical weight c = (1+r)/(1-r) + 2/ln r, r = b_i/b_j.  Near r = 1 the
     weight comes from its own series in r - 1, whose value at r = 1 is
     exactly zero, so coalescing and repeated eigenvalues need no merging.
+    A given ``decomposition`` is trusted as that of B (``SpdMatrix`` holds one).
     """
-    dec = _spd_decomposition(b, decomposition)
+    dec = _require_spd(eigendecompose_symmetric(b) if decomposition is None else decomposition)
     return _spin(dec, *_gate(d, w, shape=dec.q.shape), commutator=False)
 
 
@@ -153,9 +154,10 @@ def log_spin_commutator(b, d, w, decomposition=None) -> np.ndarray:
 
     W minus sigma of the commutator at H = ln(B)/2 applied to D.  No
     eigenvalue bookkeeping is needed: the kernel vanishes at zero, so
-    coalescing eigenvalues are benign by construction.
+    coalescing eigenvalues are benign by construction.  A given
+    ``decomposition`` is trusted as that of B, as in ``log_spin_spectral``.
     """
-    dec = _spd_decomposition(b, decomposition)
+    dec = _require_spd(eigendecompose_symmetric(b) if decomposition is None else decomposition)
     return _spin(dec, *_gate(d, w, shape=dec.q.shape), commutator=True)
 
 
@@ -212,8 +214,10 @@ def simple_shear(kappa: float, dim: int = 3) -> VelocityGradientField:
 
 
 def pure_stretch(rates) -> VelocityGradientField:
-    """Constant diagonal stretching at the given rates."""
+    """Constant diagonal stretching at the given rates, one per dimension."""
     rates = tuple(float(r) for r in rates)
+    if not 1 <= len(rates) <= MAX_DIM:
+        raise ValueError(f"pure_stretch: from 1 to MAX_DIM = {MAX_DIM} rates, got {len(rates)}")
     label = "pure_stretch(rates=" + ",".join(f"{r:g}" for r in rates) + ")"
     return _constant_field(label, np.diag(rates))
 

@@ -370,18 +370,6 @@ def _require_symmetric(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _decomposition(a, decomposition=None) -> EigenDecomposition:
-    """The given eigendecomposition of symmetric ``a``, or a fresh one."""
-    if decomposition is not None:
-        return decomposition
-    return eigendecompose_symmetric(a)
-
-
-def _spd_decomposition(a, decomposition=None) -> EigenDecomposition:
-    """As ``_decomposition``, raising NotSpdError unless every eigenvalue is positive."""
-    return _require_spd(_decomposition(a, decomposition))
-
-
 def _jacobi(arr: np.ndarray) -> EigenDecomposition:
     """``eigendecompose_symmetric`` of an array that passed its gate, unchecked."""
     d = arr.shape[0]

@@ -30,7 +30,6 @@ from .calculus import (
 from .matcore import (
     EigenDecomposition,
     NotSymmetricError,
-    _decomposition,
     _dots,
     _eigendecompose_stack,
     _gate,
@@ -40,6 +39,7 @@ from .matcore import (
     _symmetry_defect,
     _worst,
     as_array,
+    eigendecompose_symmetric,
     frobenius_norm,
 )
 from .sampling import _draw_trials
@@ -80,12 +80,12 @@ class IsotropicFunction:
     poly_coefficients: tuple | None = None
     matrix_eval: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def apply(self, a, decomposition=None) -> np.ndarray:
-        return matfun_spectral(self.scalar_generator, a, decomposition)
+    def apply(self, a) -> np.ndarray:
+        return matfun_spectral(self.scalar_generator, a)
 
-    def derivative(self, g, x, decomposition=None) -> np.ndarray:
+    def derivative(self, g, x) -> np.ndarray:
         """Directional derivative at symmetric g: divided differences in its basis."""
-        dec = _decomposition(g, decomposition)
+        dec = eigendecompose_symmetric(g)
         return self._derivative(dec, *_gate(x, shape=dec.q.shape))
 
     def _derivative(self, dec: EigenDecomposition, x: np.ndarray) -> np.ndarray:
@@ -211,23 +211,13 @@ def isotropic_commutation_residual(f: IsotropicFunction, a, y, h: float | None =
 # the square-root operator and the two quadratic forms
 
 
-def sqrt_r_operator(g, q: float, x, decomposition=None) -> np.ndarray:
+def sqrt_r_operator(g, q: float, x) -> np.ndarray:
     """Apply the square root of the positive r kernel of the commutator at G.
 
     Applying it twice reproduces the r kernel; the reciprocal kernel
     inverts it, so the map is a bijection on matrices.
     """
-    return f_of_ad_spectral(make_sqrt_r_kernel(float(q)), g, x, decomposition=decomposition)
-
-
-def _require_symmetric_nonzero(x) -> np.ndarray:
-    xx = as_array(x)
-    asym, bound, _ = _symmetry_defect(xx)
-    if asym > bound:
-        raise NotSymmetricError("direction must be symmetric")
-    if _norms(xx) == 0.0:
-        raise ValueError("direction must be nonzero")
-    return xx
+    return f_of_ad_spectral(make_sqrt_r_kernel(float(q)), g, x)
 
 
 def bilinear_lhs(
@@ -238,17 +228,24 @@ def bilinear_lhs(
     <Df(G)|_{G=ln A} [ d(ln A)[A^p X A^-s + A^-s X A^p] ], X> evaluated by
     the chain rule: the inner derivative collapses to the r kernel of the
     commutator at ln A, the outer one to divided differences of the
-    generator in the same eigenbasis.  Requires p - s = 1.
+    generator in the same eigenbasis.  Requires p - s = 1.  A given
+    ``decomposition`` is trusted as that of A: the bridge form takes A = exp S
+    with the exact factors (Q, e^lambda) of S.
     """
-    xx = _require_symmetric_nonzero(x)
-    dec_a = _decomposition(a, decomposition)
     if p - s != 1:
         raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")
-    kernel = make_r_kernel(float(p + s))
-    log_vals = np.log(_require_spd(dec_a).eigenvalues)
-    inner = _hadamard(dec_a, _difference_table(kernel, log_vals), xx)
-    outer = f.derivative(None, inner, decomposition=EigenDecomposition._trusted(dec_a.q, log_vals))
-    return float(_dots(as_array(outer), xx))  # the one check of the computed outer
+    dec_a = _require_spd(eigendecompose_symmetric(a) if decomposition is None else decomposition)
+    xx = _gate(x, shape=dec_a.q.shape)[0]
+    asym, bound, _ = _symmetry_defect(xx)
+    if asym > bound:
+        raise NotSymmetricError("direction must be symmetric")
+    if _norms(xx) == 0.0:
+        raise ValueError("direction must be nonzero")
+    log_vals = np.log(dec_a.eigenvalues)
+    inner = _hadamard(dec_a, _difference_table(make_r_kernel(float(p + s)), log_vals), xx)
+    # the one check of each computed form, inner and outer
+    outer = f._derivative(EigenDecomposition._trusted(dec_a.q, log_vals), as_array(inner))
+    return float(_dots(as_array(outer), xx))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ __all__ = [
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Philox4x64-10 generator keyed by a 64-bit unsigned seed."""
+    """Philox4x64-10 generator keyed by a seed in [0, 2**64 - 1], else ValueError."""
+    if not 0 <= seed <= 2**64 - 1:
+        raise ValueError(f"seed must be in [0, 2**64 - 1], got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -17,6 +17,7 @@ from corotcalc.matcore import (
     EigenDecomposition,
     MatrixValidationError,
     NotSpdError,
+    SpdMatrix,
     _eigendecompose_stack,
     _spectral,
     eigendecompose_symmetric,
@@ -580,8 +581,7 @@ def test_f_of_ad_linearity():
         g = random_symmetric(rng, 3)
         x, y = random_matrix(rng, 3), random_matrix(rng, 3)
         al, be = rng.uniform(-2, 2, 2)
-        dec = eigendecompose_symmetric(g)
-        op = lambda arg: ca.f_of_ad_spectral(SIGMA, g, arg, dec)
+        op = lambda arg: ca.f_of_ad_spectral(SIGMA, g, arg)
         lhs = op(al * x + be * y)
         rhs = al * op(x) + be * op(y)
         assert frobenius_norm(lhs - rhs) <= 1e-12 * (1.0 + frobenius_norm(lhs))
@@ -1052,57 +1052,54 @@ _GATE_A = np.array([[3.0, 0.5, 0.1], [0.5, 2.0, 0.2], [0.1, 0.2, 1.0]])
 _GATE_D = np.array([[0.4, 0.1, -0.2], [0.1, -0.3, 0.5], [-0.2, 0.5, 0.1]])
 _GATE_W = np.array([[0.0, 0.3, -0.1], [-0.3, 0.0, 0.2], [0.1, -0.2, 0.0]])
 
-# name -> (call(a, x, decomposition), takes decomposition=, reads a when it is given)
+_SOLVED_A = SpdMatrix(_GATE_A)  # holds the decomposition of _GATE_A
+
+# name -> (call(a, x, dec), how a solved A is given: "decomposition", "SpdMatrix" or
+# None).  Only three functions take decomposition=, trusted and never reading a; every
+# other spectral function solves its own A, which may be an SpdMatrix holding one.
 _GATED = {
-    "ad": (lambda a, x, dec: ca.ad(a, x), False, True),
-    "f_of_ad_series": (
-        lambda a, x, dec: ca.f_of_ad_series(ca.eta_neg_series_spec(), a, x), False, True
-    ),
-    "f_of_ad_spectral": (
-        lambda a, x, dec: ca.f_of_ad_spectral(SIGMA, a, x, decomposition=dec), True, False
-    ),
-    "d_exp": (lambda a, x, dec: ca.d_exp(a, x), False, True),
-    "d_exp_series": (lambda a, x, dec: ca.d_exp(a, x, method="series"), False, True),
-    "exp_conjugation": (lambda a, x, dec: ca.exp_conjugation(a, x, 0.5), False, True),
+    "ad": (lambda a, x, dec: ca.ad(a, x), None),
+    "f_of_ad_series": (lambda a, x, dec: ca.f_of_ad_series(ca.eta_neg_series_spec(), a, x), None),
+    "f_of_ad_spectral": (lambda a, x, dec: ca.f_of_ad_spectral(SIGMA, a, x), "SpdMatrix"),
+    "d_exp": (lambda a, x, dec: ca.d_exp(a, x), None),
+    "d_exp_series": (lambda a, x, dec: ca.d_exp(a, x, method="series"), None),
+    "exp_conjugation": (lambda a, x, dec: ca.exp_conjugation(a, x, 0.5), None),
     "exp_conjugation_series": (
-        lambda a, x, dec: ca.exp_conjugation(a, x, 0.5, method="series"), False, True
+        lambda a, x, dec: ca.exp_conjugation(a, x, 0.5, method="series"), None
     ),
-    "d_log": (lambda a, x, dec: ca.d_log(a, x, decomposition=dec), True, False),
-    "dlog_sandwich": (
-        lambda a, x, dec: ca.dlog_sandwich(a, x, 2, 1, decomposition=dec), True, False
-    ),
-    "dlog_anticommutator": (
-        lambda a, x, dec: ca.dlog_anticommutator(a, x, decomposition=dec), True, False
-    ),
-    "dlog_sinh_pair": (
-        lambda a, x, dec: ca.dlog_sinh_pair(a, x, 2, 1, -1, decomposition=dec), True, False
-    ),
+    "d_log": (lambda a, x, dec: ca.d_log(a, x), "SpdMatrix"),
+    "dlog_sandwich": (lambda a, x, dec: ca.dlog_sandwich(a, x, 2, 1), "SpdMatrix"),
+    "dlog_anticommutator": (lambda a, x, dec: ca.dlog_anticommutator(a, x), "SpdMatrix"),
+    "dlog_sinh_pair": (lambda a, x, dec: ca.dlog_sinh_pair(a, x, 2, 1, -1), "SpdMatrix"),
     "dlog_commutator_residual": (
-        lambda a, x, dec: ca.dlog_commutator_residual(a, x, decomposition=dec), True, True
+        lambda a, x, dec: ca.dlog_commutator_residual(a, x), "SpdMatrix"
     ),
-    "anticommutator_gap": (
-        lambda a, x, dec: ca.anticommutator_gap(a, x, decomposition=dec), True, True
-    ),
+    "anticommutator_gap": (lambda a, x, dec: ca.anticommutator_gap(a, x), "SpdMatrix"),
     "log_spin_spectral_d": (
-        lambda a, x, dec: ki.log_spin_spectral(a, x, _GATE_W, decomposition=dec), True, False
+        lambda a, x, dec: ki.log_spin_spectral(a, x, _GATE_W, decomposition=dec),
+        "decomposition",
     ),
     "log_spin_spectral_w": (
-        lambda a, x, dec: ki.log_spin_spectral(a, _GATE_D, x, decomposition=dec), True, False
+        lambda a, x, dec: ki.log_spin_spectral(a, _GATE_D, x, decomposition=dec),
+        "decomposition",
     ),
     "log_spin_commutator_d": (
-        lambda a, x, dec: ki.log_spin_commutator(a, x, _GATE_W, decomposition=dec), True, False
+        lambda a, x, dec: ki.log_spin_commutator(a, x, _GATE_W, decomposition=dec),
+        "decomposition",
     ),
     "log_spin_commutator_w": (
-        lambda a, x, dec: ki.log_spin_commutator(a, _GATE_D, x, decomposition=dec), True, False
+        lambda a, x, dec: ki.log_spin_commutator(a, _GATE_D, x, decomposition=dec),
+        "decomposition",
+    ),
+    "bilinear_lhs": (
+        lambda a, x, dec: mo.bilinear_lhs(mo.exponential_generator(), a, x, 2, 1,
+                                          decomposition=dec),
+        "decomposition",
     ),
     "IsotropicFunction.derivative": (
-        lambda a, x, dec: mo.exponential_generator().derivative(a, x, decomposition=dec),
-        True,
-        False,
+        lambda a, x, dec: mo.exponential_generator().derivative(a, x), "SpdMatrix"
     ),
-    "sqrt_r_operator": (
-        lambda a, x, dec: mo.sqrt_r_operator(a, 3.0, x, decomposition=dec), True, False
-    ),
+    "sqrt_r_operator": (lambda a, x, dec: mo.sqrt_r_operator(a, 3.0, x), "SpdMatrix"),
 }
 
 _BAD = {
@@ -1114,45 +1111,42 @@ _BAD = {
 
 
 def _gate_cases(bad_kinds):
-    for name, (call, takes_dec, _) in _GATED.items():
-        for given in (False, True) if takes_dec else (False,):
+    for name, (call, solved) in _GATED.items():
+        for given in (False, True) if solved else (False,):
             for bad in bad_kinds:
                 mode = "given" if given else "fresh"
-                yield pytest.param(call, given, bad, id=f"{name}-{mode}-{bad}")
+                yield pytest.param(call, solved if given else None, bad, id=f"{name}-{mode}-{bad}")
 
 
 @pytest.mark.parametrize("call, given, bad", list(_gate_cases(_BAD)))
 def test_dimension_mismatch_raised(call, given, bad):
-    # A bad operand raises a typed error, with or without a given decomposition.
+    # A bad operand raises a typed error, also where A is given solved: by
+    # decomposition= or as an SpdMatrix.
     operand, error = _BAD[bad]
-    dec = eigendecompose_symmetric(_GATE_A) if given else None
-    call(_GATE_A, _GATE_D, dec)
+    a, dec = {"decomposition": (_GATE_A, _SOLVED_A.decomposition),
+              "SpdMatrix": (_SOLVED_A, None)}.get(given, (_GATE_A, None))
+    call(a, _GATE_D, dec)
     with pytest.raises(error):
-        call(_GATE_A, operand, dec)
+        call(a, operand, dec)
 
 
 _MATRIX_GATED = {
     **_GATED,
-    "hencky": (lambda a, x, dec: ki.hencky(a, decomposition=dec), True, False),
+    "hencky": (lambda a, x, dec: ki.hencky(a), "SpdMatrix"),
 }
 
 
 @pytest.mark.parametrize("name", list(_MATRIX_GATED))
 @pytest.mark.parametrize("bad", ["nan", "inf", "non_square"])
 def test_matrix_argument_gate(name, bad):
-    call, takes_dec, reads_a = _MATRIX_GATED[name]
+    call, solved = _MATRIX_GATED[name]
     with pytest.raises(MatrixValidationError):
         call(_BAD[bad][0], _GATE_D, None)
-    if takes_dec:
-        # A given decomposition is trusted; the matrix argument is read only
-        # where the function itself needs it.
-        dec = eigendecompose_symmetric(_GATE_A)
-        if reads_a:
-            with pytest.raises(MatrixValidationError):
-                call(_BAD[bad][0], _GATE_D, dec)
-        else:
-            expected = call(_GATE_A, _GATE_D, dec)
-            np.testing.assert_array_equal(call(_BAD[bad][0], _GATE_D, dec), expected)
+    if solved == "decomposition":
+        # A given decomposition is trusted: the matrix argument is not read.
+        expected = call(_GATE_A, _GATE_D, _SOLVED_A.decomposition)
+        np.testing.assert_array_equal(call(_BAD[bad][0], _GATE_D, _SOLVED_A.decomposition),
+                                      expected)
 
 
 _STACK_DEC = _eigendecompose_stack(np.stack([_GATE_A, 2.0 * _GATE_A]))
@@ -1166,9 +1160,9 @@ _OPERAND_STACKS = {
 @pytest.mark.parametrize("operand", list(_OPERAND_STACKS))
 @pytest.mark.parametrize("name", list(_GATED))
 def test_operand_stack_rejected_with_stacked_decomposition(name, operand):
-    # An operand is one matrix: a stack of them is rejected even where the
+    # An operand is one matrix: a stack of them is rejected, even where the
     # given decomposition is a stack, whose shape it would match.
-    call, takes_dec, reads_a = _GATED[name]
-    dec = _STACK_DEC if takes_dec else None
+    call, solved = _GATED[name]
+    a, dec = (None, _STACK_DEC) if solved == "decomposition" else (_GATE_A, None)
     with pytest.raises(MatrixValidationError):
-        call(_GATE_A if reads_a else None, _OPERAND_STACKS[operand], dec)
+        call(a, _OPERAND_STACKS[operand], dec)

@@ -199,6 +199,9 @@ def test_simulate_dim_bound_is_checked_by_the_parser():
     with pytest.raises(ValueError, match="recorded samples"):
         ki._step_count(0.0, 1.0, 1, ki.MAX_DIM + 1)
     assert build_parser().parse_args(["simulate", "--dim", str(ki.MAX_DIM)]).dim == ki.MAX_DIM
+    # one rate per dimension, so --rates takes as many values as --dim allows
+    rates = ",".join(["0"] * ki.MAX_DIM)
+    assert len(build_parser().parse_args(["simulate", "--rates", rates]).rates) == ki.MAX_DIM
 
 
 def test_verify_deterministic(capsys):
@@ -369,6 +372,10 @@ MALFORMED = {
     "kappa nan": (["simulate", "--kappa", "nan"], None, None),
     "rates not numbers": (["simulate", "--motion", "pure_stretch", "--rates", "a"], None, None),
     "rates inf": (["simulate", "--rates", "1,inf"], None, None),
+    "rates above MAX_DIM": (
+        ["simulate", "--motion", "pure_stretch", "--rates", ",".join(["0"] * (ki.MAX_DIM + 1))],
+        None, None,
+    ),
     "verify seed negative": (["verify", "--seed=-1"], None, None),
     "verify seed key overflow": (["verify", "--seed", str(2**64 // 1000 + 1)], None, None),
     "verify trials zero": (["verify", "--trials", "0"], None, None),

@@ -359,11 +359,11 @@ def test_integrate_samples_match_single_matrix_functions(motion, dim):
         l = field(s.t)
         d = 0.5 * (l + l.T)
         w = 0.5 * (l - l.T)
-        h = ki.hencky(b, decomposition=dec)
+        h = ki.hencky(b)
         omega = ki.log_spin_commutator(b, d, w, decomposition=dec)
         omega_sp = ki.log_spin_spectral(b, d, w, decomposition=dec)
         db_dt = l @ b + b @ l.T
-        h_dot = 0.5 * d_log(b, db_dt, decomposition=dec)
+        h_dot = 0.5 * d_log(b, db_dt)
         evol = 0.0
         if 0 < i < len(bs) - 1:
             db_fd = (bs[i + 1] - bs[i - 1]) / (samples[i + 1].t - samples[i - 1].t)
@@ -450,6 +450,15 @@ def test_field_dimension_is_bounded_before_any_allocation(make):
             make(dim)
     with pytest.raises(ValueError):
         make(0)
+
+
+def test_pure_stretch_rate_count_is_bounded_before_any_allocation():
+    # one rate per dimension: np.diag would build the MAX_DIM + 1 square field
+    with pytest.raises(ValueError, match=f"MAX_DIM = {ki.MAX_DIM} rates, got {ki.MAX_DIM + 1}"):
+        ki.pure_stretch([0.0] * (ki.MAX_DIM + 1))
+    with pytest.raises(ValueError, match="got 0"):
+        ki.pure_stretch([])
+    assert ki.pure_stretch([0.0] * ki.MAX_DIM).dim == ki.MAX_DIM
 
 
 def test_integrate_raises_not_spd_from_stack():

@@ -1,6 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
+from corotcalc import kinematics as ki
+from corotcalc import monotonicity as mo
 from corotcalc import sampling
 from corotcalc.sampling import (
     _draw_trials,
@@ -93,3 +97,21 @@ def test_draw_trials_rejects_fewer_than_one_trial_before_drawing(trials, monkeyp
     with pytest.raises(ValueError, match="trials must be at least 1"):
         _draw_trials(5, trials, ("sym", 1.0))
     assert keys == []
+
+
+@pytest.mark.parametrize("call, seed", [
+    (make_rng, -1),
+    (make_rng, 2**64),
+    (make_rng, -(2**70)),
+    (ki.polynomial_motion, -1),
+    (lambda seed: mo.equivalence_check(mo.identity_generator(), 3, seed=seed, p=1, s=0), -1),
+], ids=["make_rng-negative", "make_rng-2**64", "make_rng-2**70", "polynomial_motion",
+        "equivalence_check"])
+def test_seed_outside_64_bits_names_the_range(call, seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**64 - 1], got {seed}")):
+        call(seed)
+
+
+def test_make_rng_takes_both_ends_of_the_seed_range():
+    for seed in (0, np.uint64(0), 2**64 - 1, np.uint64(2**64 - 1)):
+        assert isinstance(make_rng(seed), np.random.Generator)

@@ -114,15 +114,15 @@ def _suite_lemma2(seed: int, trials: int) -> list:
             if idx == 0:
                 w_comm = max(
                     w_comm,
-                    frobenius_norm(ca.dlog_commutator_residual(a, y, decomposition=dec)),
+                    frobenius_norm(ca.dlog_commutator_residual(a, y)),
                 )
-                anti = ca.dlog_anticommutator(a, y, decomposition=dec)
+                anti = ca.dlog_anticommutator(a, y)
                 w_anti = max(
                     w_anti,
-                    frobenius_norm(anti - ca.d_log(a, a @ y + y @ a, decomposition=dec)),
+                    frobenius_norm(anti - ca.d_log(a, a @ y + y @ a)),
                 )
-            sand = ca.dlog_sandwich(a, y, p, s, decomposition=dec)
-            w_sand = max(w_sand, frobenius_norm(sand - ca.d_log(a, sandwiched, decomposition=dec)))
+            sand = ca.dlog_sandwich(a, y, p, s)
+            w_sand = max(w_sand, frobenius_norm(sand - ca.d_log(a, sandwiched)))
         tag = f"(p,s)=({p},{s})"
         rows.append(VerifyRow(f"power sandwich equals conjugation route {tag}", w_conj, 1e-10))
         if idx == 0:
@@ -180,15 +180,15 @@ def _suite_lemma4(seed: int, trials: int) -> list:
             w_diff = max(
                 w_diff,
                 frobenius_norm(
-                    ca.dlog_sinh_pair(a, x, p, s, -1, decomposition=dec)
-                    - ca.d_log(a, diff_arg, decomposition=dec)
+                    ca.dlog_sinh_pair(a, x, p, s, -1)
+                    - ca.d_log(a, diff_arg)
                 ),
             )
             w_sum = max(
                 w_sum,
                 frobenius_norm(
-                    ca.dlog_sinh_pair(a, x, p, s, +1, decomposition=dec)
-                    - ca.d_log(a, sum_arg, decomposition=dec)
+                    ca.dlog_sinh_pair(a, x, p, s, +1)
+                    - ca.d_log(a, sum_arg)
                 ),
             )
         tag = f"(p,s)=({p},{s})"
@@ -378,12 +378,12 @@ def equivalence_check(
     for _ in range(trials):
         s_mat = random_symmetric(rng, 3, scale=1.5)
         dec_s = eigendecompose_symmetric(s_mat)
-        a = ca.matfun_spectral(math.exp, s_mat, decomposition=dec_s)
+        a = ca.matfun_spectral(math.exp, s_mat)
         x = random_symmetric(rng, 3)
         dec_a = EigenDecomposition._trusted(dec_s.q, np.exp(dec_s.eigenvalues))
         lhs = mo.bilinear_lhs(f, a, x, p, s, decomposition=dec_a)
-        z = mo.sqrt_r_operator(s_mat, float(p + s), x, decomposition=dec_s)
-        rhs = frobenius_dot(f.derivative(s_mat, z, decomposition=dec_s), z)
+        z = mo.sqrt_r_operator(s_mat, float(p + s), x)
+        rhs = frobenius_dot(f.derivative(s_mat, z), z)
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
         if (lhs > 0.0) == (rhs > 0.0):
             agreements += 1

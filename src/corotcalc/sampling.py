@@ -9,6 +9,8 @@ each trial its spec columns in order, each block row-major, as the helpers would
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .matcore import _eigendecompose_stack, _spectral, eigendecompose_symmetric
@@ -25,8 +27,11 @@ __all__ = [
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Philox4x64-10 generator keyed by a seed in [0, 2**64 - 1], else ValueError."""
-    if not 0 <= seed <= 2**64 - 1:
+    """Philox4x64-10 generator keyed by an integer seed in [0, 2**64 - 1]: TypeError
+    for a bool or a non-integer (which would key a truncated seed), else ValueError."""
+    if isinstance(seed, bool) or not hasattr(type(seed), "__index__"):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= (seed := operator.index(seed)) <= 2**64 - 1:
         raise ValueError(f"seed must be in [0, 2**64 - 1], got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 

@@ -152,10 +152,15 @@ class ScalarKernel:
     def over(self, x: np.ndarray) -> np.ndarray:
         """The kernel at each entry of a float array, to the bit as called at each:
         the branch is tested once for the whole array, then each entry goes
-        through ``taylor_eval`` or ``direct``, which raise as they do alone."""
+        through ``taylor_eval`` or ``direct``, which raise as they do alone.  The
+        Taylor branch's exact zeros (a no-parity difference table's diagonal,
+        ln(b_i/b_i), |a_i - a_i|, repeated eigenvalues) share one taylor_eval(0.0):
+        at +-0.0 each term is a signed zero or the constant, so both signs agree."""
         near = np.abs(x) < self.switch_radius
         out = np.empty(x.shape)
-        out[near] = [*map(self.taylor_eval, x[near].tolist())]
+        xs = x[near].tolist()
+        at_zero = self.taylor_eval(0.0) if 0.0 in xs else None
+        out[near] = [at_zero if v == 0.0 else self.taylor_eval(v) for v in xs]
         out[~near] = [*map(self.direct, x[~near].tolist())]
         return out
 

@@ -115,3 +115,31 @@ def test_seed_outside_64_bits_names_the_range(call, seed):
 def test_make_rng_takes_both_ends_of_the_seed_range():
     for seed in (0, np.uint64(0), 2**64 - 1, np.uint64(2**64 - 1)):
         assert isinstance(make_rng(seed), np.random.Generator)
+
+
+@pytest.mark.parametrize("call, seed", [
+    (make_rng, 1.5),
+    (make_rng, 1.9999),
+    (make_rng, 1.0),
+    (make_rng, np.float64(1.0)),
+    (make_rng, True),
+    (make_rng, False),
+    (make_rng, np.True_),
+    (make_rng, "1"),
+    (make_rng, None),
+    (ki.polynomial_motion, 1.5),
+    (lambda seed: mo.equivalence_check(mo.identity_generator(), 3, seed=seed, p=1, s=0), 1.5),
+], ids=["make_rng-1.5", "make_rng-1.9999", "make_rng-1.0", "make_rng-float64", "make_rng-True",
+        "make_rng-False", "make_rng-numpy-True", "make_rng-str", "make_rng-None",
+        "polynomial_motion", "equivalence_check"])
+def test_seed_that_is_not_an_integer_is_refused(call, seed):
+    # before, a float was truncated and a bool read as 0 or 1: make_rng(1.5),
+    # make_rng(1.9999) and make_rng(True) all keyed the stream of make_rng(1)
+    with pytest.raises(TypeError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        call(seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int32(7), np.uint8(7)],
+                         ids=lambda s: type(s).__name__)
+def test_numpy_integer_seed_keys_the_stream_of_the_int(seed):
+    assert make_rng(seed).integers(2**62) == make_rng(7).integers(2**62)

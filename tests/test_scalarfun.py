@@ -375,6 +375,37 @@ def test_over_equals_the_kernel_at_each_entry_to_the_bit(kernel):
     for x, exc in failing.items():
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             kernel.over(np.array([1.0, x]))
+    _over_equals_each_entry(kernel, [0.0, -0.0, -0.0, 0.0])  # zeros alone share one sum
+    _over_equals_each_entry(kernel, [])
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _over_equals_each_entry(kernel, xs) -> None:
+    assert _bits(kernel.over(np.array(xs, dtype=float))) == _bits([kernel(v) for v in xs])
+
+
+@pytest.mark.parametrize("kernel", ALL_FIXED_KERNELS + PARAM_KERNELS, ids=lambda k: k.name)
+def test_taylor_sum_at_negative_zero_has_the_bits_at_zero(kernel):
+    # over evaluates every exact zero of the Taylor branch as taylor_eval(0.0)
+    assert _bits(kernel.taylor_eval(-0.0)) == _bits(kernel.taylor_eval(0.0))
+
+
+@pytest.mark.parametrize("taylor, radius", [((), sf.SWITCH_RADIUS), (sf.ETA.taylor, 0.0)],
+                         ids=["no Taylor terms", "switch radius 0"])
+def test_over_equals_the_kernel_without_a_taylor_branch(taylor, radius):
+    # the direct branch sees the sign of a zero, so over must pass each zero to it
+    kernel = sf.ScalarKernel("signed", lambda x: math.copysign(2.0, x), taylor, radius)
+    _over_equals_each_entry(kernel, [0.0, -0.0, 0.1, -0.1, 0.0, 5e-324, -5e-324, 1.0])
+    _over_equals_each_entry(kernel, [-0.0, 0.0])
+    if radius <= 0.0:  # a zero where the direct branch raises raises from over too
+        failing = sf.ScalarKernel("failing", sf.ETA.direct, taylor, radius)
+        with pytest.raises(ZeroDivisionError):
+            failing(0.0)
+        with pytest.raises(ZeroDivisionError):
+            failing.over(np.array([1.0, 0.0]))
 
 
 FACTORIES = [sf.make_r_kernel, sf.make_sinh_ratio_kernel, sf.make_sandwich_kernel,

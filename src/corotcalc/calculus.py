@@ -158,36 +158,19 @@ def _each_pair(entry, array, values, *per_row) -> np.ndarray:
     return _checked(table.reshape(vals.shape + vals.shape[-1:]), vals)
 
 
-def _difference_table(kernels, values) -> np.ndarray:
+def _difference_table(k, values) -> np.ndarray:
     """Table T_ij = k(v_i - v_j) of a commutator kernel k over all pairs of eigenvalues.
 
-    Values of shape (N, d) give one table per row, shape (N, d, d), with one
-    kernel for all rows or a sequence of one per row.
+    Values of shape (N, d) give one table per row, shape (N, d, d).  A kernel
+    whose ``parity`` is "even" or "odd" is evaluated at i < j and once at 0.0,
+    then mirrored: v_j - v_i is exactly -(v_i - v_j), and the declared parity
+    holds to the bit (test_declared_parity_holds_to_the_bit).  A zero is
+    evaluated at its mirror too, as parity need not fix its sign (sinh_ratio
+    at q = 0 is +0.0 at x > 0.25 and -0.0 at -x).  Any other kernel is
+    evaluated at every pair.
     """
     vals = np.asarray(values, dtype=float)
     rows = vals.reshape(-1, vals.shape[-1])
-    if callable(kernels):
-        table = _kernel_rows(kernels, rows)
-    else:
-        table = np.empty(rows.shape + rows.shape[-1:])
-        groups = {}  # by identity: a ScalarKernel hashes its whole Taylor table
-        for r, k in enumerate(kernels):
-            groups.setdefault(id(k), (k, []))[1].append(r)
-        for k, at in groups.values():
-            table[at] = _kernel_rows(k, rows[at])
-    return _checked(table.reshape(vals.shape + vals.shape[-1:]), vals)
-
-
-def _kernel_rows(k, rows: np.ndarray) -> np.ndarray:
-    """k(v_i - v_j) over each row of an (N, d) array, as an (N, d, d) table.
-
-    A kernel whose ``parity`` is "even" or "odd" is evaluated at i < j and
-    once at 0.0, then mirrored: v_j - v_i is exactly -(v_i - v_j), and the
-    declared parity holds to the bit (test_declared_parity_holds_to_the_bit).
-    A zero is evaluated at its mirror too, as parity need not fix its sign
-    (sinh_ratio at q = 0 is +0.0 at x > 0.25 and -0.0 at -x).  Any other
-    kernel is evaluated at every pair.
-    """
     n, d = rows.shape
     sign = {"even": 1.0, "odd": -1.0}.get(getattr(k, "parity", None))
     over = getattr(k, "over", None)
@@ -197,19 +180,20 @@ def _kernel_rows(k, rows: np.ndarray) -> np.ndarray:
                           over and (lambda: over(np.concatenate((lead, x.ravel())))))
 
     if sign is None:
-        return at(rows[:, :, None] - rows[:, None, :]).reshape(n, d, d)
-    i, j = _triu_indices(d, 1)
-    diffs = rows.take(i, 1) - rows.take(j, 1)
-    out = at(diffs, 0.0)
-    up = out[1:].reshape(diffs.shape)
-    down = sign * up
-    if np.count_nonzero(up) < up.size:
-        zero = up == 0.0  # v_j - v_i is 0.0 - (v_i - v_j)
-        down[zero] = at(0.0 - diffs[zero])
-    table = np.empty((n, d, d))
-    table[:, i, j], table[:, j, i] = up, down
-    table.reshape(n, d * d)[:, :: d + 1] = out[0]  # the diagonal, k(0.0)
-    return table
+        table = at(rows[:, :, None] - rows[:, None, :])
+    else:
+        i, j = _triu_indices(d, 1)
+        diffs = rows.take(i, 1) - rows.take(j, 1)
+        out = at(diffs, 0.0)
+        up = out[1:].reshape(diffs.shape)
+        down = sign * up
+        if np.count_nonzero(up) < up.size:
+            zero = up == 0.0  # v_j - v_i is 0.0 - (v_i - v_j)
+            down[zero] = at(0.0 - diffs[zero])
+        table = np.empty((n, d, d))
+        table[:, i, j], table[:, j, i] = up, down
+        table.reshape(n, d * d)[:, :: d + 1] = out[0]  # the diagonal, k(0.0)
+    return _checked(table.reshape(vals.shape + vals.shape[-1:]), vals)
 
 
 def _matfun(f: Callable[[float], float], dec: EigenDecomposition) -> np.ndarray:
@@ -542,8 +526,15 @@ def adjoint_residuals(a, x, y, kernel) -> tuple:
 
 
 def gateaux_fd(fn, a, x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference directional derivative of a matrix map."""
-    return _central(fn, *_gate(a, x), h)
+    """Central-difference directional derivative of a matrix map; h may be negative."""
+    return _central(fn, *_gate(a, x), _step(h))
+
+
+def _step(h: float) -> float:
+    """h, a finite-difference step; ValueError if it is zero or not finite."""
+    if h == 0.0 or not math.isfinite(h):
+        raise ValueError(f"finite-difference step h must be finite and nonzero, got {h!r}")
+    return h
 
 
 def _central(fn, a: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:

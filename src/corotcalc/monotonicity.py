@@ -23,6 +23,7 @@ from .calculus import (
     _difference_table,
     _each_pair,
     _log_eig_apply,
+    _step,
     f_of_ad_spectral,
     matexp_series,
     matfun_spectral,
@@ -188,8 +189,9 @@ def isotropic_commutation_residual(f: IsotropicFunction, a, y, h: float | None =
 
     With ``h`` given the derivative is a centered difference through the
     generator's general-matrix evaluation (an oracle independent of any
-    eigenbasis); without it the exact polynomial product-rule derivative is
-    used, which requires ``poly_coefficients``.
+    eigenbasis), and ValueError unless h is finite and nonzero; without it the
+    exact polynomial product-rule derivative is used, which requires
+    ``poly_coefficients``.
     """
     aa, yy = _gate(a, y)
     if h is None:
@@ -202,6 +204,7 @@ def isotropic_commutation_residual(f: IsotropicFunction, a, y, h: float | None =
         return frobenius_norm(lhs - rhs)
     if f.matrix_eval is None:
         raise ValueError(f"generator {f.name!r} has no general-matrix evaluation")
+    h = _step(h)
     lhs = _ad(aa, _central(f.matrix_eval, aa, yy, h))
     rhs = _central(f.matrix_eval, aa, _ad(aa, yy), h)
     return frobenius_norm(lhs - rhs)
@@ -273,7 +276,8 @@ def equivalence_check(
     counts sign agreement of the two forms.  The trials are drawn in one call
     (``_bridge_draw``), S is solved as one stack, and ``_bridge`` evaluates them
     as stacks, each form as ``bilinear_lhs`` and ``IsotropicFunction.derivative``
-    would evaluate it; a NaN residual makes ``max_rel_residual`` NaN.
+    would evaluate it; a NaN residual makes ``max_rel_residual`` NaN.  A trial
+    count outside [1, sampling.MAX_TRIALS] raises ValueError before any draw.
     """
     if p - s != 1:
         raise ValueError(f"power pair must satisfy p - s = 1, got p={p}, s={s}")

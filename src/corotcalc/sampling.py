@@ -25,6 +25,12 @@ __all__ = [
     "random_spd_exp",
 ]
 
+# The largest trial count ``_draw_trials`` draws, and so ``verify --trials`` accepts.
+# The whole verify suite's peak RSS grows by about 2.3 KB a trial (61.5 MB at 10^4
+# trials, 130.9 MB at 4 * 10^4 and 228 MB, 94 s, at this bound; Python 3.11, numpy 2.4,
+# 2-core Xeon), so a run stays under the 256 MB of kinematics.MAX_RECORD_BYTES.
+MAX_TRIALS = 80_000
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Philox4x64-10 generator keyed by an integer seed in [0, 2**64 - 1]: TypeError
@@ -95,9 +101,12 @@ def _draw_trials(seed: int, trials: int, *spec) -> list:
     """One C-contiguous stack per (kind, scale) of ``spec``, drawn in one generator call
     keyed ``seed``: each trial draws its spec columns in order, each block row-major, as
     the public helpers would draw them one trial at a time.  "mat", "sym" and "skew" give
-    (N, 3, 3) stacks, "vec" (N, 3) and "scalar" (N,)."""
+    (N, 3, 3) stacks, "vec" (N, 3) and "scalar" (N,).  ValueError before any draw
+    unless 1 <= trials <= MAX_TRIALS."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most MAX_TRIALS = {MAX_TRIALS}, got {trials}")
     widths = [{"mat": 9, "sym": 9, "skew": 9, "vec": 3, "scalar": 1}.get(k, 0) for k, _ in spec]
     if 0 in widths:
         raise ValueError(f"unknown draw kind {spec[widths.index(0)][0]!r}")

@@ -22,19 +22,13 @@ import numpy as np
 from . import calculus as ca, kinematics as ki, monotonicity as mo
 from .matcore import _dots, _eigendecompose_stack, _hadamard, _norms, _require_spd, _spectral
 from .matcore import _split_solve, _worst
-from .sampling import _draw_trials, _spd_exp
+from .sampling import MAX_TRIALS, _draw_trials, _spd_exp
 from .scalarfun import COTH_HALF_X, GAMMA, SIGMA, make_r_kernel, make_sandwich_kernel
 from .scalarfun import make_sinh_ratio_kernel, make_sqrt_r_kernel
 
 __all__ = ["VerifyRow", "SUITE_NAMES", "MAX_TRIALS", "run_suite", "run_suites"]
 
 POWER_PAIRS = ((1, 0), (2, 1), (0, -1))
-
-# The largest trial count the CLI accepts.  The whole suite's peak RSS grows by
-# about 2.3 KB a trial (61.5 MB at 10^4 trials, 130.9 MB at 4 * 10^4 and 228 MB,
-# 94 s, at this bound; Python 3.11, numpy 2.4, 2-core Xeon), so a run stays under
-# the 256 MB of kinematics.MAX_RECORD_BYTES.
-MAX_TRIALS = 80_000
 
 # The suites key their Philox generators seed * 1000 + k with 1 <= k <= KEY_OFFSET,
 # the largest k being monotonicity's last bridge check, 80 + 10 * 2 + 2.
@@ -204,13 +198,13 @@ def _suite_lemma5(seed: int, trials: int) -> list:
 
 def _suite_lemma6(seed: int, trials: int) -> list:
     a, x, y = _draw_trials(seed * 1000 + 50, trials, _SYM, _MAT, _MAT)
-    kinds = (SIGMA, GAMMA, math.exp)
-    # f(-t) declares no parity, so the flipped table is evaluated in full
-    flips = [lambda t, f=f: f(-t) for f in kinds]
     dec = _eigendecompose_stack(a)
-    table = ca._difference_table([kinds[n % 3] for n in range(trials)], dec.eigenvalues)
+    table, flipped = np.empty((2, trials, 3, 3))
+    for n, f in enumerate((SIGMA, GAMMA, math.exp)):  # trial n takes kernel n % 3
+        table[n::3] = ca._difference_table(f, dec.eigenvalues[n::3])
+        # f(-t) declares no parity, so the flipped table is evaluated in full
+        flipped[n::3] = ca._difference_table(lambda t, f=f: f(-t), dec.eigenvalues[n::3])
     fx, fy = _hadamard(dec, table, x), _hadamard(dec, table, y)
-    flipped = ca._difference_table([flips[n % 3] for n in range(trials)], dec.eigenvalues)
     fxt = _hadamard(dec, flipped, x.swapaxes(1, 2))
     return [
         _row("transpose rule for commutator kernels", _norms(fx.swapaxes(1, 2) - fxt), 1e-12),
@@ -289,12 +283,13 @@ def _suite_monotonicity(seed: int, trials: int) -> list:
     rows.append(VerifyRow("sign disagreements between the two forms", float(disagreements), 0.5))
 
     g, x, xs = _draw_trials(seed * 1000 + 90, trials, _SYM, _MAT, _SYM)
-    qs = [float((1, 3, -1)[n % 3]) for n in range(trials)]
     dec = _eigendecompose_stack(g)
-    sqrt_r = ca._difference_table([make_sqrt_r_kernel(q) for q in qs], dec.eigenvalues)
+    sqrt_r, r_table = np.empty((2, trials, 3, 3))
+    for n, q in enumerate((1.0, 3.0, -1.0)):  # trial n takes q of n % 3
+        sqrt_r[n::3] = ca._difference_table(make_sqrt_r_kernel(q), dec.eigenvalues[n::3])
+        r_table[n::3] = ca._difference_table(make_r_kernel(q), dec.eigenvalues[n::3])
     once = _hadamard(dec, sqrt_r, x)
     twice = _hadamard(dec, sqrt_r, once)
-    r_table = ca._difference_table([make_r_kernel(q) for q in qs], dec.eigenvalues)
     direct = _hadamard(dec, r_table, x)
     back = _hadamard(dec, 1.0 / sqrt_r, once)
     out = _hadamard(dec, sqrt_r, xs)

@@ -170,9 +170,9 @@ def test_stack_failing_only_in_its_last_matrix_raises(kind, monkeypatch):
         with pytest.raises(ca.KernelDomainError, match=re.escape(repr((bad,))) if named else None):
             ca._matfun(f, dec)
         if named:  # f(v_0 - bad) is the first non-finite difference too, in full or mirrored
-            for kernels in (f, ScalarKernel(kind, f, (), parity="odd"), [SIGMA] * 19 + [f]):
+            for kernel in (f, ScalarKernel(kind, f, (), parity="odd")):
                 with pytest.raises(ca.KernelDomainError, match=pair):
-                    ca._difference_table(kernels, vals)
+                    ca._difference_table(kernel, vals)
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 3), (5, 2), (17, 4)])
@@ -200,11 +200,11 @@ def test_tables_match_per_entry_evaluation_to_the_bit(n, d, monkeypatch):
 # bytes so that the sign of a zero counts
 
 
-def _every_pair(kernels, vals) -> np.ndarray:
-    """k(v_i - v_j) at each pair of each row, one kernel per row, as one array."""
+def _every_pair(k, vals) -> np.ndarray:
+    """k(v_i - v_j) at each pair of each row, as one array."""
     rows = vals.reshape(-1, vals.shape[-1]).tolist()
     return np.array([[[float(k(a - b)) for b in row] for a in row]
-                     for k, row in zip(kernels, rows)]).reshape(vals.shape + vals.shape[-1:])
+                     for row in rows]).reshape(vals.shape + vals.shape[-1:])
 
 
 def _spectra(rng, d: int, radius: float) -> dict:
@@ -219,18 +219,15 @@ def _spectra(rng, d: int, radius: float) -> dict:
     }
 
 
-def _assert_table_matches(kernels, vals):
+def _assert_table_matches(k, vals):
     # where an entry overflows (r kernels over 1e10-wide spectra), both raise
     try:
-        want = _every_pair(kernels, vals)
+        want = _every_pair(k, vals)
     except OverflowError:
         with pytest.raises(ca.KernelDomainError):
-            ca._difference_table(kernels, vals)
+            ca._difference_table(k, vals)
         return
-    got = ca._difference_table(kernels, vals)
-    assert got.tobytes() == want.tobytes()
-    if len(set(map(id, kernels))) == 1:
-        assert ca._difference_table(kernels[0], vals).tobytes() == want.tobytes()
+    assert ca._difference_table(k, vals).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, 8, 16))
@@ -239,7 +236,7 @@ def _assert_table_matches(kernels, vals):
 def test_mirrored_difference_tables_equal_every_pair_to_the_bit(kernel, d):
     rng = make_rng(40 + d)
     for vals in _spectra(rng, d, kernel.switch_radius).values():
-        _assert_table_matches([kernel] * len(vals), vals)
+        _assert_table_matches(kernel, vals)
 
 
 def test_zeros_are_evaluated_at_their_mirror():
@@ -254,13 +251,21 @@ def test_zeros_are_evaluated_at_their_mirror():
 
 
 @pytest.mark.parametrize("d", (1, 3, 8))
-def test_per_row_kernels_mixing_parity_and_none_equal_every_pair(d):
-    mixed = [SIGMA, math.exp, GAMMA, lambda t: t * t - 1.0, make_sinh_ratio_kernel(0.0), ETA]
+def test_tables_of_each_kernel_kind_equal_every_pair(d):
+    # declared parity (odd, even, a zero mirrored by sign) and none (a function,
+    # a lambda, ETA), each over 3 rows and over 12
+    kinds = [SIGMA, math.exp, GAMMA, lambda t: t * t - 1.0, make_sinh_ratio_kernel(0.0), ETA]
     rng = make_rng(50 + d)
     for vals in _spectra(rng, d, 0.25).values():
-        vals = np.concatenate([vals] * 4)  # 12 rows over 6 kernels, in runs and alone
-        _assert_table_matches([mixed[n % 6] for n in range(len(vals))], vals)
-        _assert_table_matches([mixed[n // 2 % 6] for n in range(len(vals))], vals)
+        for k in kinds:
+            _assert_table_matches(k, vals)
+            _assert_table_matches(k, np.concatenate([vals] * 4))
+
+
+def test_a_list_of_kernels_is_not_a_kernel():
+    g = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(TypeError):
+        ca.f_of_ad_spectral([SIGMA], g, np.ones((3, 3)))
 
 
 def test_eta_declared_even_gives_a_wrong_table():
@@ -268,8 +273,8 @@ def test_eta_declared_even_gives_a_wrong_table():
     # upper triangle cannot reproduce the table of every pair
     wrong = dataclasses.replace(ETA, parity="even")
     vals = make_rng(60).uniform(-2.0, 2.0, (2, 4))
-    assert ca._difference_table(wrong, vals).tobytes() != _every_pair([wrong] * 2, vals).tobytes()
-    assert ca._difference_table(ETA, vals).tobytes() == _every_pair([ETA] * 2, vals).tobytes()
+    assert ca._difference_table(wrong, vals).tobytes() != _every_pair(wrong, vals).tobytes()
+    assert ca._difference_table(ETA, vals).tobytes() == _every_pair(ETA, vals).tobytes()
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, 8, 16))
@@ -322,11 +327,8 @@ def _table_builds(vals, rng):
     dec = EigenDecomposition._trusted(np.tile(np.eye(d), (n, 1, 1)), vals)
     spd = EigenDecomposition._trusted(dec.q, np.exp(np.clip(vals, -700.0, 700.0)))
     x, w = rng.uniform(-1.0, 1.0, (2, n, d, d))
-    kernels = ALL_FIXED_KERNELS + PARAM_KERNELS + [math.exp]
     builds = {getattr(k, "name", "exp"): (lambda k=k: ca._difference_table(k, vals))
-              for k in kernels}
-    builds["per-row kernels"] = lambda: ca._difference_table(
-        [kernels[r % len(kernels)] for r in range(n)], vals)
+              for k in ALL_FIXED_KERNELS + PARAM_KERNELS + [math.exp]}
     builds["d_exp"] = lambda: ca._d_exp(dec, x)
     builds["d_log"] = lambda: ca._d_log(spd, x)
     scales = rng.uniform(-2.0, 2.0, n).tolist()
@@ -359,7 +361,7 @@ def test_array_tables_equal_entry_by_entry_tables_to_the_bit(d, monkeypatch):
     spectra["signed zeros"] = rng.choice([-0.0, 0.0, 1.0], (3, d))
     spectra["beyond exp"] = rng.uniform(-1000.0, 1000.0, (3, d))  # e^v overflows
     for kind, vals in spectra.items():
-        vals = np.concatenate([vals] * 4)  # per-row kernels in runs of one
+        vals = np.concatenate([vals] * 4)  # 12 rows
         for name, build in _table_builds(vals, rng).items():
             got = [_outcome(build) for _ in _both_paths(monkeypatch)]
             assert got[0] == got[1], (kind, name)
@@ -385,10 +387,10 @@ def test_stacks_on_both_sides_of_the_crossover_equal_every_pair(side):
     mirrored = rng.uniform(-1.0, 1.0, (-(-(sf._ARRAY_MIN - 1) // 3) + side, 3))
     assert (3 * len(mirrored) + 1 >= sf._ARRAY_MIN) == (side == 0)
     got = ca._difference_table(SIGMA, mirrored)
-    assert got.tobytes() == _every_pair([SIGMA] * len(mirrored), mirrored).tobytes()
+    assert got.tobytes() == _every_pair(SIGMA, mirrored).tobytes()
     full = rng.uniform(-1.0, 1.0, (-(-sf._ARRAY_MIN // 9) + side, 3))
     assert (9 * len(full) >= sf._ARRAY_MIN) == (side == 0)
-    want = _every_pair([ETA] * len(full), full)
+    want = _every_pair(ETA, full)
     assert ca._difference_table(ETA, full).tobytes() == want.tobytes()
     b = np.exp(full)
     want = np.array([[[-ki._pair_coefficient(p, q) for q in row] for p in row]
@@ -1029,6 +1031,19 @@ def test_power_function_commutator_rule_fd():
         c = ca.ad(a, x)
         fd = ca.gateaux_fd(lambda m, k=k: np.linalg.matrix_power(m, k), a, c, h=h)
         assert frobenius_norm(lhs - fd) <= 1e-6 * (1.0 + frobenius_norm(lhs))
+
+
+@pytest.mark.parametrize("h", [0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_gateaux_fd_refuses_a_step_that_cannot_work(h):
+    with pytest.raises(ValueError, match="step h must be finite and nonzero"):
+        ca.gateaux_fd(ca.matexp_series, np.diag([1.0, 2.0, 3.0]), np.ones((3, 3)), h=h)
+
+
+def test_gateaux_fd_takes_a_negative_step():
+    rng = make_rng(49)
+    a, x = random_symmetric(rng, 3), random_matrix(rng, 3)
+    fd = ca.gateaux_fd(ca.matexp_series, a, x, h=1e-5)
+    np.testing.assert_array_equal(ca.gateaux_fd(ca.matexp_series, a, x, h=-1e-5), fd)
 
 
 def test_power_function_commutator_rule_exact():

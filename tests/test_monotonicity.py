@@ -123,6 +123,22 @@ def test_commutation_requires_poly_or_step():
         mo.isotropic_commutation_residual(no_matrix_eval, a, y, h=1e-4)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_commutation_refuses_a_step_that_cannot_work(h):
+    rng = make_rng(77)
+    a, y = random_symmetric(rng, 3), random_matrix(rng, 3)
+    with pytest.raises(ValueError, match="step h must be finite and nonzero"):
+        mo.isotropic_commutation_residual(mo.exponential_generator(), a, y, h=h)
+
+
+def test_commutation_takes_a_negative_step():
+    rng = make_rng(77)
+    a, y = random_symmetric(rng, 3), random_matrix(rng, 3)
+    gen = mo.exponential_generator()
+    res = mo.isotropic_commutation_residual(gen, a, y, h=1e-5)
+    assert mo.isotropic_commutation_residual(gen, a, y, h=-1e-5) == res
+
+
 # ---------------------------------------------------------------------------
 # the square-root operator
 

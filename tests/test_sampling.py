@@ -5,7 +5,7 @@ import pytest
 
 from corotcalc import kinematics as ki
 from corotcalc import monotonicity as mo
-from corotcalc import sampling
+from corotcalc import sampling, verify
 from corotcalc.sampling import (
     _draw_trials,
     make_rng,
@@ -143,3 +143,26 @@ def test_seed_that_is_not_an_integer_is_refused(call, seed):
                          ids=lambda s: type(s).__name__)
 def test_numpy_integer_seed_keys_the_stream_of_the_int(seed):
     assert make_rng(seed).integers(2**62) == make_rng(7).integers(2**62)
+
+
+def _no_draws(seed):
+    raise AssertionError(f"a generator was keyed {seed}")
+
+
+@pytest.mark.parametrize("trials", [sampling.MAX_TRIALS + 1, 2**62])
+def test_trial_counts_above_max_trials_are_refused_before_drawing(trials, monkeypatch):
+    # a stack of them would take all memory (numpy's MemoryError at 10**9 trials)
+    monkeypatch.setattr(sampling, "make_rng", _no_draws)
+    bound = re.escape(f"trials must be at most MAX_TRIALS = {sampling.MAX_TRIALS}")
+    with pytest.raises(ValueError, match=bound):
+        _draw_trials(5, trials, ("sym", 1.0))
+    with pytest.raises(ValueError, match=bound):
+        mo.equivalence_check(mo.identity_generator(), trials, 1, 1, 0)
+    for name in verify.SUITE_NAMES:
+        with pytest.raises(ValueError, match=bound):
+            verify.run_suite(name, 1, trials)
+
+
+def test_max_trials_is_accepted_and_shared_with_verify():
+    assert verify.MAX_TRIALS is sampling.MAX_TRIALS
+    assert _draw_trials(5, sampling.MAX_TRIALS, ("scalar", 1.0))[0].shape == (sampling.MAX_TRIALS,)

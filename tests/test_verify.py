@@ -71,7 +71,7 @@ def _spy_on_table_builders(monkeypatch) -> list:
 
     A table is one pair function (code and captured objects) over one set of
     eigenvalues with the same per-row arguments (by value), or one commutator
-    kernel per row (by identity) over one set of eigenvalues.
+    kernel (by identity) over one set of eigenvalues.
     """
     builds = []  # holds every kernel and argument, so no id is reused
     each_pair, difference_table = ca._each_pair, ca._difference_table
@@ -82,11 +82,9 @@ def _spy_on_table_builders(monkeypatch) -> list:
         builds.append(("each", key, np.asarray(values).tobytes(), entry, per_row))
         return each_pair(entry, array, values, *per_row)
 
-    def counting_differences(kernels, values):
-        vals = np.asarray(values)
-        per_row = [kernels] * (vals.size // vals.shape[-1]) if callable(kernels) else kernels
-        builds.append(("difference", tuple(map(id, per_row)), vals.tobytes(), per_row))
-        return difference_table(kernels, values)
+    def counting_differences(k, values):
+        builds.append(("difference", id(k), np.asarray(values).tobytes(), k))
+        return difference_table(k, values)
 
     spies = {"_each_pair": counting_each, "_difference_table": counting_differences}
     for mod in (ca, ki, mo):

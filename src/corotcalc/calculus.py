@@ -519,7 +519,7 @@ def adjoint_residuals(a, x, y, kernel) -> tuple:
     dec = _jacobi(_require_symmetric(aa))
     table = _difference_table(kernel, dec.eigenvalues)
     fx, fy = _hadamard(dec, table, xx), _hadamard(dec, table, yy)
-    flipped = _difference_table(lambda t: kernel(-t), dec.eigenvalues)
+    flipped = _difference_table(kernel, -dec.eigenvalues)
     r1 = frobenius_norm(fx.T - _hadamard(dec, flipped, xx.T))
     r2 = abs(float(np.sum(fx * yy)) - float(np.sum(xx * fy)))
     return r1, r2

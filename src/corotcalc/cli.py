@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 a verification row failed; 2 malformed input (bad
 JSON or payload, non-symmetric D, non-skew W, a malformed flag, config
 value or COROTCALC_TOL, a ``simulate --dim`` above ``kinematics.MAX_DIM``
-or more ``--rates`` than that, a spin that leaves the float range, a motion
+or more ``--rates`` than that, a spin that leaves the float range, a
+classical spin weight that fails at a quotient b_i/b_j beyond it, a motion
 that needs more dimensions, a trajectory over ``kinematics.MAX_STEPS`` or
 ``MAX_RECORD_BYTES``, a trajectory whose B leaves the float range, or an
 unwritable ``--out``); 3 B is not positive definite; 4 integrator abort.
@@ -37,6 +38,7 @@ from .matcore import (
     SymMatrix,
     frobenius_norm,
 )
+from .scalarfun import KernelDomainError
 from .verify import KEY_OFFSET, MAX_TRIALS, SUITE_NAMES, run_suites
 
 EXIT_OK = 0
@@ -203,6 +205,9 @@ def cmd_spin(args) -> int:
         out["omega_log"] = Matrix(omega).to_json_dict()
     except MatrixValidationError as exc:
         print(f"error: the spin leaves the float range: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except KernelDomainError as exc:  # b_i/b_j underflows to 0 or overflows
+        print(f"error: the classical spin weight c(b_i, b_j) fails: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     print(json.dumps(out, sort_keys=True, indent=2))
     return EXIT_OK

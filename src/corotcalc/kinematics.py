@@ -61,14 +61,14 @@ class IntegrationAbort(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# the eigenprojection spin coefficient
+# the eigenprojection spin weight
 #
-# For an eigenvalue pair (b_i, b_j) of the left Cauchy-Green tensor the
-# classical spin weight is (1+r)/(1-r) + 2/ln(r) with r = b_i/b_j.  Both
-# terms blow up as r -> 1 while their sum stays O(ln r), so near r = 1 the
-# weight is evaluated from its own series in u = r - 1 (a plain ln(1+u)
-# quotient expansion, independent of the sigma kernel used by the
-# commutator form):  c(u) = -1 - 2 Q(u),  Q = (ln(1+u) - u)/(u ln(1+u)).
+# For an eigenvalue pair (b_i, b_j) of the left Cauchy-Green tensor the spin
+# table holds -c, c = (1+r)/(1-r) + 2/ln(r) the classical weight, r = b_i/b_j.
+# Both terms blow up as r -> 1 while their sum stays O(ln r), so near r = 1
+# -c is evaluated from its own series in u = r - 1 (a plain ln(1+u) quotient
+# expansion, independent of the sigma kernel used by the commutator form):
+# -c(u) = 1 + 2 Q(u),  Q = (ln(1+u) - u)/(u ln(1+u)).
 
 _SPIN_SERIES_DEGREE = 28
 _SPIN_SERIES_SWITCH = 0.25
@@ -78,30 +78,30 @@ _SPIN_SERIES = [float(c) for c in _div(_LOG1P[2:], _LOG1P[1:])]
 
 
 def _spin_series(u):
-    """-1 - 2 Q(u) by Horner's rule, at a float or at each entry of an array."""
+    """1 + 2 Q(u) by Horner's rule, at a float or at each entry of an array."""
     q = 0.0
     for c in reversed(_SPIN_SERIES):
         q = q * u + c
-    return -1.0 - 2.0 * q
+    return 1.0 + 2.0 * q
 
 
-def _pair_coefficient(b_i: float, b_j: float) -> float:
+def _pair_weight(b_i: float, b_j: float) -> float:
     u = (b_i - b_j) / b_j
     if abs(u) <= _SPIN_SERIES_SWITCH:
         return _spin_series(u)
     # ln r, not ln(1+u): u rounds to -1 when b_i << b_j.
     r = b_i / b_j
-    return (1.0 + r) / (1.0 - r) + 2.0 / math.log(r)
+    return (1.0 + r) / (r - 1.0) - 2.0 / math.log(r)
 
 
-def _pair_coefficients(b_i: np.ndarray, b_j: np.ndarray) -> np.ndarray:
-    """``_pair_coefficient`` at each pair of entries of two arrays, to the bit."""
+def _pair_weights(b_i: np.ndarray, b_j: np.ndarray) -> np.ndarray:
+    """``_pair_weight`` at each pair of entries of two arrays, to the bit."""
     u = (b_i - b_j) / b_j
     near = np.abs(u) <= _SPIN_SERIES_SWITCH
     out = np.empty(u.shape)
     out[near] = _spin_series(u[near])
     r = (b_i / b_j)[~near]
-    out[~near] = (1.0 + r) / (1.0 - r) + 2.0 / _mapped(math.log, r)
+    out[~near] = (1.0 + r) / (r - 1.0) - 2.0 / _mapped(math.log, r)
     return out
 
 
@@ -130,8 +130,7 @@ def _spin(dec, d, w, commutator: bool) -> np.ndarray:
     if commutator:
         table = _difference_table(SIGMA, 0.5 * np.log(dec.eigenvalues))
     else:
-        table = _each_pair(lambda x, y: -_pair_coefficient(x, y),
-                           lambda x, y: -_pair_coefficients(x, y), dec.eigenvalues)
+        table = _each_pair(_pair_weight, _pair_weights, dec.eigenvalues)
     m = _hadamard(dec, table, d)
     return w - 0.5 * (m - m.swapaxes(-1, -2))
 
@@ -291,7 +290,7 @@ MAX_STEPS = 10**7
 MAX_RECORD_BYTES = 2**28
 # The largest d whose one sample fits in MAX_RECORD_BYTES: 1404.
 MAX_DIM = math.isqrt((MAX_RECORD_BYTES - 1200) // 136)
-# Steps whose F are kept at once, to check det F > 0 as one stack.
+# Steps whose F are kept at once, to check det F > 0 as one stack; fewer above d = 45.
 _STEP_CHUNK = 1000
 
 
@@ -377,9 +376,10 @@ def integrate_motion(
         ms = itertools.repeat(_rk4_matrix(*[field.constant] * 3, dt))
     times = [k * dt for k in range(0, n_steps + 1, record_every)]
     fs, dets = [f[None]], [det_f]
-    chunk = np.empty((min(n_steps, _STEP_CHUNK),) + f.shape)
-    for start in range(0, n_steps, _STEP_CHUNK):
-        stop = min(start + _STEP_CHUNK, n_steps)
+    steps = min(_STEP_CHUNK, (MAX_RECORD_BYTES >> 4) // f.nbytes)  # 16 MB; >= 1 F at MAX_DIM
+    chunk = np.empty((min(n_steps, steps),) + f.shape)
+    for start in range(0, n_steps, steps):
+        stop = min(start + steps, n_steps)
         block = chunk[: stop - start]
         if field.constant is None:
             ts = [k * dt for k in range(start, stop)]

@@ -202,8 +202,7 @@ def _suite_lemma6(seed: int, trials: int) -> list:
     table, flipped = np.empty((2, trials, 3, 3))
     for n, f in enumerate((SIGMA, GAMMA, math.exp)):  # trial n takes kernel n % 3
         table[n::3] = ca._difference_table(f, dec.eigenvalues[n::3])
-        # f(-t) declares no parity, so the flipped table is evaluated in full
-        flipped[n::3] = ca._difference_table(lambda t, f=f: f(-t), dec.eigenvalues[n::3])
+        flipped[n::3] = ca._difference_table(f, -dec.eigenvalues[n::3])
     fx, fy = _hadamard(dec, table, x), _hadamard(dec, table, y)
     fxt = _hadamard(dec, flipped, x.swapaxes(1, 2))
     return [

@@ -239,6 +239,25 @@ def test_mirrored_difference_tables_equal_every_pair_to_the_bit(kernel, d):
         _assert_table_matches(kernel, vals)
 
 
+@pytest.mark.parametrize("d", (1, 2, 3, 8, 16))
+def test_table_over_negated_values_is_the_flipped_kernel_to_the_bit(d, monkeypatch):
+    # f(-ad_A) as f's table over -lambda: (-v_i) - (-v_j) is -(v_i - v_j) but
+    # +0.0 where that is -0.0, and every kernel has the same bits at both zeros
+    rng = make_rng(60 + d)
+    for k in ALL_FIXED_KERNELS + PARAM_KERNELS + [math.exp]:
+        for vals in _spectra(rng, d, getattr(k, "switch_radius", 1.0)).values():
+            try:
+                want = _every_pair(lambda t: k(-t), vals).tobytes()
+            except OverflowError:  # r kernels and exp over 1e10-wide spectra
+                want = None
+            for _ in _both_paths(monkeypatch):
+                if want is None:
+                    with pytest.raises(ca.KernelDomainError):
+                        ca._difference_table(k, -vals)
+                else:
+                    assert ca._difference_table(k, -vals).tobytes() == want
+
+
 def test_zeros_are_evaluated_at_their_mirror():
     # sinh(0 x/2)/sinh(x/2) x is +0.0 at x > 0.25 and -0.0 at -x, so 0.0 - t
     # would mirror it wrongly; sigma is +0.0 at both x and -x near the
@@ -393,10 +412,8 @@ def test_stacks_on_both_sides_of_the_crossover_equal_every_pair(side):
     want = _every_pair(ETA, full)
     assert ca._difference_table(ETA, full).tobytes() == want.tobytes()
     b = np.exp(full)
-    want = np.array([[[-ki._pair_coefficient(p, q) for q in row] for p in row]
-                     for row in b.tolist()])
-    assert ca._each_pair(lambda p, q: -ki._pair_coefficient(p, q),
-                         lambda p, q: -ki._pair_coefficients(p, q), b).tobytes() == want.tobytes()
+    want = np.array([[[ki._pair_weight(p, q) for q in row] for p in row] for row in b.tolist()])
+    assert ca._each_pair(ki._pair_weight, ki._pair_weights, b).tobytes() == want.tobytes()
 
 
 def _failing(spectrum):

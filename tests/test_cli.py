@@ -527,6 +527,28 @@ def test_spin_b_eigenvalue_beyond_float_range_exit_2_as_console_script(method, t
     assert proc.stdout == ""
 
 
+# SPD B whose eigenvalue quotient leaves the float range: r = b_i/b_j underflows
+# to 0 (ln 0 fails) or overflows (the classical weight is NaN)
+@pytest.mark.parametrize("b", [[[1e-200, 0.0], [0.0, 1e150]], [[1e-310, 0.0], [0.0, 1.0]]])
+@pytest.mark.parametrize("method", ["spectral", "both", "commutator"])
+def test_spin_classical_weight_beyond_float_range_exit_2_as_console_script(method, b, tmp_path):
+    path = tmp_path / "quotient.json"
+    path.write_text(json.dumps(dict(OVERFLOW_PAYLOAD, B={"dim": 2, "rows": b},
+                                    D={"dim": 2, "rows": [[0.0, 1.0], [1.0, 0.0]]})))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corotcalc.cli", "spin", "--input", str(path), "--method", method],
+        capture_output=True, text=True, timeout=60,
+    )
+    if method == "commutator":  # the sigma kernel at the log strain is finite
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["omega_log"]["dim"] == 2
+        return
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: the classical spin weight c(b_i, b_j) fails: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert proc.stdout == ""
+
+
 def test_spin_discrepancy_of_spins_above_1e154_is_finite_json(tmp_path, capsys):
     # spins of about 4.4e290: the squares in the discrepancy's norm overflow
     payload = dict(OVERFLOW_PAYLOAD, D={"dim": 2, "rows": [[1e308, 1e308], [1e308, -1e308]]})

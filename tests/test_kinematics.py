@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -110,7 +111,7 @@ def test_spin_pair_coefficient_vs_high_precision():
     for b_i, b_j in pairs:
         r = mp.mpf(b_i) / mp.mpf(b_j)
         ref = float((1 + r) / (1 - r) + 2 / mp.log(r))
-        got = ki._pair_coefficient(b_i, b_j)
+        got = -ki._pair_weight(b_i, b_j)
         assert abs(got - ref) <= 1e-13 * (1.0 + abs(ref))
 
 
@@ -404,6 +405,44 @@ def test_integrate_records_across_step_chunks(chunk, monkeypatch):
     with pytest.raises(ki.IntegrationAbort) as ei:
         ki.integrate_motion(ki.pure_stretch((-160.0, 0.0)), np.eye(2), 6.0, 1e-2)
     assert (ei.value.step, ei.value.det_f) == (570, 0.0)
+
+
+def test_step_chunk_stays_under_a_sixteenth_of_the_record_bound(monkeypatch):
+    # at d = 200 a chunk of 1000 F's would be 320 MB; 100 steps are 32 MB
+    bound, sizes = ki.MAX_RECORD_BYTES >> 4, []
+    det = np.linalg.det
+
+    def spy(a):
+        sizes.append(a.nbytes)
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", spy)
+    samples = ki.integrate_motion(ki.simple_shear(1.0, dim=200), np.eye(200), 0.1, 1e-3, 1000)
+    assert len(samples) == 1
+    assert sizes[1:] == [52 * 320_000, 48 * 320_000]  # after det F0: 100 steps, 52 a chunk
+    assert max(sizes) <= bound
+
+
+def _overflow_warnings() -> list:
+    with pytest.warns(RuntimeWarning) as record:
+        with pytest.raises(matcore.MatrixValidationError):
+            ki.integrate_motion(ki.pure_stretch((1000.0,)), np.eye(1), 20.0, 1e-2)
+    return [str(w.message) for w in record]
+
+
+def test_step_chunks_leave_the_default_shear_unchanged(monkeypatch):
+    # one det per step, whatever the chunk: the samples of 7-step chunks are
+    # bit-identical, and an overflow is reported at the same step
+    want = ki.integrate_motion(ki.simple_shear(1.0), np.eye(3), 1.0, 1e-3)
+    warned = _overflow_warnings()
+    monkeypatch.setattr(ki, "_STEP_CHUNK", 7)
+    got = ki.integrate_motion(ki.simple_shear(1.0), np.eye(3), 1.0, 1e-3)
+    assert len(got) == len(want) == 1001
+    for g, w in zip(got, want):
+        for field in dataclasses.fields(w):
+            value = np.asarray(getattr(w, field.name))
+            assert np.asarray(getattr(g, field.name)).tobytes() == value.tobytes(), field.name
+    assert _overflow_warnings() == warned
 
 
 def test_constant_fields_declare_their_gradient():

@@ -15,6 +15,7 @@ import pytest
 from corotcalc import calculus as ca
 from corotcalc import matcore as mc
 from corotcalc import scalarfun as sf
+from corotcalc import verify
 
 N, D = 12, 3  # 108 table entries: the array path
 
@@ -79,3 +80,40 @@ def test_one_taylor_sum_for_all_diagonal_zeros(name, taylor_args):
     call()
     assert [x for x in taylor_args if x == 0.0] == [0.0]  # one sum for the 36 zeros
     assert len(taylor_args) == 1 + near
+
+
+# f(-ad_A) is f's own table over -lambda, so a flipped table takes the array
+# path as the plain one does: no entry goes through ScalarKernel.__call__
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The number of ``ScalarKernel.__call__`` calls made since the fixture was set up."""
+    calls = [0]
+    original = sf.ScalarKernel.__call__
+
+    def spy(self, x):
+        calls[0] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(sf.ScalarKernel, "__call__", spy)
+    return calls
+
+
+def test_lemma6_tables_take_the_array_path(kernel_calls, taylor_args):
+    # 200 trials: each of SIGMA and GAMMA gets 67 or 66 trials, 3 pairs each and k(0.0)
+    assert 66 * 3 + 1 >= sf._ARRAY_MIN
+    verify._suite_lemma6(1, 200)
+    assert kernel_calls[0] == 0
+    assert [t for t in taylor_args if t == 0.0] == [0.0] * 4  # a table and its flip, per kernel
+
+
+@pytest.mark.parametrize("kernel", [sf.SIGMA, sf.GAMMA, sf.ETA], ids=lambda k: k.name)
+def test_adjoint_residuals_tables_take_the_array_path(kernel, kernel_calls, taylor_args):
+    d = 16  # 121 entries a mirrored table, 256 a full one
+    assert d * (d - 1) // 2 + 1 >= sf._ARRAY_MIN
+    rng = np.random.default_rng(24)
+    a, x, y = rng.standard_normal((3, d, d))
+    ca.adjoint_residuals(a + a.T, x, y, kernel)
+    assert kernel_calls[0] == 0
+    assert [t for t in taylor_args if t == 0.0] == [0.0] * 2

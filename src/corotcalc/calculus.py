@@ -41,9 +41,10 @@ from .scalarfun import (
     _checked,
     _evaluated,
     _eta_series,
+    _exp,
     _exp_series,
+    _log,
     _log1p_series,
-    _mapped,
     _sigma_series,
     make_r_kernel,
     make_sandwich_kernel,
@@ -199,7 +200,8 @@ def _difference_table(k, values) -> np.ndarray:
 def _matfun(f: Callable[[float], float], dec: EigenDecomposition) -> np.ndarray:
     """Q f(Lambda) Q^T, symmetrized; one per matrix of a stacked dec."""
     vals = dec.eigenvalues
-    table = _evaluated(lambda: map(f, vals.ravel().tolist()), vals.size).reshape(vals.shape)
+    whole = getattr(f, "_takes_arrays", False) and (lambda: f(vals))  # a marked f takes them all
+    table = _evaluated(lambda: map(f, vals.ravel().tolist()), vals.size, whole).reshape(vals.shape)
     return _spectral(dec.q, _checked(table, vals))
 
 
@@ -394,7 +396,7 @@ def d_exp(a, x, method: str = "auto") -> np.ndarray:
 def _d_exp(dec: EigenDecomposition, x) -> np.ndarray:
     """The spectral ``d_exp`` in the eigenbasis of dec; a stacked dec takes a stack X."""
     def over(a, b):  # e^v once per eigenvalue: e^a down a column, e^b its transpose
-        e = _mapped(math.exp, a)
+        e = _exp(a)
         return np.where(b > a, e.swapaxes(-1, -2), e) * ETA_NEG.over(abs(a - b))
 
     table = _each_pair(lambda a, b: math.exp(max(a, b)) * ETA_NEG(abs(a - b)), over,
@@ -416,7 +418,7 @@ def _d_log(dec: EigenDecomposition, x) -> np.ndarray:
     """``d_log`` in the eigenbasis of dec; a stacked dec takes a stack X, or
     several such stacks on a leading axis, all through one table."""
     table = _each_pair(lambda a, b: ETA_NEG_RECIP(math.log(a / b)) / a,
-                       lambda a, b: ETA_NEG_RECIP.over(_mapped(math.log, a / b)) / a,
+                       lambda a, b: ETA_NEG_RECIP.over(_log(a / b)) / a,
                        dec.eigenvalues)
     return _hadamard(dec, table, x)
 
@@ -504,9 +506,10 @@ def exp_conjugation(a, y, s: float = 1.0, method: str = "auto") -> np.ndarray:
 
 def _exp_conjugation(dec: EigenDecomposition, y, s) -> np.ndarray:
     """Spectral ``exp_conjugation`` in the eigenbasis of dec, one s per matrix."""
-    table = _each_pair(lambda a, b, s: math.exp(s * (a - b)),
-                       lambda a, b, s: _mapped(math.exp, s * (a - b)), dec.eigenvalues, s)
-    return _hadamard(dec, table, y)
+    def entry(a, b, s):  # at two eigenvalues, or over arrays of them
+        return _exp(s * (a - b))
+
+    return _hadamard(dec, _each_pair(entry, entry, dec.eigenvalues, s), y)
 
 
 def adjoint_residuals(a, x, y, kernel) -> tuple:

@@ -257,7 +257,7 @@ def write_trajectory_csv(samples, path: str) -> None:
     lines = ["t,res_eq5,res_eq40,spin_agreement,det_F"]
     for s in samples:
         row = (s.t, s.rate_residual, s.evolution_residual, s.spin_agreement, s.det_f)
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g" % row)  # _fmt's bytes, one format per row
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -30,7 +30,7 @@ from .matcore import (
     eigendecompose_symmetric,
 )
 from .sampling import make_rng
-from .scalarfun import SIGMA, _div, _log1p_series, _mapped
+from .scalarfun import SIGMA, KernelDomainError, _div, _log, _log1p_series, _takes_arrays
 
 __all__ = [
     "IntegrationAbort",
@@ -101,7 +101,7 @@ def _pair_weights(b_i: np.ndarray, b_j: np.ndarray) -> np.ndarray:
     out = np.empty(u.shape)
     out[near] = _spin_series(u[near])
     r = (b_i / b_j)[~near]
-    out[~near] = (1.0 + r) / (r - 1.0) - 2.0 / _mapped(math.log, r)
+    out[~near] = (1.0 + r) / (r - 1.0) - 2.0 / _log(r)
     return out
 
 
@@ -109,8 +109,9 @@ def _pair_weights(b_i: np.ndarray, b_j: np.ndarray) -> np.ndarray:
 # strain and spin
 
 
+@_takes_arrays
 def _half_log(v: float) -> float:
-    return 0.5 * math.log(v)
+    return 0.5 * _log(v)
 
 
 def hencky(b) -> np.ndarray:
@@ -414,7 +415,10 @@ def integrate_motion(
     d = 0.5 * (l_all + l_all.swapaxes(1, 2))
     w = 0.5 * (l_all - l_all.swapaxes(1, 2))
     omega = _spin(dec, d, w, commutator=True)
-    agreement = _norms(omega - _spin(dec, d, w, commutator=False)).tolist()
+    try:
+        agreement = _norms(omega - _spin(dec, d, w, commutator=False)).tolist()
+    except KernelDomainError as exc:  # b_i/b_j underflows to 0 or overflows
+        raise KernelDomainError(f"the classical spin weight c(b_i, b_j) fails: {exc}") from exc
     h_dot = 0.5 * _d_log(dec, db_dt)
     rate_res = _norms(_corotational(h, h_dot, omega) - d).tolist()
 

@@ -17,10 +17,10 @@ series branches agree to well below 1e-12 across the whole hand-over ring
 |x| in [radius/2, 2*radius].
 
 A table of values of a scalar function is evaluated over whole arrays from
-_ARRAY_MIN entries on, to the bit as entry by entry: +, -, *, / and
-comparisons in numpy, which rounds them as Python floats do, and every
-transcendental function through ``math``, one entry at a time, as numpy's
-own are CPU-dependent.
+_ARRAY_MIN entries on, to the bit as entry by entry: +, -, *, / and comparisons
+in numpy, which rounds them as Python floats do, and every transcendental
+function through ``math`` at each entry (numpy's own are CPU-dependent), so each
+kernel's direct branch is one formula for a number or an array.
 """
 
 from __future__ import annotations
@@ -150,18 +150,19 @@ class ScalarKernel:
         return self.direct(x)
 
     def over(self, x: np.ndarray) -> np.ndarray:
-        """The kernel at each entry of a float array, to the bit as called at each:
-        the branch is tested once for the whole array, then each entry goes
-        through ``taylor_eval`` or ``direct``, which raise as they do alone.  The
-        Taylor branch's exact zeros (a no-parity difference table's diagonal,
-        ln(b_i/b_i), |a_i - a_i|, repeated eigenvalues) share one taylor_eval(0.0):
-        at +-0.0 each term is a signed zero or the constant, so both signs agree."""
+        """The kernel at each entry of a float array, to the bit as called at each.  The
+        branch is tested once for the whole array.  A direct branch that takes arrays
+        (every kernel here) gets all its entries in one call; any other, or one whose call
+        fails (``_guarded``), gets each alone and raises as alone.  The Taylor branch's zeros
+        (no-parity tables' diagonals, ln(b_i/b_i), |a_i - a_i|, repeated eigenvalues) share
+        one taylor_eval(0.0): at +-0.0 each term is a signed zero or the constant."""
         near = np.abs(x) < self.switch_radius
         out = np.empty(x.shape)
-        xs = x[near].tolist()
+        xs, far = x[near].tolist(), x[~near]
         at_zero = self.taylor_eval(0.0) if 0.0 in xs else None
         out[near] = [at_zero if v == 0.0 else self.taylor_eval(v) for v in xs]
-        out[~near] = [*map(self.direct, x[~near].tolist())]
+        whole = getattr(self.direct, "_takes_arrays", False) and (lambda: self.direct(far))
+        out[~near] = _guarded(whole, lambda: [*map(self.direct, far.tolist())])
         return out
 
 
@@ -187,27 +188,46 @@ def _mapped(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+def _guarded(array, each):
+    """array() where given, unless it raises, divides by zero or makes a NaN; else each()."""
+    if array:
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+                return array()
+        except (ArithmeticError, ValueError):
+            pass
+    return each()
+
+
 def _evaluated(entries, count: int, array=None) -> np.ndarray:
     """The ``count`` values of a table, flat, from ``entries()``, which gives them
     one by one in row-major order.
 
     ``array()``, where given, computes the same bits with array operations
     (IEEE arithmetic in numpy, transcendental functions through ``math``) and
-    is taken from _ARRAY_MIN entries on.  Where it raises, divides by zero or
-    makes a NaN, the entries are evaluated one by one instead, so that a
-    failing evaluation raises KernelDomainError with the error of the first
-    failing entry.
+    is taken from _ARRAY_MIN entries on.  Where it fails (see ``_guarded``), the
+    entries are evaluated one by one instead, so that a failing evaluation
+    raises KernelDomainError with the error of the first failing entry.
     """
-    if array is not None and count >= _ARRAY_MIN:
-        try:
-            with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
-                return array()
-        except (ArithmeticError, ValueError):
-            pass
     try:
-        return np.fromiter(entries(), float, count)
+        return _guarded(count >= _ARRAY_MIN and array, lambda: np.fromiter(entries(), float, count))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise KernelDomainError(f"function undefined at an eigenvalue: {exc}") from exc
+
+
+def _each(fn: Callable[[float], float]) -> Callable:
+    """``fn`` at a number, or through ``_mapped`` at each entry of an array."""
+    return lambda x: _mapped(fn, x) if isinstance(x, np.ndarray) else fn(x)
+
+
+_tanh, _expm1, _exp, _cosh, _sinh, _root, _log = map(
+    _each, (math.tanh, math.expm1, math.exp, math.cosh, math.sinh, math.sqrt, math.log))
+
+
+def _takes_arrays(f: Callable) -> Callable:
+    """``f``, marked for ``over`` and ``_matfun`` as taking a float array to its bits per entry."""
+    f._takes_arrays = True
+    return f
 
 
 def _checked(out: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -256,28 +276,34 @@ def _ratio_series(q: float, sign: int) -> list:
 # direct branches
 
 
+@_takes_arrays
 def _sigma_direct(x: float) -> float:
-    return 1.0 / math.tanh(x) - 1.0 / x
+    return 1.0 / _tanh(x) - 1.0 / x
 
 
+@_takes_arrays
 def _gamma_direct(x: float) -> float:
-    return (x / math.tanh(0.5 * x) - 2.0) / (x * x)
+    return (x / _tanh(0.5 * x) - 2.0) / (x * x)
 
 
+@_takes_arrays
 def _eta_direct(x: float) -> float:
-    return math.expm1(x) / x
+    return _expm1(x) / x
 
 
+@_takes_arrays
 def _eta_neg_direct(x: float) -> float:
-    return -math.expm1(-x) / x
+    return -_expm1(-x) / x
 
 
+@_takes_arrays
 def _eta_neg_recip_direct(x: float) -> float:
-    return x / (-math.expm1(-x))
+    return x / (-_expm1(-x))
 
 
+@_takes_arrays
 def _coth_half_x_direct(x: float) -> float:
-    return x / math.tanh(0.5 * x)
+    return x / _tanh(0.5 * x)
 
 
 # coth(x) - 1/x, value 0 at the origin; odd
@@ -322,10 +348,13 @@ def _kernel_factory(build):
 def make_r_kernel(q: float) -> ScalarKernel:
     """cosh(q x/2)/sinh(x/2) * x: even in x, positive, value 2 at the origin."""
 
+    @_takes_arrays
     def direct(x: float, _q=q) -> float:
         try:
-            return math.cosh(0.5 * _q * x) / math.sinh(0.5 * x) * x
+            return _cosh(0.5 * _q * x) / _sinh(0.5 * x) * x
         except OverflowError:  # exponent-difference form, overflows only with the value
+            if isinstance(x, np.ndarray):  # per entry only: ``over`` falls back to it
+                raise
             ax, aq = abs(x), abs(_q)
             return ax * math.exp(0.5 * (aq - 1) * ax) * (1 + math.exp(-aq * ax)) / -math.expm1(-ax)
 
@@ -336,10 +365,13 @@ def make_r_kernel(q: float) -> ScalarKernel:
 def make_sinh_ratio_kernel(q: float) -> ScalarKernel:
     """sinh(q x/2)/sinh(x/2) * x: odd in x, value 0 at the origin; x itself at q = 1."""
 
+    @_takes_arrays
     def direct(x: float, _q=q) -> float:
         try:
-            return math.sinh(0.5 * _q * x) / math.sinh(0.5 * x) * x
+            return _sinh(0.5 * _q * x) / _sinh(0.5 * x) * x
         except OverflowError:  # as for make_r_kernel
+            if isinstance(x, np.ndarray):
+                raise
             ax, aq = abs(x), abs(_q)
             growth = math.copysign(math.exp(0.5 * (aq - 1) * ax), _q)
             return x * growth * math.expm1(-aq * ax) / math.expm1(-ax)
@@ -353,8 +385,9 @@ def make_sinh_ratio_kernel(q: float) -> ScalarKernel:
 def make_sandwich_kernel(s: float) -> ScalarKernel:
     """x e^(s x)/(1 - e^-x): log-derivative kernel for power-sandwich arguments."""
 
+    @_takes_arrays
     def direct(x: float, _s=s) -> float:
-        return math.exp(_s * x) * x / (-math.expm1(-x))
+        return _exp(_s * x) * x / (-_expm1(-x))
 
     coeffs = _mul(_exp_series(s, TAYLOR_DEGREE), _bernoulli_series(-1, TAYLOR_DEGREE))
     return ScalarKernel(f"sandwich[s={s:g}]", direct, _pairs(coeffs))
@@ -371,8 +404,9 @@ def make_sqrt_r_kernel(q: float) -> ScalarKernel:
     """
     r_ker = make_r_kernel(q)
 
+    @_takes_arrays
     def direct(x: float, _r=r_ker) -> float:
-        return math.sqrt(_r.direct(x))
+        return _root(_r.direct(x))
 
     # sqrt(2) sqrt(r_q/2), whose exact series has constant term 1
     half = _pairs(_sqrt([c / 2 for c in _ratio_series(q, 1)]))

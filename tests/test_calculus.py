@@ -165,7 +165,7 @@ def test_stack_failing_only_in_its_last_matrix_raises(kind, monkeypatch):
     for _ in _both_paths(monkeypatch):
         with pytest.raises(ca.KernelDomainError, match=pair):
             ca._each_pair(lambda a, b: f(a) + f(b),
-                          lambda a, b: ca._mapped(f, a) + ca._mapped(f, b), vals)
+                          lambda a, b: sf._mapped(f, a) + sf._mapped(f, b), vals)
         dec = EigenDecomposition._trusted(np.tile(np.eye(3), (20, 1, 1)), vals)
         with pytest.raises(ca.KernelDomainError, match=re.escape(repr((bad,))) if named else None):
             ca._matfun(f, dec)
@@ -186,7 +186,7 @@ def test_tables_match_per_entry_evaluation_to_the_bit(n, d, monkeypatch):
         return math.exp(s * (a - b)) * SIGMA(a - b)
 
     def over(a, b, s):
-        return ca._mapped(math.exp, s * (a - b)) * SIGMA.over(a - b)
+        return sf._mapped(math.exp, s * (a - b)) * SIGMA.over(a - b)
 
     rows = zip(vals.tolist(), scales)
     want = np.array([[[float(fn(a, b, s)) for b in row] for a in row] for row, s in rows])
@@ -414,6 +414,23 @@ def test_stacks_on_both_sides_of_the_crossover_equal_every_pair(side):
     b = np.exp(full)
     want = np.array([[[ki._pair_weight(p, q) for q in row] for p in row] for row in b.tolist()])
     assert ca._each_pair(ki._pair_weight, ki._pair_weights, b).tobytes() == want.tobytes()
+
+
+def test_matfun_of_half_log_over_a_stack_equals_each_eigenvalue_to_the_bit():
+    # _half_log takes the whole eigenvalue array at once: the stack's log strains
+    # equal those built from its values at each eigenvalue, byte for byte
+    rng = np.random.default_rng(25)
+    rows = -(-sf._ARRAY_MIN // 3)
+    vals = np.exp(rng.uniform(-700.0, 700.0, (rows, 3)))
+    vals[0] = [5e-324, 1.0, math.nextafter(1.0, 2.0)]
+    frames = np.linalg.qr(rng.standard_normal((rows, 3, 3)))[0]
+    dec = EigenDecomposition._trusted(frames, vals)
+    half_logs = np.array([[ki._half_log(v) for v in row] for row in vals.tolist()])
+    assert ca._matfun(ki._half_log, dec).tobytes() == _spectral(frames, half_logs).tobytes()
+    vals = vals.copy()
+    vals[-1, 1] = 0.0  # ln 0: the error of that entry alone
+    with pytest.raises(ca.KernelDomainError, match="^function undefined at an eigenvalue: math "):
+        ca._matfun(ki._half_log, EigenDecomposition._trusted(frames, vals))
 
 
 def _failing(spectrum):

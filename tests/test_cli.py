@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from corotcalc import kinematics as ki
-from corotcalc.cli import build_parser, main
+from corotcalc.cli import _fmt, build_parser, main, write_trajectory_csv
 from corotcalc.matcore import Matrix
 from corotcalc.sampling import make_rng, random_skew, random_spd_ratio, random_symmetric
 from corotcalc.verify import MAX_TRIALS
@@ -308,6 +309,10 @@ SIMULATE_BAD_INPUT = {
                          "error: matrix entries must be finite"),
     "out in missing dir": (["--out", "{tmp}/missing/dir/x.csv", "--dt", "0.1"],
                            "error: cannot write {tmp}/missing/dir/x.csv"),
+    # B = diag(e^374, e^-374) at t = 1.1 is finite, but b_j/b_i underflows to 0
+    "classical weight beyond float range": (
+        ["--motion", "pure_stretch", "--rates", "170,-170", "--t-end", "1.1", "--dt", "1e-3",
+         "--record-every", "100"], "error: the classical spin weight c(b_i, b_j) fails: "),
 }
 
 
@@ -324,6 +329,18 @@ def test_simulate_bad_input_exit_2_as_console_script(case, tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert message.format(tmp=tmp_path) in proc.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_trajectory_csv_rows_have_the_bytes_of_fmt_at_each_value(tmp_path):
+    values = [-0.0, 5e-324, -5e-324, 1e308, -math.inf, math.inf, math.nan, 0.1, 1.0 / 3.0,
+              np.float64(-0.0), np.float64(2.0 / 3.0), np.float64(math.nan), 7, -1e-300, 1.0]
+    rows = [values[k:] + values[:k] for k in range(len(values))]
+    samples = [SimpleNamespace(t=t, rate_residual=r5, evolution_residual=r40, spin_agreement=a,
+                               det_f=det) for t, r5, r40, a, det, *_ in rows]
+    out = tmp_path / "traj.csv"
+    write_trajectory_csv(samples, str(out))
+    lines = ["t,res_eq5,res_eq40,spin_agreement,det_F"] + [",".join(map(_fmt, r[:5])) for r in rows]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_verify_failure_exit_1(capsys, monkeypatch):

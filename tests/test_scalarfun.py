@@ -354,7 +354,13 @@ def test_declared_parity_holds_to_the_bit(kernel, x):
         assert kernel(-t) == sign * kernel(t), t
 
 
-@pytest.mark.parametrize("kernel", ALL_FIXED_KERNELS + PARAM_KERNELS, ids=lambda k: k.name)
+# r and sinh_ratio kernels whose overflow branch starts at other |x| than those of PARAM_KERNELS
+RATIO_KERNELS = [make(q) for make in (sf.make_r_kernel, sf.make_sinh_ratio_kernel)
+                 for q in (-2.0, 0.5)]
+
+
+@pytest.mark.parametrize("kernel", ALL_FIXED_KERNELS + PARAM_KERNELS + RATIO_KERNELS,
+                         ids=lambda k: k.name)
 def test_over_equals_the_kernel_at_each_entry_to_the_bit(kernel):
     # both sides of the switch radius, signed zeros, subnormals, and |x| where
     # the r and sinh_ratio kernels take their overflow branch (cosh(q x/2) or
@@ -363,18 +369,28 @@ def test_over_equals_the_kernel_at_each_entry_to_the_bit(kernel):
     near = [0.0, -0.0, 5e-324, -5e-324, 0.5 * r, math.nextafter(r, 0.0)]
     far = [r, math.nextafter(r, 1.0), 2.0 * r, 1.0, 3.0, 40.0, 500.0, 1430.0, 1500.0, math.inf]
     xs = near + [-x for x in near] + far + [-x for x in far]
-    xs += np.random.default_rng(5).uniform(-3.0, 3.0, 40).tolist()
+    rng = np.random.default_rng(5)
+    xs += rng.uniform(-3.0, 3.0, 40).tolist() + rng.uniform(-40.0, 40.0, 60).tolist()
+    xs += (rng.choice([-1.0, 1.0], 40) * rng.uniform(1430.0, 3000.0, 40)).tolist()
     good, failing = [], {}
     for x in xs:
         try:
             good.append((x, float(kernel(x))))
         except (OverflowError, ValueError, ZeroDivisionError) as exc:
             failing[x] = exc
+    assert len(good) >= sf._ARRAY_MIN
     x = np.array([x for x, _ in good]).reshape(1, -1)  # any shape
-    assert kernel.over(x).tobytes() == np.array([v for _, v in good]).reshape(x.shape).tobytes()
+    want = np.array([v for _, v in good]).reshape(x.shape)
+    assert kernel.over(x).tobytes() == want.tobytes()
+    # where no entry's array form raises (no +-inf, no overflow branch), the
+    # direct branch computes as one array formula, to the bit as at each entry
+    whole = (np.abs(x) >= r) & (np.abs(x) < 400.0)
+    at_once = sf._guarded(lambda: kernel.direct(x[whole]), pytest.fail)
+    assert at_once.tobytes() == want[whole].tobytes()
     for x, exc in failing.items():
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            kernel.over(np.array([1.0, x]))
+        for before in ([1.0], np.resize([v for v, _ in good], 200)):  # after 200 good entries
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                kernel.over(np.append(before, x))
     _over_equals_each_entry(kernel, [0.0, -0.0, -0.0, 0.0])  # zeros alone share one sum
     _over_equals_each_entry(kernel, [])
 

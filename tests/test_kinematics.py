@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -393,15 +394,23 @@ def test_integrate_step_matrix_matches_stage_form(motion, dim):
 
 @pytest.mark.parametrize("chunk", [1, 7, 16, 1000])
 def test_integrate_records_across_step_chunks(chunk, monkeypatch):
-    # the stride and the determinant chunks need not align
+    # the stride and the determinant chunks need not align; the step path's
+    # products equal the reference's `@` bit for bit, for a constant or a
+    # time-dependent L, at d = 1, for an F0 in Fortran order, and at chunk 1,
+    # where each step writes into the buffer its F was read from
     monkeypatch.setattr(ki, "_STEP_CHUNK", chunk)
-    field = ki.polynomial_motion(3, 3)
-    samples = ki.integrate_motion(field, np.eye(3), 0.5, 1e-2, record_every=3)
-    fs = _rk4_reference(field, np.eye(3), 50, 1e-2)
-    assert [s.t for s in samples] == [k * 1e-2 for k in range(0, 51, 3)]
-    for s, f in zip(samples, fs[::3]):
-        assert np.array_equal(s.f, f)
-        assert s.det_f == float(np.linalg.det(f))
+    for motion, dim, order in itertools.product(sorted(_FIELDS), (1, 2, 3, 5), "CF"):
+        if dim == 1 and motion in ("simple_shear", "rigid_rotation"):
+            continue  # plane motions
+        field = _FIELDS[motion](dim)
+        f0 = np.asfortranarray(np.eye(dim)) if order == "F" else np.eye(dim)
+        samples = ki.integrate_motion(field, f0, 0.5, 1e-2, record_every=3)
+        fs = _rk4_reference(field, f0, 50, 1e-2)
+        case = (motion, dim, order)
+        assert [s.t for s in samples] == [k * 1e-2 for k in range(0, 51, 3)], case
+        for s, f in zip(samples, fs[::3]):
+            assert s.f.tobytes() == f.tobytes(), case
+            assert np.float64(s.det_f).tobytes() == np.linalg.det(f).tobytes(), case
     with pytest.raises(ki.IntegrationAbort) as ei:
         ki.integrate_motion(ki.pure_stretch((-160.0, 0.0)), np.eye(2), 6.0, 1e-2)
     assert (ei.value.step, ei.value.det_f) == (570, 0.0)

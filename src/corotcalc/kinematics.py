@@ -176,8 +176,8 @@ class VelocityGradientField:
 
     ``constant`` is the L of a time-independent field (the read-only matrix
     every call returns), or None; ``integrate_motion`` then builds its step
-    matrix once.  Only ``simple_shear``, ``pure_stretch`` and
-    ``rigid_rotation`` set it.
+    matrix once and repeats L for its recorded times.  Only ``simple_shear``,
+    ``pure_stretch`` and ``rigid_rotation`` set it.
     """
 
     descriptor: str
@@ -286,8 +286,9 @@ class MotionSample:
 # polynomial_motion at d = 3 (0.63 and 21.5 us CPU per step, 2-core Xeon).
 MAX_STEPS = 10**7
 # Peak memory of the recorded samples, at most, estimated as 136 d^2 + 1200
-# bytes a sample (about 17 (d, d) float stacks and 1.2 KB of objects; peak
-# RSS measured 1.3, 2.2 and 36 KB a sample at d = 1, 3 and 16).
+# bytes a sample (about 17 (d, d) float stacks and 1.2 KB of integrate_motion's
+# objects, which _trajectory's callers skip; peak RSS measured 1.3, 2.2 and
+# 36 KB a sample at d = 1, 3 and 16).
 MAX_RECORD_BYTES = 2**28
 # The largest d whose one sample fits in MAX_RECORD_BYTES: 1404.
 MAX_DIM = math.isqrt((MAX_RECORD_BYTES - 1200) // 136)
@@ -334,7 +335,8 @@ def _b_rates(field: VelocityGradientField, times: list, b: np.ndarray) -> tuple:
     """L at each time, dB/dt = L B + B L^T, and each sample's ``evolution_residual``
     (the defect of B's centered difference, 0.0 at the ends).  Every k-th sample of
     a run gives, to the bit, the residuals of a run recording k times as sparsely."""
-    l_all = np.array([field(t) for t in times])
+    l_all = (np.array([field(t) for t in times]) if field.constant is None
+             else np.repeat(field.constant[None], len(times), axis=0))
     db_dt = l_all @ b + b @ l_all.swapaxes(1, 2)
     evol_res = [0.0] * len(times)
     if len(times) > 2:
@@ -367,6 +369,13 @@ def integrate_motion(
     samples are read-only views into those stacks.  An F0 whose shape is not
     the field's raises DimensionMismatchError before any step.
     """
+    return [MotionSample(*row) for row in zip(*_trajectory(field, f0, t_end, dt, record_every))]
+
+
+def _trajectory(field: VelocityGradientField, f0, t_end: float, dt: float,
+                record_every: int) -> tuple:
+    """``integrate_motion``'s samples as columns, in MotionSample's field order:
+    lists of the floats, (n, d, d) stacks of the arrays."""
     f = np.array(_gate(f0, field(0.0))[0], dtype=float)
     n_steps = _step_count(t_end, dt, record_every, len(f))
     det_f = float(np.linalg.det(f))
@@ -374,7 +383,8 @@ def integrate_motion(
         raise ValueError("det(F0) must be positive")
 
     if field.constant is not None:
-        ms = itertools.repeat(_rk4_matrix(*[field.constant] * 3, dt))
+        with np.errstate(over="ignore", invalid="ignore"):  # an M that overflows makes F warn below
+            ms = itertools.repeat(_rk4_matrix(*[field.constant] * 3, dt))
     times = [k * dt for k in range(0, n_steps + 1, record_every)]
     fs, dets = [f[None]], [det_f]
     steps = min(_STEP_CHUNK, (MAX_RECORD_BYTES >> 4) // f.nbytes)  # 16 MB; >= 1 F at MAX_DIM
@@ -384,7 +394,8 @@ def integrate_motion(
         block = chunk[: stop - start]
         if field.constant is None:
             ts = [k * dt for k in range(start, stop)]
-            ms = [_rk4_matrix(field(t), field(t + 0.5 * dt), field(t + dt), dt) for t in ts]
+            with np.errstate(over="ignore", invalid="ignore"):
+                ms = [_rk4_matrix(field(t), field(t + 0.5 * dt), field(t + dt), dt) for t in ts]
         # steps past an abort in this block are dropped, so they may not warn;
         # the first kept step whose F overflowed warns below
         finite = np.isfinite(f).all()
@@ -397,7 +408,7 @@ def integrate_motion(
         bad = np.flatnonzero(~np.isfinite(kept).all(axis=(1, 2)))
         if finite and bad.size:
             warnings.warn(f"overflow in the RK4 step: F is not finite from step "
-                          f"{start + bad[0] + 1}", RuntimeWarning, stacklevel=2)
+                          f"{start + bad[0] + 1}", RuntimeWarning, stacklevel=3)
         if lost.size:
             raise IntegrationAbort(start + lost[0] + 1, block_dets[lost[0]])
         first = -(start + 1) % record_every  # block[i] is step start + 1 + i
@@ -424,8 +435,7 @@ def integrate_motion(
 
     for stack in (f_all, b, h, d, w, omega):
         stack.setflags(write=False)
-    columns = (times, f_all, b, h, d, w, omega, agreement, rate_res, evol_res, dets)
-    return [MotionSample(*fields) for fields in zip(*columns)]
+    return times, f_all, b, h, d, w, omega, agreement, rate_res, evol_res, dets
 
 
 def corotational_rate_residuals(samples: list, h_dot_method: str = "analytic"):

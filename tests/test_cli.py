@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -292,6 +291,24 @@ def test_simulate_integrator_abort_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--motion", "polynomial", "--seed", "3"]])
+def test_simulate_builds_no_motion_samples(flags, tmp_path, capsys, monkeypatch):
+    built = []
+
+    class Counted(ki.MotionSample):
+        def __init__(self, *fields):
+            built.append(fields[0])
+            super().__init__(*fields)
+
+    monkeypatch.setattr(ki, "MotionSample", Counted)
+    assert main(["simulate", *flags, "--out", str(tmp_path / "traj.csv")]) == 0
+    assert built == []
+    assert len((tmp_path / "traj.csv").read_bytes().splitlines()) == 1002
+    # the spy sees the samples integrate_motion builds
+    samples = ki.integrate_motion(ki.simple_shear(1.0), np.eye(3), 0.01, 1e-3)
+    assert len(built) == len(samples) == 11
+
+
 # Settings that parse but that the motion, a trajectory bound or the float
 # range rejects, and an unwritable --out: each is one error line and exit 2,
 # and no CSV is written.
@@ -335,10 +352,8 @@ def test_trajectory_csv_rows_have_the_bytes_of_fmt_at_each_value(tmp_path):
     values = [-0.0, 5e-324, -5e-324, 1e308, -math.inf, math.inf, math.nan, 0.1, 1.0 / 3.0,
               np.float64(-0.0), np.float64(2.0 / 3.0), np.float64(math.nan), 7, -1e-300, 1.0]
     rows = [values[k:] + values[:k] for k in range(len(values))]
-    samples = [SimpleNamespace(t=t, rate_residual=r5, evolution_residual=r40, spin_agreement=a,
-                               det_f=det) for t, r5, r40, a, det, *_ in rows]
     out = tmp_path / "traj.csv"
-    write_trajectory_csv(samples, str(out))
+    write_trajectory_csv((tuple(r[:5]) for r in rows), str(out))
     lines = ["t,res_eq5,res_eq40,spin_agreement,det_F"] + [",".join(map(_fmt, r[:5])) for r in rows]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 

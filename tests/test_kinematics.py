@@ -574,6 +574,15 @@ def test_integrate_warns_once_where_f_overflows(field):
         f"overflow in the RK4 step: F is not finite from step {first}"]
 
 
+def test_integrate_warns_once_where_the_step_matrix_overflows():
+    # M itself is not finite; numpy's overflow in building it stays silent
+    with pytest.warns(RuntimeWarning) as record:
+        with pytest.raises(matcore.MatrixValidationError):
+            ki.integrate_motion(ki.pure_stretch((1e300,)), np.eye(1), 0.002, 1e-3)
+    assert [str(w.message) for w in record] == [
+        "overflow in the RK4 step: F is not finite from step 1"]
+
+
 def test_integrate_runs_at_the_step_bound(monkeypatch):
     monkeypatch.setattr(ki, "MAX_STEPS", 2500)
     samples = ki.integrate_motion(ki.simple_shear(1.0, 2), np.eye(2), 2.5, 1e-3, record_every=500)

@@ -3,7 +3,7 @@
 Modules:
 
 - ``matcore``: matrix value types, the input checks, Jacobi eigensolver
-- ``scalarfun``: scalar kernels with exact-series near-zero fallbacks
+- ``scalarfun``: scalar kernels, with exact series near zero where they cancel
 - ``calculus``: matrix functions, the commutator operator, kernel operators,
   and derivative identities of the matrix exponential/logarithm
 - ``kinematics``: deformation trajectories, log strain, spin tensors

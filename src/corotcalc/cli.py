@@ -273,7 +273,7 @@ def cmd_simulate(args) -> int:
     except NotSpdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_SPD
-    except ValueError as exc:
+    except (ValueError, RuntimeWarning) as exc:  # the step's overflow warning, raised as an error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:

@@ -1,32 +1,34 @@
-"""Scalar kernels with exact-series fallbacks near the origin.
+"""Scalar kernels, with an exact-series branch only where the direct formula cancels.
 
-Every kernel here is total on the real line.  The removable singularities
-(quotients whose numerator and denominator both vanish at zero) are bridged
-by truncated Taylor polynomials.  All their coefficient tables, and the
-series of ``calculus`` and ``kinematics``, come from one exact toolkit:
-truncated power series as lists of ``Fraction``, built from three base series
-(the Bernoulli series (s x)/(e^(s x) - 1), e^(s x) and ln(1 + u), for
-rational s) by product, quotient and the square root of a series with
-constant term 1.  Each coefficient is rounded to float once, at the end, so
-the series carry no floating-point drift beyond that rounding.  The square
-root of the r kernel is sqrt(2) sqrt(r/2): its exact coefficients are
-rounded, then multiplied by the float sqrt(2).
+Every kernel here is total on the real line.  Two of them cancel near the
+origin: sigma (coth x - 1/x) and gamma ((x coth(x/2) - 2)/x^2).  Below
+SWITCH_RADIUS they sum a truncated Taylor series by Horner in x^2.  Their
+coefficients, and the series of ``calculus`` and ``kinematics``, come from
+one exact toolkit: truncated power series as lists of ``Fraction``, built
+from three base series (the Bernoulli series (s x)/(e^(s x) - 1), e^(s x) and
+ln(1 + u), for rational s) by quotient.  Each coefficient is rounded to float
+once, at the end, so the series carry no floating-point drift beyond that
+rounding.
 
-The switch radius and truncation degree are chosen so that the direct and
-series branches agree to well below 1e-12 across the whole hand-over ring
-|x| in [radius/2, 2*radius].
+The other eight families (eta, eta_neg, eta_neg_recip, coth_half_times_x and
+the r, sinh_ratio, sandwich and sqrt_r kernels) are built from expm1, sinh,
+tanh and an exact x, and lose no digits near the origin.  They take their
+direct formula down to LIMIT_RADIUS = 2^-500, where x^2 is far below the
+rounding error, and below it their limit value (plus q x for the odd
+sinh_ratio).  So no direct formula meets a subnormal x, where x/2 would round.
 
 A table of values of a scalar function is evaluated over whole arrays from
 _ARRAY_MIN entries on, to the bit as entry by entry: +, -, *, / and comparisons
 in numpy, which rounds them as Python floats do, and every transcendental
 function through ``math`` at each entry (numpy's own are CPU-dependent), so each
-kernel's direct branch is one formula for a number or an array.
+kernel's direct branch, and its Taylor branch, is one formula for a number or an
+array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from typing import Callable
@@ -34,7 +36,9 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "LIMIT_RADIUS",
     "MAX_BERNOULLI",
+    "MAX_PARAMETER",
     "SWITCH_RADIUS",
     "TAYLOR_DEGREE",
     "ScalarKernel",
@@ -54,6 +58,7 @@ __all__ = [
 MAX_BERNOULLI = 40
 SWITCH_RADIUS = 0.25
 TAYLOR_DEGREE = 24
+LIMIT_RADIUS = 2.0**-500
 
 
 @lru_cache(maxsize=None)
@@ -94,27 +99,12 @@ def _log1p_series(degree: int) -> list:
     return [Fraction(0)] + [Fraction((-1) ** (n + 1), n) for n in range(1, degree + 1)]
 
 
-def _mul(a: list, b: list) -> list:
-    """The product a b."""
-    return [sum((a[i] * b[k - i] for i in range(k + 1) if a[i] and b[k - i]), Fraction(0))
-            for k in range(len(a))]
-
-
 def _div(a: list, b: list) -> list:
     """a / b for b[0] != 0."""
     out = []
     for k in range(len(a)):
         acc = sum(b[j] * out[k - j] for j in range(1, k + 1) if b[j] and out[k - j])
         out.append((a[k] - acc) / b[0])
-    return out
-
-
-def _sqrt(a: list) -> list:
-    """Square root of a series with constant term 1."""
-    out = [Fraction(1)]
-    for k in range(1, len(a)):
-        acc = sum(out[j] * out[k - j] for j in range(1, k) if out[j] and out[k - j])
-        out.append((a[k] - acc) / 2)
     return out
 
 
@@ -137,12 +127,26 @@ class ScalarKernel:
     taylor: tuple
     switch_radius: float = SWITCH_RADIUS
     parity: str = "none"
+    _even: tuple = field(init=False, repr=False, compare=False)
+    _odd: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # Horner coefficients of the even and of the odd powers, highest first
+        coeffs = dict(self.taylor)
+        for name, odd in (("_even", 0), ("_odd", 1)):
+            top = max((p for p in coeffs if p % 2 == odd), default=odd - 2)
+            horner = tuple(coeffs.get(p, 0.0) for p in range(top, odd - 1, -2))
+            object.__setattr__(self, name, horner)
 
     def taylor_eval(self, x: float) -> float:
-        acc = 0.0
-        for power, coeff in self.taylor:
-            acc += coeff * x**power
-        return acc
+        """The polynomial at x, or at each entry of an array: E(x^2) + x O(x^2), each by
+        Horner with + and * only, so an entry has the bits of its number.  At +-0.0,
+        x O is a signed zero added to E, which is 0.0 for an odd kernel: both give +0.0."""
+        xx, even, odd = x * x, 0.0, 0.0
+        for c in self._even:
+            even = even * xx + c
+        for c in self._odd:
+            odd = odd * xx + c
+        return even + x * odd
 
     def __call__(self, x: float) -> float:
         if abs(x) < self.switch_radius:
@@ -151,16 +155,14 @@ class ScalarKernel:
 
     def over(self, x: np.ndarray) -> np.ndarray:
         """The kernel at each entry of a float array, to the bit as called at each.  The
-        branch is tested once for the whole array.  A direct branch that takes arrays
-        (every kernel here) gets all its entries in one call; any other, or one whose call
-        fails (``_guarded``), gets each alone and raises as alone.  The Taylor branch's zeros
-        (no-parity tables' diagonals, ln(b_i/b_i), |a_i - a_i|, repeated eigenvalues) share
-        one taylor_eval(0.0): at +-0.0 each term is a signed zero or the constant."""
+        branch is tested once for the whole array, and each branch gets its entries in
+        one call.  A direct branch not marked as taking arrays, or one whose call fails
+        (``_guarded``), gets each entry alone and raises as alone."""
         near = np.abs(x) < self.switch_radius
         out = np.empty(x.shape)
-        xs, far = x[near].tolist(), x[~near]
-        at_zero = self.taylor_eval(0.0) if 0.0 in xs else None
-        out[near] = [at_zero if v == 0.0 else self.taylor_eval(v) for v in xs]
+        if near.any():
+            out[near] = self.taylor_eval(x[near])
+        far = x[~near]
         whole = getattr(self.direct, "_takes_arrays", False) and (lambda: self.direct(far))
         out[~near] = _guarded(whole, lambda: [*map(self.direct, far.tolist())])
         return out
@@ -257,19 +259,9 @@ def _eta_series(s, degree: int) -> list:
     return [c / s for c in _exp_series(s, degree + 1)[1:]]
 
 
-# x coth(x/2) = 2 B(x) + x, two powers longer for gamma's shift
-_COTH_HALF_X_SERIES = [2 * c for c in _bernoulli_series(1, TAYLOR_DEGREE + 2)]
-_COTH_HALF_X_SERIES[1] += 1
-# (x/2)/sinh(x/2) = (x/2) (coth(x/4) - coth(x/2)) = 2 B(x/2) - B(x)
-_HALF_X_OVER_SINH = [2 * u - v for u, v in zip(_bernoulli_series(0.5, TAYLOR_DEGREE),
-                                                _bernoulli_series(1, TAYLOR_DEGREE))]
-
-
-@lru_cache(maxsize=64)  # bounded: the factories below take any parameter
-def _ratio_series(q: float, sign: int) -> list:
-    # (e^(q x/2) + sign e^(-q x/2)) (x/2)/sinh(x/2): r_q for sign 1, sinh_ratio_q for -1
-    up, down = _exp_series(q / 2, TAYLOR_DEGREE), _exp_series(-q / 2, TAYLOR_DEGREE)
-    return _mul([u + sign * d for u, d in zip(up, down)], _HALF_X_OVER_SINH)
+def _gamma_series(degree: int) -> list:
+    # (x coth(x/2) - 2)/x^2 = (2 B(x) + x - 2)/x^2
+    return [2 * c for c in _bernoulli_series(1, degree + 2)[2:]]
 
 
 # ---------------------------------------------------------------------------
@@ -309,37 +301,39 @@ def _coth_half_x_direct(x: float) -> float:
 # coth(x) - 1/x, value 0 at the origin; odd
 SIGMA = ScalarKernel("sigma", _sigma_direct, _pairs(_sigma_series(TAYLOR_DEGREE)), parity="odd")
 # (x coth(x/2) - 2)/x^2, value 1/6 at the origin; even, positive
-GAMMA = ScalarKernel("gamma", _gamma_direct, _pairs(_COTH_HALF_X_SERIES[2:]), parity="even")
+GAMMA = ScalarKernel("gamma", _gamma_direct, _pairs(_gamma_series(TAYLOR_DEGREE)), parity="even")
 # (e^x - 1)/x, value 1 at the origin
-ETA = ScalarKernel("eta", _eta_direct, _pairs(_eta_series(1, TAYLOR_DEGREE)))
+ETA = ScalarKernel("eta", _eta_direct, ((0, 1.0),), LIMIT_RADIUS)
 # (1 - e^-x)/x, value 1 at the origin; drives the exp derivative
-ETA_NEG = ScalarKernel("eta_neg", _eta_neg_direct, _pairs(_eta_series(-1, TAYLOR_DEGREE)))
+ETA_NEG = ScalarKernel("eta_neg", _eta_neg_direct, ((0, 1.0),), LIMIT_RADIUS)
 # x/(1 - e^-x), value 1 at the origin; positive, drives the log derivative
-ETA_NEG_RECIP = ScalarKernel(
-    "eta_neg_recip", _eta_neg_recip_direct, _pairs(_bernoulli_series(-1, TAYLOR_DEGREE))
-)
+ETA_NEG_RECIP = ScalarKernel("eta_neg_recip", _eta_neg_recip_direct, ((0, 1.0),), LIMIT_RADIUS)
 # x coth(x/2) = 2 + gamma(x) x^2, value 2 at the origin; even
-COTH_HALF_X = ScalarKernel(
-    "coth_half_times_x", _coth_half_x_direct, _pairs(_COTH_HALF_X_SERIES[:-2]), parity="even"
-)
+COTH_HALF_X = ScalarKernel("coth_half_times_x", _coth_half_x_direct, ((0, 2.0),), LIMIT_RADIUS,
+                           parity="even")
+
+# Below LIMIT_RADIUS, |q x| < 2^-60 for every parameter the factories take, so
+# e^(s x), cosh(q x/2) and sinh(q x/2)/(q x/2) round to their limits there.
+MAX_PARAMETER = 2.0**440
 
 
 def _kernel_factory(build):
     """``build``, a kernel factory of one float parameter, keeping its last 64
-    kernels (callers may pass any value).  A value that is not finite, or whose
-    coefficients leave the float range, raises ValueError naming both."""
+    kernels (callers may pass any value).  Every finite value up to MAX_PARAMETER
+    in magnitude builds a kernel: its limit (plus q x for sinh_ratio) below
+    LIMIT_RADIUS, its direct formula elsewhere.  Where the value leaves the float
+    range the kernel raises OverflowError, and a table of it KernelDomainError with
+    the first failing entry's error.  A value that is not finite, or beyond
+    MAX_PARAMETER, raises ValueError naming both."""
 
     @lru_cache(maxsize=64)
     @wraps(build)
     def make(value):
         value = float(value)
-        try:
-            if math.isfinite(value):
-                return build(value)
-        except (OverflowError, ValueError):  # a coefficient, or the r kernel under sqrt_r
-            pass
+        if abs(value) <= MAX_PARAMETER:
+            return build(value)
         raise ValueError(f"{build.__name__}: {build.__code__.co_varnames[0]}={value!r} is not "
-                         "finite or takes the coefficients beyond the float range")
+                         f"finite or exceeds {MAX_PARAMETER!r} in magnitude")
 
     return make
 
@@ -358,7 +352,7 @@ def make_r_kernel(q: float) -> ScalarKernel:
             ax, aq = abs(x), abs(_q)
             return ax * math.exp(0.5 * (aq - 1) * ax) * (1 + math.exp(-aq * ax)) / -math.expm1(-ax)
 
-    return ScalarKernel(f"r[q={q:g}]", direct, _pairs(_ratio_series(q, 1)), parity="even")
+    return ScalarKernel(f"r[q={q:g}]", direct, ((0, 2.0),), LIMIT_RADIUS, parity="even")
 
 
 @_kernel_factory
@@ -376,9 +370,7 @@ def make_sinh_ratio_kernel(q: float) -> ScalarKernel:
             growth = math.copysign(math.exp(0.5 * (aq - 1) * ax), _q)
             return x * growth * math.expm1(-aq * ax) / math.expm1(-ax)
 
-    return ScalarKernel(
-        f"sinh_ratio[q={q:g}]", direct, _pairs(_ratio_series(q, -1)), parity="odd"
-    )
+    return ScalarKernel(f"sinh_ratio[q={q:g}]", direct, ((1, q),), LIMIT_RADIUS, parity="odd")
 
 
 @_kernel_factory
@@ -389,27 +381,17 @@ def make_sandwich_kernel(s: float) -> ScalarKernel:
     def direct(x: float, _s=s) -> float:
         return _exp(_s * x) * x / (-_expm1(-x))
 
-    coeffs = _mul(_exp_series(s, TAYLOR_DEGREE), _bernoulli_series(-1, TAYLOR_DEGREE))
-    return ScalarKernel(f"sandwich[s={s:g}]", direct, _pairs(coeffs))
+    return ScalarKernel(f"sandwich[s={s:g}]", direct, ((0, 1.0),), LIMIT_RADIUS)
 
 
 @_kernel_factory
 def make_sqrt_r_kernel(q: float) -> ScalarKernel:
-    """Square root of the r kernel; even, positive, value sqrt(2) at the origin.
-
-    The square root has complex branch points where cosh(q z/2) vanishes, at
-    distance pi/|q| from the origin, so the series radius shrinks with |q|;
-    the switch radius is tightened accordingly.  The direct branch is stable
-    down to tiny |x| (no cancellation), so a small switch radius is harmless.
-    """
+    """Square root of the r kernel; even, positive, value sqrt(2) at the origin."""
     r_ker = make_r_kernel(q)
 
     @_takes_arrays
     def direct(x: float, _r=r_ker) -> float:
         return _root(_r.direct(x))
 
-    # sqrt(2) sqrt(r_q/2), whose exact series has constant term 1
-    half = _pairs(_sqrt([c / 2 for c in _ratio_series(q, 1)]))
-    taylor = tuple((p, c * math.sqrt(2.0)) for p, c in half)
-    radius = min(SWITCH_RADIUS, 0.4 / max(1.0, abs(q)))
-    return ScalarKernel(f"sqrt_r[q={q:g}]", direct, taylor, switch_radius=radius, parity="even")
+    return ScalarKernel(f"sqrt_r[q={q:g}]", direct, ((0, math.sqrt(2.0)),), LIMIT_RADIUS,
+                        parity="even")

@@ -98,8 +98,8 @@ def outputs(golden: Path = GOLDEN) -> dict:
         for name, flags in SIMULATE.items():
             csv = Path(tmp, f"{name}.csv")
             # stdout names the CSV by its file name alone, not by the temporary directory
-            files[f"simulate-{name}.txt"] = _stdout(["simulate", *flags, "--out", str(csv)]).replace(
-                str(csv).encode(), csv.name.encode())
+            out = _stdout(["simulate", *flags, "--out", str(csv)])
+            files[f"simulate-{name}.txt"] = out.replace(str(csv).encode(), csv.name.encode())
             digests.append(f"{hashlib.sha256(csv.read_bytes()).hexdigest()}  {csv.name}\n")
     files["simulate-csv.sha256"] = "".join(digests).encode()
     for n in SPIN_DIMS:

@@ -348,6 +348,24 @@ def test_simulate_bad_input_exit_2_as_console_script(case, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("warnings, stderr", [
+    ([], "error: matrix entries must be finite\n"),
+    (["-W", "error::RuntimeWarning"], "error: overflow in the RK4 step: F is not finite from step 1\n"),
+], ids=["warning", "warning as error"])
+def test_simulate_step_overflow_exit_2_as_console_script(warnings, stderr, tmp_path):
+    # F overflows in the first step; as an error, the warning ends the run in its own line
+    proc = subprocess.run(
+        [sys.executable, *warnings, "-m", "corotcalc.cli", "simulate", "--motion", "pure_stretch",
+         "--rates", "1e300", "--t-end", "0.002", "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONWARNINGS": ""},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(stderr)
+    assert proc.stderr.count("error: ") == 1 and (warnings == [] or proc.stderr == stderr)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_trajectory_csv_rows_have_the_bytes_of_fmt_at_each_value(tmp_path):
     values = [-0.0, 5e-324, -5e-324, 1e308, -math.inf, math.inf, math.nan, 0.1, 1.0 / 3.0,
               np.float64(-0.0), np.float64(2.0 / 3.0), np.float64(math.nan), 7, -1e-300, 1.0]

@@ -276,7 +276,8 @@ def test_taylor_power_parity_consistent(kernel):
 
 
 def _oracle_cases() -> dict:
-    """{name: (float coefficients by power, n -> exact coefficients 0..n, ulps)}."""
+    """{name: (float coefficients by power, n -> exact coefficients 0..n, radius)};
+    radius is the kernel's switch radius, None for a series summed to convergence."""
     import mpmath as mp
 
     from corotcalc import calculus as ca
@@ -308,39 +309,44 @@ def _oracle_cases() -> dict:
     kernels += [(sf.make_sinh_ratio_kernel(q), ratio(mp.sinh, q)) for q in (0.0, 1.0, 2.0, 3.0)]
     kernels += [(sf.make_sandwich_kernel(s), lambda x, s=s: x * mp.exp(s * x) / -mp.expm1(-x))
                 for s in (0.0, 1.0, -1.0, 2.0)]
-    cases = {k.name: (dense(k), taylor(f), 0) for k, f in kernels}
+    cases = {k.name: (dense(k), taylor(f), k.switch_radius) for k, f in kernels}
     for q in (1.0, 3.0, -1.0):
         k = sf.make_sqrt_r_kernel(q)
-        cases[k.name] = (dense(k), taylor(lambda x, q=q: mp.sqrt(ratio(mp.cosh, q)(x))), 1)
+        cases[k.name] = (dense(k), taylor(lambda x, q=q: mp.sqrt(ratio(mp.cosh, q)(x))),
+                         k.switch_radius)
     cases["spin series"] = (ki._SPIN_SERIES,
-                            taylor(lambda u: (mp.log1p(u) - u) / (u * mp.log1p(u))), 0)
+                            taylor(lambda u: (mp.log1p(u) - u) / (u * mp.log1p(u))), None)
     cases["sigma spec"] = (ca.sigma_series_spec().coefficients,
-                           taylor(lambda x: mp.coth(x) - 1 / x), 0)
+                           taylor(lambda x: mp.coth(x) - 1 / x), None)
     cases["eta_neg spec"] = (ca.eta_neg_series_spec().coefficients,
-                             taylor(lambda x: -mp.expm1(-x) / x), 0)
+                             taylor(lambda x: -mp.expm1(-x) / x), None)
     cases["exp spec"] = (ca.exp_series_spec().coefficients,
-                         lambda n: [1 / mp.factorial(k) for k in range(n + 1)], 0)
+                         lambda n: [1 / mp.factorial(k) for k in range(n + 1)], None)
     cases["log spec"] = (ca.log_series_spec().coefficients,
                          lambda n: [mp.mpf(0)] + [mp.mpf((-1) ** (k + 1)) / k
-                                                  for k in range(1, n + 1)], 0)
+                                                  for k in range(1, n + 1)], None)
     return cases
 
 
 @pytest.mark.parametrize("name", list(_oracle_cases()))
 def test_taylor_coefficients_are_correctly_rounded(name):
-    # Each coefficient is the float nearest the exact one; sqrt_r's within
-    # 1 ulp, being rounded and then scaled by sqrt(2).  A coefficient the
-    # table holds as zero must vanish at the oracle's precision.
+    # Each coefficient is the float nearest the exact one.  A coefficient the
+    # table holds as zero must vanish at the oracle's precision, or, for the
+    # kernels that keep only their limit below LIMIT_RADIUS, have a term below
+    # 2^-60 of the leading one at the switch radius, where x^2 < 2^-1000.
     import mpmath as mp
 
-    got, exact, ulps = _oracle_cases()[name]
+    got, exact, radius = _oracle_cases()[name]
     with mp.workdps(60):
         ref = exact(len(got) - 1)
+        lead = max((abs(e) * mp.mpf(radius or 1) ** n for n, e in enumerate(ref)), default=0)
         for n, (c, e) in enumerate(zip(got, ref)):
-            if c == 0.0:
-                assert abs(e) < mp.mpf(10) ** -60, (n, e)
+            if c != 0.0:
+                assert c == float(e), (n, c, float(e))
+            elif radius == sf.LIMIT_RADIUS:
+                assert abs(e) * mp.mpf(radius) ** n <= mp.mpf(2) ** -60 * lead, (n, e)
             else:
-                assert abs(c - float(e)) <= ulps * math.ulp(c), (n, c, float(e))
+                assert abs(e) < mp.mpf(10) ** -60, (n, e)
 
 
 @pytest.mark.parametrize("kernel", [k for k in ALL_FIXED_KERNELS + PARAM_KERNELS
@@ -439,5 +445,14 @@ def test_kernel_factory_cache_is_bounded(factory):
 @pytest.mark.parametrize("factory", FACTORIES, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e300])
 def test_kernel_factory_rejects_parameter_out_of_range(factory, value):
+    # 1e300: below LIMIT_RADIUS, q x would not be small, so the limit would be wrong
     with pytest.raises(ValueError, match=rf"^{factory.__name__}: [qs]={re.escape(repr(value))} "):
         factory(value)
+
+
+@pytest.mark.parametrize("factory", FACTORIES, ids=lambda f: f.__name__)
+def test_kernel_factory_takes_every_parameter_up_to_the_largest(factory):
+    for value in (sf.MAX_PARAMETER, -sf.MAX_PARAMETER, 5e-324, -0.0):
+        factory(value)
+    with pytest.raises(ValueError, match=" is not finite or exceeds "):
+        factory(math.nextafter(sf.MAX_PARAMETER, math.inf))

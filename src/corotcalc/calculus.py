@@ -155,8 +155,15 @@ def _each_pair(entry, array, values, *per_row) -> np.ndarray:
     cols = (np.reshape(x, vals.shape[:-1] + (1, 1)) for x in per_row)
     table = _evaluated(lambda: (entry(a, b, *e) for row, *e in zip(flat.tolist(), *per_row)
                                 for a in row for b in row), vals.size * vals.shape[-1],
-                       lambda: array(vals[..., :, None], vals[..., None, :], *cols))
+                       lambda: array(vals[..., :, None], vals[..., None, :], *cols),
+                       lambda k: _pair_words(flat, k))
     return _checked(table.reshape(vals.shape + vals.shape[-1:]), vals)
+
+
+def _pair_words(rows: np.ndarray, k: int) -> str:
+    """Names the values (v_i, v_j) of the k-th entry of the tables T_ij of ``rows``."""
+    row, i, j = np.unravel_index(k, rows.shape + rows.shape[-1:])
+    return f"eigenvalues {(float(rows[row, i]), float(rows[row, j]))!r}"
 
 
 def _difference_table(k, values) -> np.ndarray:
@@ -176,21 +183,29 @@ def _difference_table(k, values) -> np.ndarray:
     sign = {"even": 1.0, "odd": -1.0}.get(getattr(k, "parity", None))
     over = getattr(k, "over", None)
 
-    def at(x: np.ndarray, *lead: float) -> np.ndarray:  # k at ``lead``, then at each of x
+    def at(x: np.ndarray, cell, *lead: float) -> np.ndarray:
+        """k at ``lead``, then at each of x; its n-th argument is that of table entry cell(n)."""
         return _evaluated(lambda: map(k, [*lead, *x.ravel().tolist()]), len(lead) + x.size,
-                          over and (lambda: over(np.concatenate((lead, x.ravel())))))
+                          over and (lambda: over(np.concatenate((lead, x.ravel())))),
+                          lambda n: f"the difference {[*lead, *x.ravel().tolist()][n]!r} of "
+                                    f"{_pair_words(rows, cell(n))}")
 
     if sign is None:
-        table = at(rows[:, :, None] - rows[:, None, :])
+        table = at(rows[:, :, None] - rows[:, None, :], lambda n: n)
     else:
         i, j = _triu_indices(d, 1)
         diffs = rows.take(i, 1) - rows.take(j, 1)
-        out = at(diffs, 0.0)
+
+        def cell(n, a=i, b=j):  # the flat table index of the n-th of diffs, v_a - v_b
+            row, c = divmod(n, len(i))
+            return (row * d + a[c]) * d + b[c]
+
+        out = at(diffs, lambda n: cell(n - 1) if n else 0, 0.0)  # k(0.0) first, at T_00
         up = out[1:].reshape(diffs.shape)
         down = sign * up
         if np.count_nonzero(up) < up.size:
             zero = up == 0.0  # v_j - v_i is 0.0 - (v_i - v_j)
-            down[zero] = at(0.0 - diffs[zero])
+            down[zero] = at(0.0 - diffs[zero], lambda n: cell(np.flatnonzero(zero)[n], j, i))
         table = np.empty((n, d, d))
         table[:, i, j], table[:, j, i] = up, down
         table.reshape(n, d * d)[:, :: d + 1] = out[0]  # the diagonal, k(0.0)
@@ -201,7 +216,8 @@ def _matfun(f: Callable[[float], float], dec: EigenDecomposition) -> np.ndarray:
     """Q f(Lambda) Q^T, symmetrized; one per matrix of a stacked dec."""
     vals = dec.eigenvalues
     whole = getattr(f, "_takes_arrays", False) and (lambda: f(vals))  # a marked f takes them all
-    table = _evaluated(lambda: map(f, vals.ravel().tolist()), vals.size, whole).reshape(vals.shape)
+    table = _evaluated(lambda: map(f, vals.ravel().tolist()), vals.size, whole,
+                       lambda k: f"eigenvalue {float(vals.flat[k])!r}").reshape(vals.shape)
     return _spectral(dec.q, _checked(table, vals))
 
 

@@ -474,16 +474,16 @@ def _eigendecompose_stack(s) -> EigenDecomposition:
     """``eigendecompose_symmetric`` of every matrix of an (N, d, d) stack at once.
 
     Each matrix gets ``_jacobi``'s arithmetic (pivot order, threshold, zeroing,
-    rotation, stop rule, sequential sums of squares), so each factor and
-    eigenvalue is bit-identical to its own, signed zeros included.  A and Q^T
-    are (d, d, N) arrays: each entry is one contiguous vector over the stack.
-    At a pivot every live matrix takes ``_jacobi``'s one-sided update (rows p
-    and r rebuilt from the old ones and copied into columns p and r, the 2x2
-    block in closed form), and a masked copy writes it back only where
-    ``_jacobi`` rotates.  The live set is compacted once per sweep.  A matrix
-    whose squared norm overflows, and a stack of fewer than ``_STACK_MIN``,
-    take ``_jacobi``.  Convergence failure reports the first unconverged
-    matrix.  Returns q of shape (N, d, d) and eigenvalues of shape (N, d).
+    rotation, stop rule, sequential sums of squares), so each factor and eigenvalue
+    is bit-identical to its own, signed zeros included.  A and Q^T share one
+    (d, 2d, N) array W, W[i, :d] row i of A and W[i, d:] row i of Q^T, each entry a
+    contiguous vector over the stack.  At a pivot every live matrix takes
+    c W[p] - s W[r] and s W[p] + c W[r] (``_jacobi``'s products on A's rows and Q's
+    columns p and r) and A's 2x2 block in closed form; a masked copy keeps them
+    where ``_jacobi`` rotates, and A's columns p and r are copied from the rows
+    kept.  The live set is compacted once per sweep.  A matrix whose squared norm
+    overflows, and a stack of fewer than ``_STACK_MIN``, take ``_jacobi``.  The
+    first unconverged matrix is reported.  Returns q (N, d, d), eigenvalues (N, d).
     """
     arr = np.asarray(s, dtype=float)
     if not np.isfinite(arr).all():
@@ -501,60 +501,59 @@ def _eigendecompose_stack(s) -> EigenDecomposition:
 
     # an average may overflow here, and so may the rotations that are not kept
     with np.errstate(all="ignore"):
-        a = np.ascontiguousarray((0.5 * (arr + arr.swapaxes(1, 2))).transpose(1, 2, 0))
-        sum_sq = _stack_sum_squares(a, diagonal=True)
+        w = np.zeros((d, 2 * d, n))
+        w[:, :d] = (0.5 * (arr + arr.swapaxes(1, 2))).transpose(1, 2, 0)
+        w[range(d), range(d, 2 * d)] = 1.0  # Q = I
+        sum_sq = _stack_sum_squares(w[:, :d], diagonal=True)
         scaled = np.flatnonzero(np.isinf(sum_sq))
-        a[..., scaled] = 0.0  # solved one at a time below; never live here
-        qt = np.repeat(np.eye(d)[..., None], n, axis=2)  # qt[j] is column j of every Q
+        w[:, :d, scaled] = 0.0  # solved one at a time below; never live here
         stop = 0.05 * DEFAULT_EIG_TOL * (1.0 + np.sqrt(sum_sq))
-        off = np.sqrt(_stack_sum_squares(a))
+        off = np.sqrt(_stack_sum_squares(w[:, :d]))
         pivots = [(p, r) for p in range(d - 1) for r in range(p + 1, d)]
         live = np.flatnonzero(off > stop)
-        al, ql = a.take(live, axis=2), qt.take(live, axis=2)  # the live matrices, C-contiguous
+        wl = w.take(live, axis=2)  # the live matrices, C-contiguous
         for sweep in range(DEFAULT_MAX_SWEEPS):
             if live.size == 0:
                 break
             thresh = 0.2 * off[live] / (d * d) if sweep < 3 else 0.0
             for p, r in pivots:
-                apr, app, arr_ = al[p, r], al[p, p], al[r, r]
-                g = 100.0 * np.abs(apr)
-                rot = np.abs(apr) > thresh  # so never where apr == 0.0
+                wp, wr = wl[p], wl[r]
+                apr, app, arr_ = wp[r], wp[p], wr[r]
+                g = 100.0 * (abs_apr := np.abs(apr))
+                rot = abs_apr > thresh  # so never where apr == 0.0
                 if sweep >= 4:
                     tiny = (np.abs(app) + g == np.abs(app)) & (np.abs(arr_) + g == np.abs(arr_))
                     if tiny.any():
-                        al[p, r] = al[r, p] = apr = np.where(tiny, 0.0, apr)
+                        wp[r] = wr[p] = apr = np.where(tiny, 0.0, apr)
                         rot &= ~tiny
                 if not rot.any():
                     continue
-                h = arr_ - app
-                theta = 0.5 * h / apr
-                t = 1.0 / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
-                np.negative(t, out=t, where=theta < 0.0)
-                np.divide(apr, h, out=t, where=np.abs(h) + g == np.abs(h))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                abs_h = np.abs(h := arr_ - app)
+                theta = 0.5 * h / apr + 0.0  # -0.0 to +0.0: _jacobi flips t only where theta < 0.0
+                t = np.sqrt(theta * theta + 1.0)  # theta + copysign(t, theta): +-(|theta| + t)
+                t = np.where(abs_h + g == abs_h, apr / h, 1.0 / (theta + np.copysign(t, theta)))
+                c = 1.0 / np.sqrt(t * t + 1.0)
                 s_ = t * c
-                rp, rr, qp, qr = al[p], al[r], ql[p], ql[r]
                 # off the block, _jacobi's new rows; on it, A J, from which J^T (A J)
-                new_p, new_r = c * rp - s_ * rr, s_ * rp + c * rr
+                new_p, new_r = c * wp - s_ * wr, s_ * wp + c * wr
                 new_p[p], new_r[r] = c * new_p[p] - s_ * new_p[r], s_ * new_r[p] + c * new_r[r]
                 new_p[r] = new_r[p] = 0.0
-                new_qp, new_qr = c * qp - s_ * qr, s_ * qp + c * qr
-                mask = True if rot.all() else rot  # a plain copy is faster
-                for old, new in zip((rp, rr, qp, qr), (new_p, new_r, new_qp, new_qr)):
-                    np.copyto(old, new, where=mask)  # in place, where _jacobi rotates
-                al[:, p], al[:, r] = rp, rr
-            off[live] = np.sqrt(_stack_sum_squares(al))
+                if not rot.all():  # else a plain copy
+                    new_p, new_r = np.where(rot, new_p, wp), np.where(rot, new_r, wr)
+                wp[...], wr[...] = new_p, new_r
+                wl[:, p], wl[:, r] = wp[:d], wr[:d]  # from the rows kept, not the new ones
+            off[live] = np.sqrt(_stack_sum_squares(wl[:, :d]))
             done = off[live] <= stop[live]
             if done.any():
-                a[..., live[done]], qt[..., live[done]] = al[..., done], ql[..., done]
-                live, al, ql = live[~done], al.compress(~done, 2), ql.compress(~done, 2)
+                w[..., live[done]] = wl[..., done]
+                live, wl = live[~done], wl.compress(~done, 2)
     if live.size:
         raise EigenConvergenceError(off[live[0]], DEFAULT_MAX_SWEEPS)
 
-    diag = a[range(d), range(d)].T
+    diag = w[range(d), range(d)].T
     order = np.argsort(-diag, axis=1, kind="stable")
     vals = np.take_along_axis(diag, order, axis=1)
-    q = np.take_along_axis(qt.transpose(2, 1, 0), order[:, None, :], axis=2)
+    q = np.take_along_axis(w[:, d:].transpose(2, 1, 0), order[:, None, :], axis=2)
     for i in scaled:
         dec = _jacobi(arr[i])
         q[i], vals[i] = dec.q, dec.eigenvalues

@@ -201,7 +201,10 @@ def _guarded(array, each):
     return each()
 
 
-def _evaluated(entries, count: int, array=None) -> np.ndarray:
+_ENTRY_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def _evaluated(entries, count: int, array=None, argument=None) -> np.ndarray:
     """The ``count`` values of a table, flat, from ``entries()``, which gives them
     one by one in row-major order.
 
@@ -209,12 +212,20 @@ def _evaluated(entries, count: int, array=None) -> np.ndarray:
     (IEEE arithmetic in numpy, transcendental functions through ``math``) and
     is taken from _ARRAY_MIN entries on.  Where it fails (see ``_guarded``), the
     entries are evaluated one by one instead, so that a failing evaluation
-    raises KernelDomainError with the error of the first failing entry.
+    raises KernelDomainError with the error of the first failing entry and,
+    given ``argument``, ``argument(k)``, the words that name the argument of
+    that entry, the k-th.
     """
     try:
         return _guarded(count >= _ARRAY_MIN and array, lambda: np.fromiter(entries(), float, count))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise KernelDomainError(f"function undefined at an eigenvalue: {exc}") from exc
+    except _ENTRY_ERRORS as exc:
+        at, k = "", -1
+        try:  # through the entries again, to the failing one
+            for k, _ in enumerate(entries() if argument else ()):
+                pass
+        except _ENTRY_ERRORS:
+            at = f", at {argument(k + 1)}"
+        raise KernelDomainError(f"function undefined at an eigenvalue: {exc}{at}") from exc
 
 
 def _each(fn: Callable[[float], float]) -> Callable:

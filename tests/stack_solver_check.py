@@ -7,10 +7,11 @@ Run from the root of a checkout (CI runs it with the default count):
 Each factor and eigenvalue of ``matcore._eigendecompose_stack`` must equal
 the one ``eigendecompose_symmetric`` gives for its matrix alone, compared as
 bytes, so that -0.0 and 0.0 differ.  The stacks mix every ``_SPECTRA`` kind
-of ``test_matcore`` (signed zeros included) at d = 2 to 8; their sizes sit at
-the ``_STACK_MIN`` boundary and well above it, and one in four holds a member
-whose squared norm overflows.  Tier-1's property test samples a few hundred
-matrices.  Prints the first mismatch and exits 1, else exits 0.
+of ``test_matcore`` (signed zeros included) at d = 2 to 8, 12 and 16; their
+sizes sit at the ``_STACK_MIN`` boundary and above it (200 matrices, 40 at
+d = 12 and 16), and one in four holds a member whose squared norm overflows.
+Tier-1's property test samples a few hundred matrices.  Prints the first
+mismatch and exits 1, else exits 0.
 """
 
 import argparse
@@ -28,11 +29,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     rng = np.random.default_rng(args.seed)
-    sizes = (matcore._STACK_MIN - 1, matcore._STACK_MIN, matcore._STACK_MIN + 1, 200)
+    edge = (matcore._STACK_MIN - 1, matcore._STACK_MIN, matcore._STACK_MIN + 1)
+    sizes = {**{d: (*edge, 200) for d in range(2, 9)}, 12: (*edge, 40), 16: (*edge, 40)}
     checked = 0
     while checked < args.matrices:
-        for d in range(2, 9):
-            for n in sizes:
+        for d, ns in sizes.items():
+            for n in ns:
                 stack = np.array([_test_matrix(rng, d, k) for k in rng.choice(_SPECTRA, n)])
                 if rng.random() < 0.25:  # eigenvalues up to about 2e300
                     stack[rng.integers(n)] = 1e300 * _test_matrix(rng, d, "generic")
@@ -44,8 +46,8 @@ def main(argv=None) -> int:
                         print(f"mismatch: d={d}, stack of {n}, member {i}:\n{s!r}")
                         return 1
                 checked += n
-    print(f"{checked} matrices in stacks of {sizes} at d = 2 to 8: "
-          "the stacked solver equals the scalar solver bit for bit")
+    print(f"{checked} matrices in stacks of {sizes[2]} at d = 2 to 8 and of {sizes[12]} at "
+          "d = 12 and 16: the stacked solver equals the scalar solver bit for bit")
     return 0
 
 

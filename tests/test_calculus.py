@@ -175,6 +175,33 @@ def test_stack_failing_only_in_its_last_matrix_raises(kind, monkeypatch):
                     ca._difference_table(kernel, vals)
 
 
+def _zero_between(below: float, above: float):
+    """A kernel that is 0.0 strictly between ``below`` and ``above``, undefined elsewhere."""
+    def f(x):
+        if not below < x < above:
+            raise ValueError("outside")
+        return 0.0
+    return f
+
+
+@pytest.mark.parametrize("parity", ["odd", "none"])
+@pytest.mark.parametrize("below, above, pair", [
+    (0.0, 9.0, (1.0, 1.0)),  # k(0.0): a parity kernel's first entry, T_00 of a full table
+    (-0.1, 9.0, (0.5, 1.0)),  # v_1 - v_0 = -0.5; with parity, the mirror of a zero
+    (-9.0, 2.25, (3.0, 0.5)),  # v_0 - v_2 = 2.5 in the second row
+])
+def test_a_failing_table_entry_names_its_difference_and_pair(parity, below, above, pair,
+                                                              monkeypatch):
+    kernel = ScalarKernel("zero_between", _zero_between(below, above), (), switch_radius=0.0,
+                          parity=parity)
+    vals = np.array([[1.0, 0.5, 0.25], [3.0, 1.0, 0.5]])
+    message = ("function undefined at an eigenvalue: outside, "
+               f"at the difference {pair[0] - pair[1]!r} of eigenvalues {pair!r}")
+    for _ in _both_paths(monkeypatch):
+        with pytest.raises(ca.KernelDomainError, match=f"^{re.escape(message)}$"):
+            ca._difference_table(kernel, vals)
+
+
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 3), (5, 2), (17, 4)])
 def test_tables_match_per_entry_evaluation_to_the_bit(n, d, monkeypatch):
     rng = make_rng(32 + 10 * n + d)
@@ -363,7 +390,7 @@ def _table_builds(vals, rng):
     return builds
 
 
-def _arrays_only(entries, count, array=None):
+def _arrays_only(entries, count, array=None, argument=None):
     """``_evaluated`` taking the array evaluation whenever there is one, without
     falling back to entry by entry where it raises."""
     if array is None:
@@ -428,8 +455,9 @@ def test_matfun_of_half_log_over_a_stack_equals_each_eigenvalue_to_the_bit():
     half_logs = np.array([[ki._half_log(v) for v in row] for row in vals.tolist()])
     assert ca._matfun(ki._half_log, dec).tobytes() == _spectral(frames, half_logs).tobytes()
     vals = vals.copy()
-    vals[-1, 1] = 0.0  # ln 0: the error of that entry alone
-    with pytest.raises(ca.KernelDomainError, match="^function undefined at an eigenvalue: math "):
+    vals[-1, 1] = 0.0  # ln 0: the error of that entry alone, and its eigenvalue
+    message = "function undefined at an eigenvalue: math domain error, at eigenvalue 0.0"
+    with pytest.raises(ca.KernelDomainError, match=f"^{re.escape(message)}$"):
         ca._matfun(ki._half_log, EigenDecomposition._trusted(frames, vals))
 
 
@@ -443,15 +471,18 @@ _UNDEFINED = "function undefined at an eigenvalue: "
 _KERNEL_ERRORS = {
     # row 1 overflows the kernel (ln ratio -713.8) before row 2's ratio rounds to 0
     "d_log": (lambda: ca._d_log(_failing([1e305, 1e-5, 1e-20])[1], np.ones((12, 3, 3))),
-              _UNDEFINED + "math range error"),
+              _UNDEFINED + "math range error, at eigenvalues (1e-05, 1e+305)"),
     "d_exp": (lambda: ca._d_exp(_failing([800.0, 1.0])[1], np.ones((12, 2, 2))),
-              _UNDEFINED + "math range error"),
+              _UNDEFINED + "math range error, at eigenvalues (800.0, 800.0)"),
     "exp_conjugation": (lambda: ca._exp_conjugation(_failing([1.0, 0.0])[1], np.ones((12, 2, 2)),
-                                                    [1e3] * 12), _UNDEFINED + "math range error"),
+                                                    [1e3] * 12),
+                        _UNDEFINED + "math range error, at eigenvalues (1.0, 0.0)"),
     "spin": (lambda: ki._spin(_failing([1e300, 1e-30])[1], np.ones((12, 2, 2)),
-                              np.zeros((12, 2, 2)), False), _UNDEFINED + "math domain error"),
+                              np.zeros((12, 2, 2)), False),
+             _UNDEFINED + "math domain error, at eigenvalues (1e-30, 1e+300)"),
     "kernel": (lambda: ca._difference_table(ETA, _failing([1e3, 0.0, -1e3])[0]),
-               _UNDEFINED + "math range error"),
+               _UNDEFINED + "math range error, at the difference 1000.0 "
+                            "of eigenvalues (1000.0, 0.0)"),
     # f = t^3 raises at 1e200 but is never needed there: f' = 3 t^2 is inf
     "divided difference": (lambda: mo._divided_difference_table(
         lambda t: t**3, lambda t: 3.0 * t * t, _failing([1e200, 1e200])[0]),

@@ -11,6 +11,7 @@ inf or raise, so a pass also shows that no direct branch reaches them.
 
 import functools
 import math
+import re
 
 import numpy as np
 import oracle
@@ -91,6 +92,13 @@ def test_a_kernel_beyond_the_float_range_fails_in_its_table_with_its_entry_error
     assert np.isfinite(ca._difference_table(kernel, vals[0])).all()
     with pytest.raises(OverflowError, match="^math range error$"):
         kernel(1.0)
-    message = "^function undefined at an eigenvalue: math range error$"
-    with pytest.raises(ca.KernelDomainError, match=message):
+    # the table's first entry beyond the range is v_0 - v_2 = -1.0 in the second row;
+    # the sandwich kernel is finite there, and fails first at v_2 - v_0 = 1.0
+    sandwich = make is sf.make_sandwich_kernel
+    if sandwich:
+        assert math.isfinite(kernel(-1.0))
+    pair = (1.0, 0.0) if sandwich else (0.0, 1.0)
+    message = ("function undefined at an eigenvalue: math range error, "
+               f"at the difference {pair[0] - pair[1]!r} of eigenvalues {pair!r}")
+    with pytest.raises(ca.KernelDomainError, match=f"^{re.escape(message)}$"):
         ca._difference_table(kernel, vals)

@@ -419,6 +419,23 @@ def test_eigen_stack_keeps_the_signs_of_zeros():
         assert ((vals == 0.0) & np.signbit(vals)).any()  # -0.0 eigenvalues are there
 
 
+def test_eigen_stack_members_that_skip_a_pivot_others_rotate_keep_their_bits():
+    # the dense members rotate at every pivot; the block-diagonal one has a_pr
+    # exactly 0.0 at the pivots across its blocks, and the nearly diagonal one
+    # skips pivots below the threshold in sweeps 0 to 2 and has entries zeroed
+    # as tiny in sweep 4.  Columns p and r written from the rotated rows, not
+    # from the rows kept, would give the nearly diagonal member other bits
+    dense = np.array([[4.0, 1.0, -2.0, 0.5], [1.0, 3.0, 0.25, -1.0],
+                      [-2.0, 0.25, 2.0, 1.5], [0.5, -1.0, 1.5, 1.0]])
+    block = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 3.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.5, -1.0]])
+    nearly = np.diag([1.0, 2.0, 1.0, 2.0])
+    for (i, j), x in {(0, 1): -1.7e-4, (0, 2): 2.1e-6, (0, 3): 1e-6, (1, 2): -1.5e-4,
+                      (1, 3): 4.3e-5, (2, 3): -8.9e-5}.items():
+        nearly[i, j] = nearly[j, i] = x
+    _assert_stack_matches_scalar(np.array([dense, block, nearly, -dense]))
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 40])
 def test_stack_sum_squares_is_sequential(n):
     # at one column numpy's sum() is pairwise; the sum must stay the scalar

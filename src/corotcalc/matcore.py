@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, compress
 
 import numpy as np
 
@@ -39,8 +41,8 @@ DEFAULT_EIG_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 64
 _HALF_MAX = np.finfo(float).max / 2  # the sum of two entries below this is finite
 # Stacks of fewer matrices go to the scalar solver.  At d = 3 (2-core Xeon) a
-# stacked solve took 0.9 ms for one matrix, 0.8 ms for 16 and 1.2 ms for 200;
-# the scalar solver 40 to 65 us a matrix, so the two meet at 16 to 20.
+# stacked solve took 0.4 to 0.5 ms for one matrix, 0.5 to 0.6 ms for 16 and
+# 1.1 ms for 200; the scalar solver 32 to 58 us a matrix: they meet at 16 to 18.
 _STACK_MIN = 16
 
 
@@ -379,7 +381,7 @@ def _jacobi(arr: np.ndarray) -> EigenDecomposition:
     # and sends the matrix to the scaled solve.
     rows = arr.tolist()
     a = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]
-    sum_sq = _sum_squares(a, d, diagonal=True)
+    sum_sq = _sum_squares(a, diagonal=True)
     if math.isinf(sum_sq):
         # Largest entry scaled below 2^(511 - bit_length(d)): the squared
         # norm is finite and small entries stay normal floats.
@@ -390,12 +392,13 @@ def _jacobi(arr: np.ndarray) -> EigenDecomposition:
         if np.isinf(vals).any():
             raise MatrixValidationError("an eigenvalue lies beyond the float range")
         return EigenDecomposition._trusted(dec.q, vals)
-    q = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
-    rng_d = range(d)
+    qt = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]  # Q^T = I
+    sqrt = math.sqrt
+    others = _other_rows(d)
 
-    stop = 0.05 * DEFAULT_EIG_TOL * (1.0 + math.sqrt(sum_sq))
+    stop = 0.05 * DEFAULT_EIG_TOL * (1.0 + sqrt(sum_sq))
 
-    off = math.sqrt(_sum_squares(a, d))
+    off = sqrt(_sum_squares(a))
     converged = off <= stop
     for sweep in range(DEFAULT_MAX_SWEEPS):
         if converged:
@@ -403,7 +406,7 @@ def _jacobi(arr: np.ndarray) -> EigenDecomposition:
         # Skip near-converged pivots early on; rotate everything later.
         thresh = 0.2 * off / (d * d) if sweep < 3 else 0.0
         for p in range(d - 1):
-            ap = a[p]
+            ap, qp, rest = a[p], qt[p], others[p]
             for r in range(p + 1, d):
                 ar = a[r]
                 apr = ap[r]
@@ -421,52 +424,62 @@ def _jacobi(arr: np.ndarray) -> EigenDecomposition:
                     t = apr / h
                 else:
                     theta = 0.5 * h / apr
-                    t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
+                    t = 1.0 / (abs(theta) + sqrt(1.0 + theta * theta))
                     if theta < 0.0:
                         t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
+                c = 1.0 / sqrt(1.0 + t * t)
                 s_ = t * c
-                # Two-sided rotation A <- J^T A J with J mixing columns p, r.
-                # A stays exactly symmetric, so off the pivot block rows p
-                # and r of J^T (A J) are copies of its columns p and r; the
-                # block, written last, is rotated from both sides.
-                for i in rng_d:
+                # Two-sided rotation A <- J^T A J with J mixing columns p, r,
+                # and Q^T <- J^T Q^T.  A stays exactly symmetric, so off the
+                # pivot block rows p and r of J^T (A J) are copies of its
+                # columns p and r; the block, written last, is rotated from
+                # both sides (this loop's writes to it at i = r are dead).
+                qr = qt[r]
+                for i in rest:
                     ai = a[i]
                     cp = ai[p]
                     cr = ai[r]
                     ap[i] = ai[p] = c * cp - s_ * cr
                     ar[i] = ai[r] = s_ * cp + c * cr
+                    x = qp[i]
+                    y = qr[i]
+                    qp[i] = c * x - s_ * y
+                    qr[i] = s_ * x + c * y
+                qp[p], qr[p] = c * qp[p] - s_ * qr[p], s_ * qp[p] + c * qr[p]
                 # A J at (p, p), (p, r) and (r, r), then J^T on the left
                 cpp, cpr, crr = c * app - s_ * apr, s_ * app + c * apr, s_ * apr + c * arr_
                 ap[p] = c * cpp - s_ * (c * apr - s_ * arr_)
                 ar[r] = s_ * cpr + c * crr
                 ap[r] = 0.0
                 ar[p] = 0.0
-                for i in rng_d:
-                    qi = q[i]
-                    qp_ = qi[p]
-                    qr_ = qi[r]
-                    qi[p] = c * qp_ - s_ * qr_
-                    qi[r] = s_ * qp_ + c * qr_
-        off = math.sqrt(_sum_squares(a, d))
+        off = sqrt(_sum_squares(a))
         converged = off <= stop
     if not converged:
         raise EigenConvergenceError(off, DEFAULT_MAX_SWEEPS)
 
-    diag = np.array([a[i][i] for i in rng_d])
+    diag = np.array([a[i][i] for i in range(d)])
     order = np.argsort(-diag, kind="stable")
-    return EigenDecomposition._trusted(np.array(q)[:, order], diag[order])
+    return EigenDecomposition._trusted(np.array(qt)[order].T, diag[order])
 
 
-def _sum_squares(a: list, d: int, diagonal: bool = False) -> float:
+@lru_cache(maxsize=16)  # bounded: each table grows as d^2
+def _other_rows(d: int) -> tuple:
+    """Per row p, the rows of a d x d matrix other than p, in order."""
+    return tuple((*range(p), *range(p + 1, d)) for p in range(d))
+
+
+@lru_cache(maxsize=16)  # bounded: each mask grows as d^2
+def _off_diagonal(d: int) -> tuple:
+    """Row-major over a d x d matrix, whether each entry lies off the diagonal."""
+    return tuple(i != j for i in range(d) for j in range(d))
+
+
+def _sum_squares(a: list, diagonal: bool = False) -> float:
     """Sum of the squared entries, off the diagonal unless ``diagonal``, in row-major order."""
+    entries = chain.from_iterable(a)
     acc = 0.0
-    for i in range(d):
-        row = a[i]
-        for j in range(d):
-            if diagonal or i != j:
-                x = row[j]
-                acc += x * x
+    for x in entries if diagonal else compress(entries, _off_diagonal(len(a))):
+        acc += x * x
     return acc
 
 
@@ -478,8 +491,8 @@ def _eigendecompose_stack(s) -> EigenDecomposition:
     is bit-identical to its own, signed zeros included.  A and Q^T share one
     (d, 2d, N) array W, W[i, :d] row i of A and W[i, d:] row i of Q^T, each entry a
     contiguous vector over the stack.  At a pivot every live matrix takes
-    c W[p] - s W[r] and s W[p] + c W[r] (``_jacobi``'s products on A's rows and Q's
-    columns p and r) and A's 2x2 block in closed form; a masked copy keeps them
+    c W[p] - s W[r] and s W[p] + c W[r] (``_jacobi``'s products on the rows p and r
+    of A and of Q^T) and A's 2x2 block in closed form; a masked copy keeps them
     where ``_jacobi`` rotates, and A's columns p and r are copied from the rows
     kept.  The live set is compacted once per sweep.  A matrix whose squared norm
     overflows, and a stack of fewer than ``_STACK_MIN``, take ``_jacobi``.  The

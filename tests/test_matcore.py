@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -346,6 +347,41 @@ def test_eigen_symmetrizes_huge_entries_without_overflow():
     np.testing.assert_array_equal(stacked.eigenvalues[0], dec.eigenvalues)
 
 
+def _frozen_matrix(d: int) -> list:
+    """A symmetric d x d matrix of small integers times 2^-2, exact in binary."""
+    return [[math.ldexp(((i + 1) * (j + 1) * 5 + 3 * (i + j) + 7 * (i == j)) % 13 - 6, -2)
+             for j in range(d)] for i in range(d)]
+
+
+_FROZEN = {  # name: (matrix, SHA-256 of q.tobytes() + eigenvalues.tobytes())
+    **{f"d={d}": (_frozen_matrix(d), digest) for d, digest in (
+        (1, "794976fd0327050748e98d0926137f2f0b50991ccc25ca591b701361bef8fb66"),
+        (2, "81ab87eef713b914081203fd43f8fc33fa229266e6dc69490655bc19c16b48f7"),
+        (3, "ccd63af2261a18ecf9efeeaf7fc0948877faea1f0b82f507863c8f7d1a356180"),
+        (8, "5c4edb3a6f8d4a9c25fe89b19c1b75cb8dd3eb7bf611e7e551c95765c2ceca61"),
+        (16, "32bf72191f30ec6070cebaaf690c10cb979b87ca4cce08ccb6555c758622f63e"),
+    )},
+    "squared norm overflows": ([[math.ldexp(3, 1020), math.ldexp(1, 1019), 0.0],
+                                [math.ldexp(1, 1019), math.ldexp(-5, 1018), 1.0],
+                                [0.0, 1.0, 5.0]],
+                               "ea628f8c6f6533288bb253056a423891d93ecc8b42b9956049d31d6549599a8a"),
+    "signed zeros": ([[1.0, -0.0, -0.0, -0.0], [-0.0, -0.0, 0.5, -0.0],
+                      [-0.0, 0.5, -2.5, -0.0], [-0.0, -0.0, -0.0, 0.0]],
+                     "d2ed54b1940868e2fcef5305a68180f31212e48021042606e94f89997095da51"),
+}
+
+
+@pytest.mark.parametrize("name", list(_FROZEN))
+def test_scalar_solver_frozen_bytes(name):
+    # the scalar solver works in Python floats only, so its bytes are the same
+    # on every numpy build and CPU feature set; these were recorded before its
+    # loops were last restructured, and pin it across such changes
+    entries, digest = _FROZEN[name]
+    dec = matcore._jacobi(np.array(entries))
+    assert dec.q.flags.f_contiguous  # the layout later products see
+    assert hashlib.sha256(dec.q.tobytes() + dec.eigenvalues.tobytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # the stacked solver: per matrix, the single-matrix solver bit for bit
 
@@ -408,6 +444,25 @@ def test_eigen_stack_matches_scalar_on_many_matrices():
     _assert_stack_matches_scalar(np.array([np.eye(3), huge, _test_matrix(rng, 3, "wide")]))
 
 
+@pytest.mark.parametrize("d", [1, 2, 17, 20, 24])
+def test_eigen_stack_matches_scalar_solver_outside_the_usual_sizes(d):
+    # the scalar solver's per-dimension tables at d = 1 and 2 and above 16
+    rng = np.random.default_rng(d)
+    for n in (STACK_MIN, 2):
+        _assert_stack_matches_scalar(np.array([_test_matrix(rng, d, _SPECTRA[k % len(_SPECTRA)])
+                                               for k in range(n)]))
+
+
+def test_scalar_solver_tables_stay_bounded():
+    for d in range(1, 21):
+        eigendecompose_symmetric(np.eye(d))
+        assert sum(map(len, matcore._other_rows(d))) == d * (d - 1)  # O(d^2), not per pivot
+        assert len(matcore._off_diagonal(d)) == d * d
+    for table in (matcore._other_rows, matcore._off_diagonal):
+        info = table.cache_info()
+        assert info.currsize <= info.maxsize == 16, table.__name__
+
+
 def test_eigen_stack_keeps_the_signs_of_zeros():
     # a rotation the stacked solver computes but does not keep must not reach
     # a zero: each member's -0.0 entries come out as the scalar solver leaves them
@@ -441,13 +496,16 @@ def test_stack_sum_squares_is_sequential(n):
     # at one column numpy's sum() is pairwise; the sum must stay the scalar
     # solver's sequential one however few matrices are live
     rng = np.random.default_rng(n)
-    for d in (3, 4, 8):
+    for d in (1, 2, 3, 4, 8, 16):
         stack = rng.uniform(-1.0, 1.0, (n, d, d)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, d, d))
+        stack[-1, -1, 0] = 1e200  # its square overflows to inf, on the diagonal at d = 1
         layout = np.ascontiguousarray(stack.transpose(1, 2, 0))
         for diagonal in (False, True):
-            got = matcore._stack_sum_squares(layout, diagonal)
-            want = [matcore._sum_squares(m.tolist(), d, diagonal) for m in stack]
+            with np.errstate(over="ignore"):
+                got = matcore._stack_sum_squares(layout, diagonal)
+            want = [matcore._sum_squares(m.tolist(), diagonal) for m in stack]
             assert got.tolist() == want, (d, diagonal)
+            assert want[-1] == (math.inf if d > 1 or diagonal else 0.0)
 
 
 def _raised(call) -> tuple:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, cycle
 
 import numpy as np
 
@@ -41,8 +40,8 @@ DEFAULT_EIG_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 64
 _HALF_MAX = np.finfo(float).max / 2  # the sum of two entries below this is finite
 # Stacks of fewer matrices go to the scalar solver.  At d = 3 (2-core Xeon) a
-# stacked solve took 0.4 to 0.5 ms for one matrix, 0.5 to 0.6 ms for 16 and
-# 1.1 ms for 200; the scalar solver 32 to 58 us a matrix: they meet at 16 to 18.
+# stacked solve took 0.6 to 1.0 ms for one matrix, 0.6 to 0.7 ms for 16 and
+# 1.3 ms for 200; the scalar solver 40 to 64 us a matrix: they meet at 16 to 20.
 _STACK_MIN = 16
 
 
@@ -394,7 +393,7 @@ def _jacobi(arr: np.ndarray) -> EigenDecomposition:
         return EigenDecomposition._trusted(dec.q, vals)
     qt = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]  # Q^T = I
     sqrt = math.sqrt
-    others = _other_rows(d)
+    rng_d = range(d)
 
     stop = 0.05 * DEFAULT_EIG_TOL * (1.0 + sqrt(sum_sq))
 
@@ -406,7 +405,7 @@ def _jacobi(arr: np.ndarray) -> EigenDecomposition:
         # Skip near-converged pivots early on; rotate everything later.
         thresh = 0.2 * off / (d * d) if sweep < 3 else 0.0
         for p in range(d - 1):
-            ap, qp, rest = a[p], qt[p], others[p]
+            ap, qp = a[p], qt[p]
             for r in range(p + 1, d):
                 ar = a[r]
                 apr = ap[r]
@@ -433,9 +432,9 @@ def _jacobi(arr: np.ndarray) -> EigenDecomposition:
                 # and Q^T <- J^T Q^T.  A stays exactly symmetric, so off the
                 # pivot block rows p and r of J^T (A J) are copies of its
                 # columns p and r; the block, written last, is rotated from
-                # both sides (this loop's writes to it at i = r are dead).
+                # both sides (this loop's writes to it at i = p, r are dead).
                 qr = qt[r]
-                for i in rest:
+                for i in rng_d:
                     ai = a[i]
                     cp = ai[p]
                     cr = ai[r]
@@ -445,7 +444,6 @@ def _jacobi(arr: np.ndarray) -> EigenDecomposition:
                     y = qr[i]
                     qp[i] = c * x - s_ * y
                     qr[i] = s_ * x + c * y
-                qp[p], qr[p] = c * qp[p] - s_ * qr[p], s_ * qp[p] + c * qr[p]
                 # A J at (p, p), (p, r) and (r, r), then J^T on the left
                 cpp, cpr, crr = c * app - s_ * apr, s_ * app + c * apr, s_ * apr + c * arr_
                 ap[p] = c * cpp - s_ * (c * apr - s_ * arr_)
@@ -457,28 +455,18 @@ def _jacobi(arr: np.ndarray) -> EigenDecomposition:
     if not converged:
         raise EigenConvergenceError(off, DEFAULT_MAX_SWEEPS)
 
-    diag = np.array([a[i][i] for i in range(d)])
+    diag = np.array([a[i][i] for i in rng_d])
     order = np.argsort(-diag, kind="stable")
-    return EigenDecomposition._trusted(np.array(qt)[order].T, diag[order])
-
-
-@lru_cache(maxsize=16)  # bounded: each table grows as d^2
-def _other_rows(d: int) -> tuple:
-    """Per row p, the rows of a d x d matrix other than p, in order."""
-    return tuple((*range(p), *range(p + 1, d)) for p in range(d))
-
-
-@lru_cache(maxsize=16)  # bounded: each mask grows as d^2
-def _off_diagonal(d: int) -> tuple:
-    """Row-major over a d x d matrix, whether each entry lies off the diagonal."""
-    return tuple(i != j for i in range(d) for j in range(d))
+    return EigenDecomposition._trusted(np.array(qt).take(order, 0).T, diag[order])
 
 
 def _sum_squares(a: list, diagonal: bool = False) -> float:
     """Sum of the squared entries, off the diagonal unless ``diagonal``, in row-major order."""
     entries = chain.from_iterable(a)
+    if not diagonal:  # row-major, the diagonal is every (d + 1)-th entry from the first
+        entries = compress(entries, cycle((False,) + (True,) * len(a)))
     acc = 0.0
-    for x in entries if diagonal else compress(entries, _off_diagonal(len(a))):
+    for x in entries:
         acc += x * x
     return acc
 

@@ -9,8 +9,9 @@ the one ``eigendecompose_symmetric`` gives for its matrix alone, compared as
 bytes, so that -0.0 and 0.0 differ.  The stacks mix every ``_SPECTRA`` kind
 of ``test_matcore`` (signed zeros included) at d = 2 to 8, 12, 16, 20 and 24;
 their sizes sit at the ``_STACK_MIN`` boundary and above it (200 matrices, 40
-at d = 12 and 16, none above it at d = 20 and 24), and one in four holds a
-member whose squared norm overflows.
+at d = 12 and 16; at d = 20 and 24 only the two that reach the stacked
+solver, as a smaller stack would compare the scalar solver with itself), and
+one in four holds a member whose squared norm overflows.
 Tier-1's property test samples a few hundred matrices.  Prints the first
 mismatch and exits 1, else exits 0.
 """
@@ -32,7 +33,7 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     edge = (matcore._STACK_MIN - 1, matcore._STACK_MIN, matcore._STACK_MIN + 1)
     sizes = {**{d: (*edge, 200) for d in range(2, 9)}, 12: (*edge, 40), 16: (*edge, 40),
-             20: edge, 24: edge}
+             20: edge[1:], 24: edge[1:]}
     checked = 0
     while checked < args.matrices:
         for d, ns in sizes.items():
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
                         return 1
                 checked += n
     print(f"{checked} matrices in stacks of {sizes[2]} at d = 2 to 8, of {sizes[12]} at "
-          f"d = 12 and 16 and of {edge} at d = 20 and 24: the stacked solver equals the "
+          f"d = 12 and 16 and of {sizes[20]} at d = 20 and 24: the stacked solver equals the "
           "scalar solver bit for bit")
     return 0
 

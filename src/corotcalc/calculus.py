@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import scalarfun
 from .matcore import (
     EigenDecomposition,
     _gate,
@@ -37,6 +38,7 @@ from .scalarfun import (
     COTH_HALF_X,
     ETA_NEG,
     ETA_NEG_RECIP,
+    _ENTRY_ERRORS,
     KernelDomainError,
     _checked,
     _evaluated,
@@ -175,12 +177,22 @@ def _difference_table(k, values) -> np.ndarray:
     holds to the bit (test_declared_parity_holds_to_the_bit).  A zero is
     evaluated at its mirror too, as parity need not fix its sign (sinh_ratio
     at q = 0 is +0.0 at x > 0.25 and -0.0 at -x).  Any other kernel is
-    evaluated at every pair.
+    evaluated at every pair.  A mirrored table of fewer than
+    ``scalarfun._ARRAY_MIN`` entries, counted as N d^2, is built over Python
+    floats, where an array operation costs more than it saves; where an entry
+    fails it is built again as below, which names that entry.
     """
     vals = np.asarray(values, dtype=float)
     rows = vals.reshape(-1, vals.shape[-1])
     n, d = rows.shape
     sign = {"even": 1.0, "odd": -1.0}.get(getattr(k, "parity", None))
+    if sign is not None and n * d * d < scalarfun._ARRAY_MIN:
+        try:
+            table = np.array(_mirrored(k, rows.tolist(), sign), dtype=float)
+        except _ENTRY_ERRORS:
+            pass  # evaluated again below, where the error names the failing entry
+        else:
+            return _checked(table.reshape(vals.shape + vals.shape[-1:]), vals)
     over = getattr(k, "over", None)
 
     def at(x: np.ndarray, cell, *lead: float) -> np.ndarray:
@@ -210,6 +222,23 @@ def _difference_table(k, values) -> np.ndarray:
         table[:, i, j], table[:, j, i] = up, down
         table.reshape(n, d * d)[:, :: d + 1] = out[0]  # the diagonal, k(0.0)
     return _checked(table.reshape(vals.shape + vals.shape[-1:]), vals)
+
+
+def _mirrored(k, rows: list, sign: float) -> list:
+    """``_difference_table``'s mirrored tables of k over rows of floats, as lists: k(0.0)
+    on each diagonal, k(v_i - v_j) at i < j, and at j > i sign times it or, for a zero,
+    k(0.0 - (v_i - v_j))."""
+    diagonal = k(0.0)
+    tables = []
+    for row in rows:
+        table = [[diagonal] * len(row) for _ in row]
+        for i, (v, t_i) in enumerate(zip(row, table)):
+            for j in range(i + 1, len(row)):
+                x = v - row[j]
+                t_i[j] = t = k(x)
+                table[j][i] = sign * t if t != 0.0 else k(0.0 - x)
+        tables.append(table)
+    return tables
 
 
 def _matfun(f: Callable[[float], float], dec: EigenDecomposition) -> np.ndarray:

@@ -85,8 +85,13 @@ def _spin_series(u):
     return 1.0 + 2.0 * q
 
 
+_SPIN_AT_ZERO = _spin_series(0.0)  # its bits at -0.0 too: each Horner step there is c + (+-0.0)
+
+
 def _pair_weight(b_i: float, b_j: float) -> float:
     u = (b_i - b_j) / b_j
+    if u == 0.0:  # the diagonal and exactly repeated eigenvalues
+        return _SPIN_AT_ZERO
     if abs(u) <= _SPIN_SERIES_SWITCH:
         return _spin_series(u)
     # ln r, not ln(1+u): u rounds to -1 when b_i << b_j.

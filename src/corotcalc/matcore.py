@@ -84,8 +84,9 @@ class EigenConvergenceError(RuntimeError):
         )
 
 
-def _square_finite(entries, convert=np.array) -> np.ndarray:
-    """``convert(entries, dtype=float)`` if square and finite, else MatrixValidationError."""
+def _square_finite(entries, convert=np.array, finite: bool = True) -> np.ndarray:
+    """``convert(entries, dtype=float)`` if square and finite, else MatrixValidationError.
+    Without ``finite`` the caller tests finiteness (``_symmetry_defect`` does)."""
     try:
         arr = convert(entries, dtype=float)
     except (TypeError, ValueError) as exc:  # an entry that is not a number, or ragged rows
@@ -94,7 +95,7 @@ def _square_finite(entries, convert=np.array) -> np.ndarray:
         raise MatrixValidationError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise MatrixValidationError("matrix dimension must be at least 1")
-    if not np.isfinite(arr).all():
+    if finite and not np.isfinite(arr).all():
         raise MatrixValidationError("matrix entries must be finite")
     return arr
 
@@ -120,8 +121,11 @@ def _gate(*args, shape=None) -> tuple:
 def _symmetry_defect(arr: np.ndarray, tol: float = DEFAULT_SYM_TOL, skew: bool = False) -> tuple:
     """(max|A - A^T|, tol (1 + max|A|), max|A| > _HALF_MAX), or max|A + A^T| first
     with ``skew``.  Above half the float range the difference is taken of the
-    halved entries and doubled, so that it cannot overflow."""
+    halved entries and doubled, so that it cannot overflow.  A max|A| that is
+    not finite raises MatrixValidationError, before the difference could warn."""
     scale = float(np.abs(arr).max())
+    if not math.isfinite(scale):
+        raise MatrixValidationError("matrix entries must be finite")
     huge = scale > _HALF_MAX
     a = 0.5 * arr if huge else arr
     defect = float(np.abs(a + a.T if skew else a - a.T).max())
@@ -141,7 +145,7 @@ def _require_spd(dec: "EigenDecomposition") -> "EigenDecomposition":
     """``dec`` (one matrix or a stack) if every eigenvalue is positive, the
     package's one SPD rule; else NotSpdError with the first offending one."""
     smallest = dec.eigenvalues[..., -1]
-    if not (smallest > 0.0).all():
+    if not np.minimum.reduce(smallest, axis=None) > 0.0:  # a NaN fails too
         raise NotSpdError(np.extract(~(smallest > 0.0), smallest)[0])
     return dec
 
@@ -205,10 +209,12 @@ class Matrix:
 def _symmetrized(entries, sym_tol: float, skew: bool = False) -> np.ndarray:
     """(A + A^T)/2, or with ``skew`` (A - A^T)/2, whose diagonal x + (-x) is +0.0.
 
-    The one check of the entries: ``as_array`` (which takes a Matrix as
-    checked already), then symmetry or skewness within ``sym_tol``.
+    The one check of the entries: their shape (a Matrix is checked already),
+    then ``_symmetry_defect``, which tests finiteness through max|A| and
+    symmetry or skewness within ``sym_tol``.
     """
-    arr = as_array(entries)
+    checked = isinstance(entries, Matrix)
+    arr = entries.array if checked else _square_finite(entries, np.asarray, finite=False)
     defect, bound, huge = _symmetry_defect(arr, sym_tol, skew)
     if defect > bound:
         if skew:
@@ -455,9 +461,10 @@ def _jacobi(arr: np.ndarray) -> EigenDecomposition:
     if not converged:
         raise EigenConvergenceError(off, DEFAULT_MAX_SWEEPS)
 
-    diag = np.array([a[i][i] for i in rng_d])
-    order = np.argsort(-diag, kind="stable")
-    return EigenDecomposition._trusted(np.array(qt).take(order, 0).T, diag[order])
+    diag = [a[i][i] for i in rng_d]
+    order = sorted(rng_d, key=diag.__getitem__, reverse=True)  # stable: ties keep their order
+    return EigenDecomposition._trusted(np.array([qt[i] for i in order]).T,
+                                       np.array([diag[i] for i in order]))
 
 
 def _sum_squares(a: list, diagonal: bool = False) -> float:

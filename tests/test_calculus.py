@@ -443,6 +443,20 @@ def test_stacks_on_both_sides_of_the_crossover_equal_every_pair(side):
     assert ca._each_pair(ki._pair_weight, ki._pair_weights, b).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("rows, d", [(11, 3), (12, 3), (1, 9), (1, 10)])
+def test_mirrored_tables_on_both_sides_of_the_list_crossover_equal_every_pair(rows, d,
+                                                                              monkeypatch):
+    # a mirrored table of fewer than _ARRAY_MIN entries, N d^2, is built in Python lists
+    listed = []
+    lists = ca._mirrored
+    monkeypatch.setattr(ca, "_mirrored", lambda *args: listed.append(1) or lists(*args))
+    rng = make_rng(95 + d)
+    for k in (SIGMA, GAMMA, make_sinh_ratio_kernel(0.0)):  # a zero mirrored by sign too
+        for vals in _spectra(rng, d, k.switch_radius).values():
+            _assert_table_matches(k, np.resize(vals, (rows, d)))
+    assert bool(listed) == (rows * d * d < sf._ARRAY_MIN)
+
+
 def test_matfun_of_half_log_over_a_stack_equals_each_eigenvalue_to_the_bit():
     # _half_log takes the whole eigenvalue array at once: the stack's log strains
     # equal those built from its values at each eigenvalue, byte for byte

@@ -3,7 +3,11 @@
 Every binding of ``matcore._square_finite`` (the finiteness check behind
 ``as_array`` and the constructors) and of ``matcore._symmetry_defect`` (the
 symmetry and skewness test) is replaced by a counting spy, and each call
-below must make exactly the pinned number of each.  A count above the pin is
+below must make exactly the pinned number of each.  ``SymMatrix``,
+``SkewMatrix`` and ``SpdMatrix`` of an array call ``_square_finite`` for the
+conversion and the shape only: their finiteness test runs in
+``_symmetry_defect``, on the max|A| that scales its tolerance.  Each still
+makes one call of each, so their pins are unchanged.  A count above the pin is
 a check repeated on an array that was just checked; the pins of the
 composite functions also keep the one check of each computed array whose
 overflow the function reports.

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,11 +50,25 @@ def test_matrix_rejects_non_square():
         matcore.as_array(np.zeros((0, 0)))
 
 
-def test_matrix_rejects_non_finite():
-    with pytest.raises(MatrixValidationError):
-        Matrix([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(MatrixValidationError):
-        Matrix([[np.inf, 0.0], [0.0, 1.0]])
+_HUGE = 0.75 * np.finfo(float).max  # above half the float range: _symmetry_defect's halved branch
+
+
+@pytest.mark.parametrize("make", [Matrix, SymMatrix, SkewMatrix, SpdMatrix, matcore.as_array])
+@pytest.mark.parametrize("entries", [
+    [[1.0, np.nan], [0.0, 1.0]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+    [[0.0, -np.inf], [np.inf, 0.0]],
+    [[_HUGE, np.inf], [_HUGE, 1.0]],
+], ids=["nan", "inf", "-inf", "inf beside a huge entry"])
+def test_matrix_rejects_non_finite(make, entries):
+    # the value types test finiteness through max|A| in _symmetry_defect, before
+    # A - A^T: no value of inf - inf or nan may warn on the way to the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MatrixValidationError) as ei:
+            make(entries)
+    assert type(ei.value) is MatrixValidationError
+    assert str(ei.value) == "matrix entries must be finite"
 
 
 @pytest.mark.parametrize("make", [Matrix, SymMatrix, SkewMatrix, SpdMatrix, matcore.as_array])
@@ -113,6 +128,17 @@ def test_spd_constructor_rejects_indefinite_with_eigenvalue():
     with pytest.raises(NotSpdError) as ei:
         SpdMatrix([[1.0, 2.0], [2.0, 1.0]])
     assert ei.value.smallest_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_stacked_spd_gate_names_the_first_non_positive_eigenvalue_a_negative_zero():
+    dec = EigenDecomposition._trusted(np.tile(np.eye(2), (3, 1, 1)),
+                                      np.array([[2.0, 1.0], [1.0, -0.0], [1.0, 0.0]]))
+    with pytest.raises(NotSpdError) as ei:
+        matcore._require_spd(dec)
+    assert math.copysign(1.0, ei.value.smallest_eigenvalue) == -1.0
+    assert str(ei.value) == "matrix is not positive definite: smallest eigenvalue -0"
+    with pytest.raises(NotSpdError, match="smallest eigenvalue nan$"):
+        matcore._require_spd(EigenDecomposition._trusted(np.eye(2), np.array([1.0, np.nan])))
 
 
 def test_spd_constructor_accepts_any_positive_spectrum():
@@ -216,6 +242,17 @@ def test_eigen_descending_order_from_shuffled_diagonal():
     np.testing.assert_allclose(dec.eigenvalues, [7.0, 5.0, 2.0], atol=0)
     np.testing.assert_allclose(dec.q @ np.diag(dec.eigenvalues) @ dec.q.T,
                                np.diag([2.0, 7.0, 5.0]), atol=1e-14)
+
+
+@pytest.mark.parametrize("diagonal", [(1.0, 2.0, 1.0), (2.0, 2.0, 2.0), (0.0, -0.0, 0.0)])
+def test_eigen_diagonal_ties_keep_their_order(diagonal):
+    # descending, ties (equal zeros of either sign too) in their input order
+    v = np.array(diagonal)
+    order = np.argsort(-v, kind="stable")
+    dec = eigendecompose_symmetric(np.diag(v))
+    assert dec.eigenvalues.tobytes() == v[order].tobytes()
+    assert dec.q.tobytes() == np.eye(3)[:, order].tobytes()
+    assert dec.q.strides == (8, 24)
 
 
 def test_eigen_characteristic_polynomial_oracle():

@@ -263,10 +263,7 @@ def write_trajectory_csv(rows, path: str) -> None:
 def cmd_simulate(args) -> int:
     try:
         field = _build_field(args)
-        # the columns of integrate_motion's samples, without building them
-        t, *_, agreement, rate_res, evol_res, dets = ki._trajectory(
-            field, np.eye(field.dim), args.t_end, args.dt, args.record_every
-        )
+        traj = ki.integrate_motion(field, np.eye(field.dim), args.t_end, args.dt, args.record_every)
     except ki.IntegrationAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR_ABORT
@@ -277,15 +274,16 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        write_trajectory_csv(zip(t, rate_res, evol_res, agreement, dets), args.output_path)
+        write_trajectory_csv(zip(traj.t, traj.rate_residual, traj.evolution_residual,
+                                 traj.spin_agreement, traj.det_f), args.output_path)
     except OSError as exc:
         print(f"error: cannot write {args.output_path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    print(f"motion {field.descriptor}: {len(t)} samples -> {args.output_path}")
-    print(f"max res_eq5       = {_fmt(max(rate_res))}")
-    print(f"max res_eq40      = {_fmt(max(evol_res))}")
-    print(f"max spin mismatch = {_fmt(max(agreement))}")
-    print(f"min det F         = {_fmt(min(dets))}")
+    print(f"motion {field.descriptor}: {len(traj)} samples -> {args.output_path}")
+    print(f"max res_eq5       = {_fmt(max(traj.rate_residual))}")
+    print(f"max res_eq40      = {_fmt(max(traj.evolution_residual))}")
+    print(f"max spin mismatch = {_fmt(max(traj.spin_agreement))}")
+    print(f"min det F         = {_fmt(min(traj.det_f))}")
     return EXIT_OK
 
 

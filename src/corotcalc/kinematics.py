@@ -35,7 +35,7 @@ from .scalarfun import SIGMA, KernelDomainError, _div, _log, _log1p_series, _tak
 __all__ = [
     "IntegrationAbort",
     "VelocityGradientField",
-    "MotionSample",
+    "Trajectory",
     "simple_shear",
     "pure_stretch",
     "rigid_rotation",
@@ -264,36 +264,40 @@ def polynomial_motion(seed: int, dim: int = 3) -> VelocityGradientField:
 # trajectories
 
 
-@dataclass(frozen=True)
-class MotionSample:
-    """One recorded time point of a simulated deformation.
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """A simulated deformation's recorded samples as columns: lists of floats and
+    read-only (n, d, d) stacks, one entry a sample; ``len`` is the sample count.
 
-    ``rate_residual`` is the defect of the corotational rate identity for
-    the log strain (analytic strain rate); ``evolution_residual`` is the
-    centered-difference defect of the B evolution equation, zero at the
-    trajectory endpoints where no centered stencil exists.
+    ``rate_residual`` is the defect of the corotational rate identity for the log
+    strain (analytic strain rate); ``evolution_residual`` the centered-difference
+    defect of the B evolution equation, 0.0 at the two ends.  ``det_f`` is det F as
+    rounded, which can read 0 or inf while F keeps its positive orientation.
     """
 
-    t: float
+    t: list
     f: np.ndarray
     b: np.ndarray
     h: np.ndarray
     d: np.ndarray
     w: np.ndarray
     omega_log: np.ndarray
-    spin_agreement: float
-    rate_residual: float
-    evolution_residual: float
-    det_f: float
+    spin_agreement: list
+    rate_residual: list
+    evolution_residual: list
+    det_f: list
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 # Steps of one trajectory, at most: 6.3 s for simple shear and 3.6 min for
 # polynomial_motion at d = 3 (0.63 and 21.5 us CPU per step, 2-core Xeon).
 MAX_STEPS = 10**7
 # Peak memory of the recorded samples, at most, estimated as 136 d^2 + 1200
-# bytes a sample (about 17 (d, d) float stacks and 1.2 KB of integrate_motion's
-# objects, which _trajectory's callers skip; peak RSS measured 1.3, 2.2 and
-# 36 KB a sample at d = 1, 3 and 16).
+# bytes a sample: about 17 (d, d) float stacks, and 1.2 KB kept as a margin for
+# the columns' Python floats.  Peak RSS measured 0.3, 1.6 and 42 KB a sample at
+# d = 1, 3 and 16 (simple shear), a sixth over the estimate at d = 16.
 MAX_RECORD_BYTES = 2**28
 # The largest d whose one sample fits in MAX_RECORD_BYTES: 1404.
 MAX_DIM = math.isqrt((MAX_RECORD_BYTES - 1200) // 136)
@@ -351,40 +355,28 @@ def _b_rates(field: VelocityGradientField, times: list, b: np.ndarray) -> tuple:
     return l_all, db_dt, evol_res
 
 
-def integrate_motion(
-    field: VelocityGradientField,
-    f0,
-    t_end: float,
-    dt: float,
-    record_every: int = 1,
-) -> list:
+def integrate_motion(field: VelocityGradientField, f0, t_end: float, dt: float,
+                     record_every: int = 1) -> Trajectory:
     """Integrate dF/dt = L(t) F by classical fourth-order Runge-Kutta.
 
     The equation is linear, so each step is F <- M_k F with the step matrix
     M_k of ``_rk4_matrix``; a field with a ``constant`` L builds it once.
-    Records a MotionSample every ``record_every`` steps (step 0 included);
+    Records a sample every ``record_every`` steps (step 0 included);
     the final step is recorded only when it falls on the stride, keeping
     the recorded time grid uniform.  Runs at most MAX_STEPS steps and
-    records samples of at most about MAX_RECORD_BYTES.  Raises IntegrationAbort at the first step
-    whose det(F) is not positive; the determinants are taken per chunk of
-    steps, as one stack.
+    records samples of at most about MAX_RECORD_BYTES.  Raises IntegrationAbort
+    at the first step where F loses its positive orientation; the determinants
+    are taken per chunk of steps, as one stack, and one that rounds to 0 or
+    below is settled by the sign of ``slogdet``, which cannot underflow.
     The recorded samples are post-processed as one stack: one stacked
     eigensolve of B, then the log strain, both spins and the rate residuals,
-    each bit-identical to the single-matrix functions.  The arrays of the
-    samples are read-only views into those stacks.  An F0 whose shape is not
-    the field's raises DimensionMismatchError before any step.
+    each bit-identical to the single-matrix functions.  An F0 whose shape is
+    not the field's raises DimensionMismatchError before any step.
     """
-    return [MotionSample(*row) for row in zip(*_trajectory(field, f0, t_end, dt, record_every))]
-
-
-def _trajectory(field: VelocityGradientField, f0, t_end: float, dt: float,
-                record_every: int) -> tuple:
-    """``integrate_motion``'s samples as columns, in MotionSample's field order:
-    lists of the floats, (n, d, d) stacks of the arrays."""
     f = np.array(_gate(f0, field(0.0))[0], dtype=float)
     n_steps = _step_count(t_end, dt, record_every, len(f))
     det_f = float(np.linalg.det(f))
-    if det_f <= 0.0:
+    if det_f <= 0.0 and np.linalg.slogdet(f)[0] <= 0.0:  # a tiny F0's det rounds to 0
         raise ValueError("det(F0) must be positive")
 
     if field.constant is not None:
@@ -409,11 +401,13 @@ def _trajectory(field: VelocityGradientField, f0, t_end: float, dt: float,
                 f = m.dot(f, out)  # np.matmul's dgemm, without the ufunc dispatch
             block_dets = np.linalg.det(block)
         lost = np.flatnonzero(block_dets <= 0.0)
+        if lost.size:  # slogdet's sign, from the same LU factors, cannot underflow
+            lost = lost[np.linalg.slogdet(block[lost])[0] <= 0.0]
         kept = block[: lost[0] + 1] if lost.size else block
         bad = np.flatnonzero(~np.isfinite(kept).all(axis=(1, 2)))
         if finite and bad.size:
             warnings.warn(f"overflow in the RK4 step: F is not finite from step "
-                          f"{start + bad[0] + 1}", RuntimeWarning, stacklevel=3)
+                          f"{start + bad[0] + 1}", RuntimeWarning, stacklevel=2)
         if lost.size:
             raise IntegrationAbort(start + lost[0] + 1, block_dets[lost[0]])
         first = -(start + 1) % record_every  # block[i] is step start + 1 + i
@@ -440,10 +434,10 @@ def _trajectory(field: VelocityGradientField, f0, t_end: float, dt: float,
 
     for stack in (f_all, b, h, d, w, omega):
         stack.setflags(write=False)
-    return times, f_all, b, h, d, w, omega, agreement, rate_res, evol_res, dets
+    return Trajectory(times, f_all, b, h, d, w, omega, agreement, rate_res, evol_res, dets)
 
 
-def corotational_rate_residuals(samples: list, h_dot_method: str = "analytic"):
+def corotational_rate_residuals(trajectory: Trajectory, h_dot_method: str = "analytic"):
     """Defect of (corotational rate of H) = D along a recorded trajectory.
 
     ``analytic`` differentiates the log strain through the derivative of the
@@ -453,13 +447,17 @@ def corotational_rate_residuals(samples: list, h_dot_method: str = "analytic"):
     differences and is second-order accurate in the sample spacing; the
     first and last samples carry no value.  Returns (times, residuals).
     """
-    if len(samples) < 3:
-        raise ValueError("need at least 3 samples")
-    if h_dot_method == "analytic":
-        return np.array([s.t for s in samples]), np.array([s.rate_residual for s in samples])
-    if h_dot_method != "finite_difference":
+    if h_dot_method not in ("analytic", "finite_difference"):
         raise ValueError(f"unknown h_dot_method {h_dot_method!r}")
-    t, h, omega, d = (np.array([getattr(s, k) for s in samples])
-                      for k in ("t", "h", "omega_log", "d"))
+    if len(trajectory) < 3:
+        raise ValueError("need at least 3 samples")
+    t = np.array(trajectory.t)
+    if h_dot_method == "analytic":
+        return t, np.array(trajectory.rate_residual)
+    return t[1:-1], _fd_rate_residuals(t, trajectory.h, trajectory.omega_log, trajectory.d)
+
+
+def _fd_rate_residuals(t, h, omega, d) -> np.ndarray:
+    """The centered-difference rate defects at the inner samples of (n,) times and (n, d, d) stacks."""
     h_dot = (h[2:] - h[:-2]) / (t[2:] - t[:-2])[:, None, None]
-    return t[1:-1], _norms(_corotational(h[1:-1], h_dot, omega[1:-1]) - d[1:-1])
+    return _norms(_corotational(h[1:-1], h_dot, omega[1:-1]) - d[1:-1])

@@ -229,6 +229,10 @@ def test_simulate_simple_shear(tmp_path, capsys):
     assert len(lines) == 102  # header + 101 samples
     res5 = [float(row.split(",")[1]) for row in lines[1:]]
     assert max(res5) <= 1e-8
+    # the defaults, simple shear or polynomial: 1,001 samples over t in [0, 1]
+    for flags in ([], ["--motion", "polynomial", "--seed", "3"]):
+        assert main(["simulate", *flags, "--out", str(out)]) == 0
+        assert len(out.read_bytes().splitlines()) == 1002
 
 
 def test_simulate_rigid_rotation_trivial_strain(tmp_path, capsys):
@@ -291,22 +295,19 @@ def test_simulate_integrator_abort_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [[], ["--motion", "polynomial", "--seed", "3"]])
-def test_simulate_builds_no_motion_samples(flags, tmp_path, capsys, monkeypatch):
-    built = []
-
-    class Counted(ki.MotionSample):
-        def __init__(self, *fields):
-            built.append(fields[0])
-            super().__init__(*fields)
-
-    monkeypatch.setattr(ki, "MotionSample", Counted)
-    assert main(["simulate", *flags, "--out", str(tmp_path / "traj.csv")]) == 0
-    assert built == []
-    assert len((tmp_path / "traj.csv").read_bytes().splitlines()) == 1002
-    # the spy sees the samples integrate_motion builds
-    samples = ki.integrate_motion(ki.simple_shear(1.0), np.eye(3), 0.01, 1e-3)
-    assert len(built) == len(samples) == 11
+def test_simulate_keeps_a_contraction_whose_det_underflows(tmp_path, capsys):
+    # F = e^(-100 t) I stays diagonal and positive; only its det underflows to 0,
+    # from step 2484, and the column reads that rounded 0
+    out = tmp_path / "contract.csv"
+    rc = main([
+        "simulate", "--motion", "pure_stretch", "--rates=-100,-100,-100",
+        "--t-end", "3", "--dt", "1e-3", "--record-every", "100", "--out", str(out),
+    ])
+    assert rc == 0
+    det_f = [float(row.split(",")[4]) for row in out.read_text().splitlines()[1:]]
+    assert len(det_f) == 31
+    assert det_f[24] > 0.0 and det_f[25:] == [0.0] * 6
+    assert "min det F         = 0\n" in capsys.readouterr().out
 
 
 # Settings that parse but that the motion, a trajectory bound or the float

@@ -52,3 +52,17 @@ def test_tracer_wraps_every_traced_method_and_public_name(monkeypatch):
         assert f"{mod}.{cls}.{meth}" in recorded
         assert vars(getattr(mods[mod], cls))[meth] is originals[cls, meth]
     assert "matcore.eigendecompose_symmetric" in recorded  # a public function, through its binding
+
+
+def test_tracer_sees_the_simulate_trajectory(monkeypatch, tmp_path):
+    # the command integrates through the public integrate_motion, so its span
+    # and its sample count feed kinematics.step.self_s and kinematics.samples
+    spans = _load_spans(monkeypatch)
+    mods = {name: importlib.import_module(f"corotcalc.{name}") for name in spans.MODULES}
+    tracer = spans.Tracer(mods)
+    with tracer:
+        assert mods["cli"].main(["simulate", "--t-end", "0.01", "--out", str(tmp_path / "t.csv")]) == 0
+    step = [tag for nid, tag in zip(tracer.name_id, tracer.tag)
+            if tracer.names[nid] == "kinematics.integrate_motion"]
+    assert step == [11]
+    assert tracer.layer_metrics()["kinematics.samples"] == 11
